@@ -10,8 +10,7 @@ rerun      re-execute a run from its manifest (byte-identical outputs)
 
 Every command writes `<command>_manifest.json` first, then its data files,
 all atomically (temp file + rename).  Exit codes are stable: 2 input/solver,
-3 quadrature accuracy, 4 linear algebra, 5 crossing search.  The environment
-variable WINTER_THREADS caps worker threads.
+3 quadrature accuracy, 4 linear algebra, 5 crossing search.
 
 Norm curves named `exponential` and `pole:<n>` in evolve --parts and in
 crossings reproduce survival-probability figures in the first-order
@@ -41,6 +40,7 @@ from .errors import (
 )
 from .evolution import (
     TimeSeries,
+    WaveField,
     asymptotic_field,
     cavity_norm,
     direct_field,
@@ -149,7 +149,7 @@ def cmd_poles(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _power_norm(l, g, t, x, tol) -> float:
-    """Simpson norm of the power part, tolerating the single marginal point."""
+    """Cavity norm of the power part, tolerating the single marginal point."""
     vals = np.empty(len(x), dtype=complex)
     for i, xi in enumerate(x):
         try:
@@ -164,9 +164,7 @@ def _power_norm(l, g, t, x, tol) -> float:
                 vals[i] = exc.best
             else:
                 raise
-    from scipy.integrate import simpson
-
-    return float(simpson(np.abs(vals) ** 2, x=x))
+    return cavity_norm(WaveField(x_grid=x, t=t, values=vals, part="power"))
 
 
 def _norm_series(l, g, method, t_grid, x, table, tol) -> TimeSeries:
@@ -318,6 +316,7 @@ def cmd_mixing(args) -> int:
         "contamination": args.contamination,
         "t": args.t,
         "tol": args.tol,
+        "format": args.format,
     }
     write_manifest(args.out, "mixing", params, outputs)
 

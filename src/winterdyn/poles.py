@@ -3,6 +3,17 @@
 Each zero in the octant Im k < 0, Re k > |Im k| carries a complex energy
 eps = k^2 = omega - i Gamma/2, so omega = (Re k)^2 - (Im k)^2 and
 Gamma = -4 Re k Im k.  The branch is fixed by k^(n)(0) = n.
+
+b vanishes where exp(2 pi i k) = 1 - 2 pi i g k.  The log of that relation
+on branch n, with the principal log,
+
+    k = n + log(1 - 2 pi i g k) / (2 pi i),
+
+is the Lambert-W closed form k_n = (1 - g W_{-n}(e^{1/g}/g)) / (2 pi i g)
+(Corless et al., Adv. Comput. Math. 5, 329 (1996)) written in k.  It never
+forms e^{1/g}, so it holds down to g -> 0, and since 1 - 2 pi i g k lies in
+the lower half-plane the principal log puts Re k in (n - 1/2, n): n alone
+fixes the branch, with no continuation in g.
 """
 
 from __future__ import annotations
@@ -10,33 +21,16 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, OctantViolationError, PoleConvergenceError
-from .spectrum import coef_a, coef_b, coef_b_dk
+from .spectrum import coef_a, coef_b
 
 DEFAULT_TOL = 1e-12
 MAX_NEWTON_STEPS = 50
-
-# The small-g expansion of the pole is only trustworthy while pi n g stays
-# small; continuation in g starts from this point and never steps past it.
-SEED_G_CAP = 0.05
-
-
-def worker_count() -> int:
-    """Parallelism cap: WINTER_THREADS if set, else a small cpu-based default."""
-    env = os.environ.get("WINTER_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(os.cpu_count() or 1, 8)
 
 
 def pole_seed(n: int, g: float) -> complex:
@@ -91,78 +85,85 @@ class Pole:
                 n=self.n,
             )
 
-    @classmethod
-    def from_k(cls, n: int, k: complex, g: float) -> "Pole":
-        eps = k * k
-        return cls(
-            n=n,
-            k=k,
-            energy=eps,
-            omega=k.real**2 - k.imag**2,
-            gamma=-4.0 * k.real * k.imag,
-            residual=abs(complex(coef_b(k, g))),
+
+def _make_poles(ns, ks: np.ndarray, g: float) -> tuple[Pole, ...]:
+    residuals = np.abs(coef_b(ks, g))
+    return tuple(
+        Pole(
+            n=int(n),
+            k=complex(k),
+            energy=complex(k * k),
+            omega=float(k.real**2 - k.imag**2),
+            gamma=float(-4.0 * k.real * k.imag),
+            residual=float(r),
         )
-
-
-def _newton(k: complex, g: float, tol: float, n: int) -> complex:
-    k_prev = None
-    for _ in range(MAX_NEWTON_STEPS):
-        dk = complex(coef_b(k, g)) / complex(coef_b_dk(k, g))
-        k_next = k - dk
-        residual = abs(complex(coef_b(k_next, g)))
-        if abs(dk) < tol and residual < tol:
-            return k_next
-        if k_next == k or k_next == k_prev:
-            # stalled at floating-point resolution; the slope 1/(2gk) sets
-            # the smallest representable |b| near the root
-            raise PoleConvergenceError(
-                f"n={n}, g={g}: |b| floors at {residual:.2e} (> tol {tol:.1e}) "
-                "at double-precision resolution; loosen tol",
-                n=n,
-                g=g,
-            )
-        k_prev, k = k, k_next
-    raise PoleConvergenceError(
-        f"Newton did not converge for n={n}, g={g} after {MAX_NEWTON_STEPS} steps "
-        f"(|b| = {abs(complex(coef_b(k, g))):.2e})",
-        n=n,
-        g=g,
+        for n, k, r in zip(ns, ks, residuals)
     )
 
 
-def find_pole(n: int, g: float, tol: float = DEFAULT_TOL) -> Pole:
-    """Locate the pole k^(n)(g) by Newton iteration with continuation in g.
+def _solve(ns: np.ndarray, g: float, tol: float) -> np.ndarray:
+    """Roots k^(n)(g) for every n in ns, by one vectorized Newton iteration.
 
-    The expansion seed is reliable only while n*g is small, so for larger
-    couplings the root is continued from g_start = min(0.05, 0.1/n) in steps
-    of at most g_start, re-seeding each step with the previous root.  This
-    keeps the iterate on the branch with k^(n)(0) = n.
+    Newton runs on F(k) = k - n - log(1 - 2 pi i g k)/(2 pi i), with
+    F'(k) = 1 + g/(1 - 2 pi i g k), seeded at k = n.  A root is accepted
+    once the step and |b| are both below tol; each root stops moving when
+    accepted, so its iterates do not depend on the other indices in ns.
     """
-    if n < 1:
-        raise DomainError("mode index n must be >= 1")
     if g <= 0:
-        raise DomainError("find_pole requires coupling g > 0")
+        raise DomainError("pole solver requires coupling g > 0")
     if tol <= 0:
         raise ValueError("tol must be > 0")
-
-    g_start = min(SEED_G_CAP, 0.1 / n)
-    if g <= g_start:
-        k = _newton(pole_seed(n, g), g, tol, n)
+    n = ns.astype(float)
+    k = n.astype(complex)
+    k_prev = np.full_like(k, np.nan)
+    active = np.arange(len(k))
+    for _ in range(MAX_NEWTON_STEPS):
+        ka = k[active]
+        w = 1.0 - 2j * math.pi * g * ka
+        dk = (ka - n[active] - np.log(w) / (2j * math.pi)) / (1.0 + g / w)
+        k_next = ka - dk
+        residual = np.abs(coef_b(k_next, g))
+        done = (np.abs(dk) < tol) & (residual < tol)
+        stalled = ~done & ((k_next == ka) | (k_next == k_prev[active]))
+        if stalled.any():
+            # stalled at floating-point resolution; the slope 1/(2gk) sets
+            # the smallest representable |b| near the root
+            i = int(np.argmax(stalled))
+            bad = int(ns[active[i]])
+            raise PoleConvergenceError(
+                f"n={bad}, g={g}: |b| floors at {residual[i]:.2e} (> tol {tol:.1e}) "
+                "at double-precision resolution; loosen tol",
+                n=bad,
+                g=g,
+            )
+        k_prev[active] = ka
+        k[active] = k_next
+        active = active[~done]
+        if not len(active):
+            break
     else:
-        k = _newton(pole_seed(n, g_start), g_start, tol, n)
-        steps = math.ceil((g - g_start) / g_start)
-        for gi in np.linspace(g_start, g, steps + 1)[1:]:
-            k = _newton(k, float(gi), tol, n)
-    if abs(k - n) > 0.75 * n:
+        bad = int(ns[active[0]])
         raise PoleConvergenceError(
-            f"root k={k} strayed from the n={n} branch", n=n, g=g
+            f"Newton did not converge for n={bad}, g={g} after {MAX_NEWTON_STEPS} "
+            f"steps (|b| = {abs(complex(coef_b(k[active[0]], g))):.2e})",
+            n=bad,
+            g=g,
         )
-    return Pole.from_k(n, k, g)
+    stray = np.abs(k - n) > 0.75 * n
+    if stray.any():
+        i = int(np.argmax(stray))
+        raise PoleConvergenceError(
+            f"root k={k[i]} strayed from the n={ns[i]} branch", n=int(ns[i]), g=g
+        )
+    return k
 
 
-def continuation_steps(n: int, g: float) -> int:
-    g_start = min(SEED_G_CAP, 0.1 / n)
-    return 0 if g <= g_start else math.ceil((g - g_start) / g_start)
+def find_pole(n: int, g: float, tol: float = DEFAULT_TOL) -> Pole:
+    """The pole k^(n)(g), by the same solver pole_table runs on all n at once."""
+    if n < 1:
+        raise DomainError("mode index n must be >= 1")
+    ns = np.array([n])
+    return _make_poles(ns, _solve(ns, g, tol), g)[0]
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,6 @@ class PoleTable:
     g: float
     tol: float
     poles: tuple[Pole, ...]
-    continuation_steps: int
     warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
@@ -202,7 +202,6 @@ class PoleTable:
             {
                 "g": self.g,
                 "tol": self.tol,
-                "continuation_steps": self.continuation_steps,
                 "warnings": list(self.warnings),
                 "poles": [
                     {
@@ -221,22 +220,20 @@ class PoleTable:
 
     @classmethod
     def from_json(cls, text: str) -> "PoleTable":
+        """Read a table; unknown fields, such as those older files carry, are ignored."""
         obj = json.loads(text)
-        poles = tuple(
-            Pole.from_k(row["n"], complex(row["re_k"], row["im_k"]), obj["g"])
-            for row in obj["poles"]
-        )
+        rows = obj["poles"]
+        ks = np.array([complex(row["re_k"], row["im_k"]) for row in rows])
         return cls(
             g=obj["g"],
             tol=obj["tol"],
-            poles=poles,
-            continuation_steps=obj.get("continuation_steps", 0),
+            poles=_make_poles([row["n"] for row in rows], ks, obj["g"]),
             warnings=tuple(obj.get("warnings", ())),
         )
 
 
 def pole_table(g: float, N: int, tol: float = DEFAULT_TOL) -> PoleTable:
-    """Solve for poles n = 1..N; the n-loop may run on a thread pool.
+    """Solve for poles n = 1..N in one vectorized pass.
 
     A warning entry is recorded for every n whose perturbative width exceeds
     a tenth of its frequency (the resonance picture degrading), mirroring the
@@ -244,22 +241,8 @@ def pole_table(g: float, N: int, tol: float = DEFAULT_TOL) -> PoleTable:
     """
     if N < 1:
         raise DomainError("table size N must be >= 1")
-
-    def solve(n):
-        try:
-            return find_pole(n, g, tol)
-        except PoleConvergenceError as exc:
-            raise PoleConvergenceError(
-                f"pole_table failed at n={n}: {exc}", n=n, g=g
-            ) from exc
-
-    workers = worker_count()
-    ns = range(1, N + 1)
-    if workers > 1 and N >= 8:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            poles = tuple(pool.map(solve, ns))
-    else:
-        poles = tuple(solve(n) for n in ns)
+    ns = np.arange(1, N + 1)
+    poles = _make_poles(ns, _solve(ns, g, tol), g)
 
     warn_rows = []
     for p in poles:
@@ -270,13 +253,7 @@ def pole_table(g: float, N: int, tol: float = DEFAULT_TOL) -> PoleTable:
                 f"n={p.n}: perturbative width {w2:.3g} exceeds 0.1*omega {0.1*abs(f1):.3g}; "
                 "resonance picture marginal"
             )
-    table = PoleTable(
-        g=g,
-        tol=tol,
-        poles=poles,
-        continuation_steps=continuation_steps(N, g),
-        warnings=tuple(warn_rows),
-    )
+    table = PoleTable(g=g, tol=tol, poles=poles, warnings=tuple(warn_rows))
     if warn_rows:
         first = warn_rows[0].split(":")[0]
         warnings.warn(

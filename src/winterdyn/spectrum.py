@@ -74,8 +74,7 @@ def coef_b(k, g):
 def coef_b_dk(k, g):
     """Analytic derivative of coef_b with respect to k.
 
-    Used both by the Newton pole solver and by the residue weights of the
-    exponential part of the evolution.
+    Used by the residue weights of the exponential part of the evolution.
     """
     _check_kg(k, g)
     k = np.asarray(k, dtype=complex)

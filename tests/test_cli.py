@@ -175,3 +175,27 @@ def test_mixing_rotate_order1(tmp_path):
     synth = math.sqrt(2 / math.pi) * (np.sin(np.outer(x, n)) @ coeffs)
     target = math.sqrt(2 / math.pi) * (1 - 0.05) * np.sin(0.9 * x)
     assert np.max(np.abs(synth - target)) < 6 * 0.1**2
+
+
+def test_rerun_mixing_json_reproduces_file_set(tmp_path):
+    first = tmp_path / "a"
+    second = tmp_path / "b"
+    main(["mixing", "--g", "0.1", "--n", "8", "--emit", "U", "--format", "json",
+          "--out", str(first)])
+    rc = main(["rerun", "--manifest", str(first / "mixing_manifest.json"),
+               "--out", str(second)])
+    assert rc == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert "mixing_U.json" in names
+    assert sorted(p.name for p in second.iterdir()) == names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_evolve_power_norm_rejects_short_grid(tmp_path):
+    # the power norm runs through the same grid check as every other norm
+    rc = main(
+        ["evolve", "--g", "0.2", "--method", "power", "--t", "1:2:2",
+         "--x", "0:3.14:10", "--out", str(tmp_path)]
+    )
+    assert rc == 2

@@ -1,6 +1,11 @@
+import json
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from winterdyn import (
     DomainError,
@@ -129,14 +134,12 @@ def test_pole_table_octant_at_moderate_g():
         assert p.k.imag < 0 and p.k.real > abs(p.k.imag)
 
 
-def test_pole_table_parallel_env(monkeypatch):
-    monkeypatch.setenv("WINTER_THREADS", "2")
+def test_pole_table_deterministic():
     with pytest.warns(UserWarning):
         a = pole_table(0.15, 9)
-    monkeypatch.setenv("WINTER_THREADS", "1")
     with pytest.warns(UserWarning):
         b = pole_table(0.15, 9)
-    assert all(pa.k == pb.k for pa, pb in zip(a.poles, b.poles))
+    assert a == b
 
 
 def test_json_round_trip():
@@ -148,8 +151,67 @@ def test_json_round_trip():
         assert p.omega == pytest.approx(q.omega)
 
 
-def test_deep_continuation_g_half():
-    # continuation from small g keeps the branch all the way to g = 0.5
+def test_json_reads_older_files_with_continuation_steps():
+    with pytest.warns(UserWarning):
+        t = pole_table(0.1, 4)
+    obj = json.loads(t.to_json())
+    assert "continuation_steps" not in obj
+    obj["continuation_steps"] = 1
+    back = PoleTable.from_json(json.dumps(obj))
+    assert back == t
+
+
+# k^(n)(g) from the Newton continuation in g that preceded the log-branch
+# solver (pole_table(g, 200), default tol)
+CONTINUATION_POLES = [
+    (0.2, 1, 0.8627413005714853 - 0.05665891602548522j),
+    (0.2, 10, 9.756468395750588 - 0.3990325989832481j),
+    (0.2, 200, 199.74993336063432 - 0.8794115122391659j),
+    (0.5, 10, 9.746305229177082 - 0.5446103324319543j),
+]
+
+
+@pytest.mark.parametrize("g, n, k_ref", CONTINUATION_POLES)
+def test_poles_match_continuation_literals(g, n, k_ref):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        table = pole_table(g, 200)
+    assert abs(table[n].k - k_ref) < 1e-13
+    assert abs(find_pole(n, g).k - k_ref) < 1e-13
+
+
+@given(
+    g=st.floats(min_value=1e-3, max_value=0.5),
+    N=st.integers(min_value=1, max_value=200),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_pole_table_properties(g, N, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        table = pole_table(g, N)
+    assert [p.n for p in table.poles] == list(range(1, N + 1))
+    for p in table.poles:
+        assert p.residual <= table.tol
+        assert p.k.imag < 0 and p.k.real > abs(p.k.imag)
+    re = np.real(table.k_values)
+    assert np.all(np.diff(re) > 0)
+    n = data.draw(st.integers(min_value=1, max_value=N))
+    assert find_pole(n, g).k == table[n].k
+
+
+@pytest.mark.parametrize("g", [1e-5, 1e-7])
+def test_pole_table_tiny_coupling_is_finite(g):
+    table = pole_table(g, 200, tol=1e-8)
+    ks = table.k_values
+    assert np.all(np.isfinite(ks))
+    assert all(p.residual < 1e-8 for p in table.poles)
+    n = np.arange(1, 201)
+    assert np.max(np.abs(ks - n * (1 - g)) / n) < 3 * g
+
+
+def test_branch_holds_at_g_half():
+    # the log branch fixed by n holds all the way to g = 0.5
     for n in (1, 10):
         p = find_pole(n, 0.5, tol=1e-12)
         assert p.residual < 1e-12
