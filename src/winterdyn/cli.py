@@ -45,8 +45,9 @@ from .evolution import (
     cavity_norm,
     direct_field,
     exponential_field,
+    _power_values,
+    _ray_accuracy_error,
     power_field,
-    psi_power_quad,
     resonance_exponential_norm,
     resonance_term_norm,
 )
@@ -92,6 +93,14 @@ def parse_grid(spec: str) -> np.ndarray:
         lo, hi, cnt = float(parts[0]), float(parts[1]), int(parts[2])
         return np.linspace(lo, hi, cnt)
     raise ValueError(f"bad grid spec {spec!r}; use start:stop:count")
+
+
+def _position_grid(spec: str) -> np.ndarray:
+    """Parse --x, refusing a grid that no field can be built on."""
+    x = parse_grid(spec)
+    if not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0):
+        raise DomainError(f"--x {spec!r} must give finite, strictly increasing positions")
+    return x
 
 
 def atomic_write(path: str, text: str):
@@ -149,22 +158,24 @@ def cmd_poles(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _power_norm(l, g, t, x, tol) -> float:
-    """Cavity norm of the power part, tolerating the single marginal point."""
-    vals = np.empty(len(x), dtype=complex)
-    for i, xi in enumerate(x):
-        try:
-            vals[i] = psi_power_quad(l, xi, t, g, tol)
-        except AccuracyError as exc:
-            if t == 0 and xi >= math.pi - 1e-12 and exc.best is not None:
-                warnings.warn(
-                    "ray integral is marginally divergent at (x, t) = (pi, 0); "
-                    "using the cutoff-limited value for the norm",
-                    stacklevel=2,
-                )
-                vals[i] = exc.best
-            else:
-                raise
-    return cavity_norm(WaveField(x_grid=x, t=t, values=vals, part="power"))
+    """Cavity norm of the power part, tolerating the single marginal point.
+
+    Only (x, t) = (pi, 0), where the ray integral is marginally divergent,
+    may miss tol; its cutoff-limited value enters the norm with a warning.
+    """
+    values, estimates = _power_values(l, x, t, g, tol)
+    missed = ~(estimates <= tol)
+    fatal = missed & ((t != 0) | (x < math.pi - 1e-12))
+    if fatal.any():
+        i = int(np.argmax(np.where(fatal, estimates, -np.inf)))
+        raise _ray_accuracy_error(l, x[i], t, g, tol, estimates[i], complex(values[i]))
+    if missed.any():
+        warnings.warn(
+            "ray integral is marginally divergent at (x, t) = (pi, 0); "
+            "using the cutoff-limited value for the norm",
+            stacklevel=2,
+        )
+    return cavity_norm(WaveField(x_grid=x, t=t, values=values, part="power"))
 
 
 def _norm_series(l, g, method, t_grid, x, table, tol) -> TimeSeries:
@@ -187,7 +198,7 @@ def _norm_series(l, g, method, t_grid, x, table, tol) -> TimeSeries:
 
 def cmd_evolve(args) -> int:
     t_grid = parse_grid(args.t)
-    x = parse_grid(args.x)
+    x = _position_grid(args.x)
     params = {
         "g": args.g,
         "l": args.l,
@@ -414,7 +425,7 @@ def cmd_crossings(args) -> int:
     t_grid = parse_grid(args.t)
     if t_grid[0] <= 0:
         raise DomainError("crossing search needs t > 0 (norm curves are compared on a log scale)")
-    x = parse_grid(args.x)
+    x = _position_grid(args.x)
     params = {
         "g": args.g,
         "l": args.l,

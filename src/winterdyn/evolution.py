@@ -353,12 +353,14 @@ def pole_wavefunction(n: int, x, t: float, g: float, table: PoleTable):
 _ROT = cmath.exp(-1j * math.pi / 4.0)
 
 
-def _ray_integrand(l, kappa, x, g):
-    """p^(l)(kappa e^{-i pi/4}; x, g) in overflow-free form.
+def _ray_sums(l, x, t, g, edges):
+    """GL-15 sums of the ray integrand at every x on one cell set, with tails.
 
-    Along the ray both sines and the coefficient b grow like exp(c kappa),
-    which overflows doubles near kappa ~ 700/(pi + x) even though their
-    combination decays.  Factoring the dominant exponentials analytically:
+    The integrand is p^(l)(kappa e^{-i pi/4}; x, g) e^{-kappa^2 t} in
+    overflow-free form.  Along the ray both sines and the coefficient b grow
+    like exp(c kappa), which overflows doubles near kappa ~ 700/(pi + x) even
+    though their combination decays.  Factoring the dominant exponentials
+    analytically:
 
         sin(pi k) sin(k x)/(4 a b) = -(1/16) e^{i k (x - pi)} A_pi A_x / (a B),
         A_mu = 1 - e^{-2 i k mu},
@@ -366,35 +368,85 @@ def _ray_integrand(l, kappa, x, g):
         B = b e^{-2 i pi k} = (i/2)(1 - A_pi) + delta A_pi,
 
     with delta = 1/(4 pi g k); every exponential that remains has a
-    non-positive real exponent on the ray.
+    non-positive real exponent on the ray.  Only e^{i k (x - pi)} A_x depends
+    on x, so the rest is formed once per node and the integrand is a
+    nodes x points array.
+
+    The tail of each point is C/K, with C the 1/k^2 envelope constant
+    measured over the last cell and K the last edge; a sum that is not
+    finite gets an infinite tail.
     """
-    k = kappa * _ROT
+    nodes, wts = gl_nodes_weights(edges)
+    k = nodes * _ROT
     delta = 1.0 / (4.0 * math.pi * g * k)
     a_pi = -np.expm1(-2j * math.pi * k)
-    a_x = -np.expm1(-2j * k * x)
     a_coef = -0.5j - delta * a_pi
     b_wrapped = 0.5j * (1.0 - a_pi) + delta * a_pi
-    ratio = (
-        -(1.0 / 16.0)
-        * np.exp(1j * k * (x - math.pi))
-        * a_pi
-        * a_x
-        / (a_coef * b_wrapped)
+    # -(1/16) A_pi A_x = (1/16) A_pi expm1(-2 i k x)
+    per_node = (
+        (-1) ** l * l / 16.0 * a_pi / (a_coef * b_wrapped * (k**2 - l**2))
+        * np.exp(-nodes**2 * t)
     )
-    return (-1) ** l * l * ratio / (k**2 - l**2)
-
-
-def _ray_value(l, x, t, g, edges):
-    nodes, wts = gl_nodes_weights(edges)
-    f = _ray_integrand(l, nodes.astype(complex), x, g) * np.exp(-nodes**2 * t)
-    value = np.sum(f * wts)
-    # measured 1/k^2 envelope constant over the last cell -> analytic tail C/K
+    # the nodes x points factor e^{i k (x - pi)} expm1(-2 i k x), formed in
+    # place so that no more than two such arrays are alive at once
+    f = np.multiply.outer(1j * k, x - math.pi)
+    np.exp(f, out=f)
+    expm1_x = np.multiply.outer(-2j * k, x)
+    np.expm1(expm1_x, out=expm1_x)
+    f *= expm1_x
+    f *= per_node[:, None]
     last = nodes >= edges[-2]
-    c_env = np.max(np.abs(f[last]) * nodes[last] ** 2) if last.any() else math.inf
-    tail = c_env / edges[-1]
-    if not np.isfinite(value):
-        return value, math.inf
-    return value, tail
+    envelope = np.max(np.abs(f[last]) * nodes[last, None] ** 2, axis=0)
+    f *= wts[:, None]
+    sums = f.sum(axis=0)
+    return sums, np.where(np.isfinite(sums), envelope / edges[-1], math.inf)
+
+
+def _power_values(l: int, x, t: float, g: float, tol: float):
+    """Power part at every x by quadrature along the ray arg k = -pi/4.
+
+    Returns the values and each point's error estimate |cur - prev| + tail.
+    Every point climbs the cell ladder base -> x2 -> x4 -> x8 and leaves it
+    at the first level whose estimate meets tol, so only the points still
+    above tol are evaluated on the next level.  A point that ends above tol
+    (such as the marginal point (x, t) = (pi, 0)) keeps its last value.
+    """
+    _check_mode(l)
+    if g <= 0:
+        raise DomainError("power part requires g > 0")
+    if t < 0:
+        raise DomainError("time must be >= 0")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all((x >= 0.0) & (x <= math.pi)):
+        raise DomainError("cavity position x must lie in [0, pi]")
+
+    if t > 0:
+        # the Gaussian cutoff does not depend on x: one cell set serves all points
+        groups = [(np.arange(len(x)), ray_cell_edges(t, math.pi))]
+    else:
+        # at t = 0 the cutoff scales with 1/(pi - x): each point gets its own cells
+        groups = [(np.array([i]), ray_cell_edges(t, xi)) for i, xi in enumerate(x)]
+    values = np.empty(len(x), dtype=complex)
+    estimates = np.empty(len(x))
+    for active, edges in groups:
+        values[active], _ = _ray_sums(l, x[active], t, g, edges)
+        for factor in (2, 4, 8):
+            cur, tails = _ray_sums(l, x[active], t, g, refine_edges(edges, factor))
+            estimates[active] = np.abs(cur - values[active]) + tails
+            values[active] = cur
+            active = active[~(estimates[active] <= tol)]
+            if not active.size:
+                break
+    return _ROT * SPECTRAL_PREFACTOR * values, estimates
+
+
+def _ray_accuracy_error(l, x, t, g, tol, estimate, best) -> AccuracyError:
+    return AccuracyError(
+        f"ray quadrature reached {estimate:.2e} > tol {tol:.1e} "
+        f"(l={l}, x={x}, t={t}, g={g})",
+        best=best,
+        estimate=float(estimate),
+    )
 
 
 def psi_power_quad(l: int, x: float, t: float, g: float, tol: float = 1e-8) -> complex:
@@ -405,40 +457,30 @@ def psi_power_quad(l: int, x: float, t: float, g: float, tol: float = 1e-8) -> c
     estimate cannot drop below the tolerance; that case raises AccuracyError
     with the cutoff-limited value attached.
     """
-    _check_mode(l)
-    if g <= 0:
-        raise DomainError("power part requires g > 0")
-    if t < 0:
-        raise DomainError("time must be >= 0")
-    if not 0.0 <= x <= math.pi:
-        raise DomainError("cavity position x must lie in [0, pi]")
-
-    edges = ray_cell_edges(t, x)
-    prev, tail = _ray_value(l, x, t, g, edges)
-    best, estimate = prev, math.inf
-    for factor in (2, 4, 8):
-        cur, tail = _ray_value(l, x, t, g, refine_edges(edges, factor))
-        estimate = abs(cur - prev) + tail
-        best = cur
-        prev = cur
-        if estimate <= tol:
-            break
-    value = complex(_ROT * SPECTRAL_PREFACTOR * best)
-    if estimate > tol:
-        raise AccuracyError(
-            f"ray quadrature reached {estimate:.2e} > tol {tol:.1e} "
-            f"(l={l}, x={x}, t={t}, g={g})",
-            best=value,
-            estimate=float(estimate),
-        )
+    values, estimates = _power_values(l, [x], t, g, tol)
+    value = complex(values[0])
+    if not estimates[0] <= tol:
+        raise _ray_accuracy_error(l, x, t, g, tol, estimates[0], value)
     return value
 
 
 def power_field(l: int, x_grid, t: float, g: float, tol: float = 1e-8) -> WaveField:
-    """Power part on a grid; one ray quadrature per grid point."""
+    """Power part on a grid by one batched ray quadrature.
+
+    meta["error_estimate"] is the largest per-point estimate.  When it
+    exceeds tol, AccuracyError names the worst point and carries the whole
+    field as `best`.
+    """
     x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    values = np.array([psi_power_quad(l, xi, t, g, tol) for xi in x])
-    return WaveField(x_grid=x, t=float(t), values=values, part="power")
+    values, estimates = _power_values(l, x, t, g, tol)
+    worst = float(estimates.max(initial=0.0))
+    fld = WaveField(
+        x_grid=x, t=float(t), values=values, part="power", meta={"error_estimate": worst}
+    )
+    if not worst <= tol:
+        i = int(np.argmax(estimates))
+        raise _ray_accuracy_error(l, x[i], t, g, tol, worst, fld)
+    return fld
 
 
 def psi_power_asym(l: int, x: float, t: float, g: float) -> complex:

@@ -134,7 +134,7 @@ def test_criterion_05_decomposition_identity():
 def _power_norm_curve(l, g, ts, x):
     out = []
     for t in ts:
-        vals = np.array([psi_power_quad(l, xi, t, g, tol=1e-10) for xi in x])
+        vals = power_field(l, x, t, g, tol=1e-10).values
         out.append(float(simpson(np.abs(vals) ** 2, x=x)))
     return np.array(out)
 
@@ -146,9 +146,7 @@ def test_criterion_06_exponential_power_crossover():
     x = np.linspace(0, PI, 129)
     fa = lambda t: float(resonance_exponential_norm(l, g, 12, t))
     fb = lambda t: float(
-        simpson(
-            np.abs([psi_power_quad(l, xi, t, g, tol=1e-10) for xi in x]) ** 2, x=x
-        )
+        simpson(np.abs(power_field(l, x, t, g, tol=1e-10).values) ** 2, x=x)
     )
     found = find_crossings(fa, fb, np.linspace(5.0, 80.0, 76))
     assert found, "no crossing located"
@@ -169,9 +167,7 @@ def test_criterion_07_first_excited_windows():
     # power takeover of the surviving pole-1 term
     x = np.linspace(0, PI, 129)
     fc = lambda t: float(
-        simpson(
-            np.abs([psi_power_quad(l, xi, t, g, tol=1e-10) for xi in x]) ** 2, x=x
-        )
+        simpson(np.abs(power_field(l, x, t, g, tol=1e-10).values) ** 2, x=x)
     )
     found2 = find_crossings(fa, fc, np.linspace(100.0, 260.0, 33))
     assert found2

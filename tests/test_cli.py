@@ -199,3 +199,33 @@ def test_evolve_power_norm_rejects_short_grid(tmp_path):
          "--x", "0:3.14:10", "--out", str(tmp_path)]
     )
     assert rc == 2
+
+
+def test_evolve_rejects_decreasing_grid_before_manifest(tmp_path):
+    rc = main(
+        ["evolve", "--g", "0.2", "--method", "exponential", "--n-max", "4",
+         "--t", "1:2:2", "--x", "3.141592653589793:0:40", "--out", str(tmp_path)]
+    )
+    assert rc == 2
+    assert not (tmp_path / "evolve_manifest.json").exists()
+
+
+def test_crossings_rejects_non_finite_grid_before_manifest(tmp_path):
+    rc = main(
+        ["crossings", "--g", "0.1", "--l", "2", "--curve-a", "pole:1",
+         "--curve-b", "pole:2", "--t", "1:20:39", "--x", "0:inf:65",
+         "--out", str(tmp_path)]
+    )
+    assert rc == 2
+    assert not (tmp_path / "crossings_manifest.json").exists()
+
+
+def test_evolve_power_t0_writes_norm_and_warns(tmp_path):
+    # default grid: only the marginal point (pi, 0) may miss the tolerance
+    with pytest.warns(UserWarning, match="marginally divergent"):
+        rc = main(["evolve", "--g", "0.2", "--method", "power", "--t", "0:1:2",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    rows = read_csv(tmp_path / "evolve_power_norm.csv")
+    assert [float(r["t"]) for r in rows] == [0.0, 1.0]
+    assert all(np.isfinite(float(r["norm"])) and float(r["norm"]) > 0 for r in rows)

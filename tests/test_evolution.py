@@ -14,6 +14,7 @@ from winterdyn import (
     integrand_p,
     pole_table,
     pole_wavefunction,
+    power_field,
     psi_direct,
     psi_exponential,
     psi_power_asym,
@@ -192,6 +193,40 @@ def test_power_marginal_point_raises():
 def test_power_converges_at_t_zero_inside():
     v = psi_power_quad(1, math.pi / 2, 0.0, 0.2, tol=1e-8)
     assert np.isfinite(v.real)
+
+
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("g", [0.05, 0.2, 0.3])
+def test_power_field_matches_pointwise(l, g):
+    # the batched grid evaluation equals the one-point route point by point,
+    # and its recorded estimate certifies the tolerance
+    x = np.linspace(0.0, math.pi, 33)
+    for t in (0.0, 0.5, 5.0, 50.0, 300.0):
+        xs = x[:-1] if t == 0 else x  # (pi, 0) is the marginal point
+        for tol in (1e-6, 1e-10):
+            fld = power_field(l, xs, t, g, tol)
+            pointwise = [psi_power_quad(l, xi, t, g, tol) for xi in xs]
+            np.testing.assert_allclose(fld.values, pointwise, rtol=1e-14, atol=0)
+            assert fld.meta["error_estimate"] <= tol
+
+
+def test_power_field_marginal_point_raises_with_field():
+    x = np.linspace(0.0, math.pi, 33)
+    with pytest.raises(AccuracyError) as exc:
+        power_field(1, x, 0.0, 0.2, tol=1e-8)
+    best = exc.value.best
+    assert isinstance(best, WaveField)
+    assert best.part == "power" and len(best.values) == len(x)
+    assert best.meta["error_estimate"] == exc.value.estimate > 1e-8
+    # the interior points still converged; only x = pi misses the tolerance
+    np.testing.assert_allclose(
+        best.values[:-1], power_field(1, x[:-1], 0.0, 0.2, tol=1e-8).values, rtol=1e-14
+    )
+
+
+def test_power_field_rejects_positions_outside_cavity():
+    with pytest.raises(DomainError):
+        power_field(1, [0.5, 3.5], 1.0, 0.2)
 
 
 def test_asymptotic_against_quadrature():
