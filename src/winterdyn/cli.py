@@ -79,20 +79,28 @@ EXIT_SEARCH = 5
 # ---------------------------------------------------------------------------
 
 def parse_grid(spec: str) -> np.ndarray:
-    """Parse 'start:stop:count' (inclusive), 'logspace:start:stop:count', or a number."""
-    if spec.startswith("logspace:"):
-        _, lo, hi, cnt = spec.split(":")
-        lo, hi, cnt = float(lo), float(hi), int(cnt)
+    """Parse 'start:stop:count' (inclusive), 'logspace:start:stop:count', or a number.
+
+    Raises DomainError for a spec it cannot read.
+    """
+    log = spec.startswith("logspace:")
+    parts = spec.split(":")[1:] if log else spec.split(":")
+    if len(parts) not in ((3,) if log else (1, 3)):
+        raise DomainError(f"bad grid spec {spec!r}; use start:stop:count")
+    try:
+        lo = float(parts[0])
+        if len(parts) == 1:
+            return np.array([lo])
+        hi, cnt = float(parts[1]), int(parts[2])
+    except ValueError:
+        raise DomainError(f"bad grid spec {spec!r}; use start:stop:count") from None
+    if cnt < 1:
+        raise DomainError(f"grid spec {spec!r} needs a count >= 1")
+    if log:
         if lo <= 0 or hi <= 0:
-            raise ValueError("logspace bounds must be positive")
+            raise DomainError(f"grid spec {spec!r}: logspace bounds must be positive")
         return np.logspace(math.log10(lo), math.log10(hi), cnt)
-    parts = spec.split(":")
-    if len(parts) == 1:
-        return np.array([float(parts[0])])
-    if len(parts) == 3:
-        lo, hi, cnt = float(parts[0]), float(parts[1]), int(parts[2])
-        return np.linspace(lo, hi, cnt)
-    raise ValueError(f"bad grid spec {spec!r}; use start:stop:count")
+    return np.linspace(lo, hi, cnt)
 
 
 def _position_grid(spec: str) -> np.ndarray:
@@ -101,6 +109,14 @@ def _position_grid(spec: str) -> np.ndarray:
     if not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0):
         raise DomainError(f"--x {spec!r} must give finite, strictly increasing positions")
     return x
+
+
+def _time_grid(spec: str) -> np.ndarray:
+    """Parse --t, refusing a grid that no time series can be built on."""
+    t = parse_grid(spec)
+    if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0) or np.any(t < 0):
+        raise DomainError(f"--t {spec!r} must give finite, strictly increasing times >= 0")
+    return t
 
 
 def atomic_write(path: str, text: str):
@@ -197,7 +213,7 @@ def _norm_series(l, g, method, t_grid, x, table, tol) -> TimeSeries:
 
 
 def cmd_evolve(args) -> int:
-    t_grid = parse_grid(args.t)
+    t_grid = _time_grid(args.t)
     x = _position_grid(args.x)
     params = {
         "g": args.g,

@@ -31,8 +31,8 @@ from scipy.integrate import simpson
 from .errors import AccuracyError, DomainError
 from .poles import PoleTable, width_pert
 from .quadrature import (
-    direct_panel_nodes,
     gl_nodes_weights,
+    panel_cell_edges,
     ray_cell_edges,
     refine_edges,
     tail_mode_fit,
@@ -48,6 +48,10 @@ SPECTRAL_PREFACTOR = (2.0 / math.pi) ** 1.5
 RING_WINDOW = 1e-4
 
 DEFAULT_T_MAX_DIRECT = 50.0
+
+# Nodes per block of the direct route's real matrix product; bounds the
+# sin(k x) block at DIRECT_CHUNK x points doubles whatever the tolerance.
+DIRECT_CHUNK = 4096
 
 
 def _check_mode(l: int):
@@ -175,6 +179,10 @@ def direct_field(
     integrals decay like 1/(t j^3) and plain truncation at the tolerance-
     derived panel count suffices.  Raises AccuracyError (carrying the best
     field and the estimate) when the target cannot be certified.
+
+    The panels are summed one at a time as real matrix products over blocks
+    of at most DIRECT_CHUNK nodes, so memory stays O(DIRECT_CHUNK * points +
+    panels * points) whatever the tolerance.
     """
     _check_mode(l)
     if g <= 0:
@@ -198,18 +206,25 @@ def direct_field(
     else:
         n_panels = truncation_panels(l, t, tol)
 
-    nodes, wts, panel_of = direct_panel_nodes(g, t, n_panels)
-    kern = (
-        (-1) ** l
-        * l
-        * _sin_ratio(nodes, l)
-        / (4.0 * ab_product(nodes.astype(complex), g))
-        * np.exp(-1j * nodes**2 * t)
-        * wts
-    )
-    contrib = kern[:, None] * np.sin(np.outer(nodes, x))
-    panels = np.zeros((n_panels, len(x)), dtype=complex)
-    np.add.at(panels, panel_of, contrib)
+    panels = np.empty((n_panels, len(x)), dtype=complex)
+    n_nodes = 0
+    for j in range(n_panels):
+        nodes, wts = gl_nodes_weights(panel_cell_edges(j, g, t))
+        kern = (
+            (-1) ** l
+            * l
+            * _sin_ratio(nodes, l)
+            / (4.0 * ab_product(nodes.astype(complex), g))
+            * np.exp(-1j * nodes**2 * t)
+            * wts
+        )
+        kern_ri = np.stack([kern.real, kern.imag])
+        acc = np.zeros((2, len(x)))
+        for lo in range(0, len(nodes), DIRECT_CHUNK):
+            c = slice(lo, lo + DIRECT_CHUNK)
+            acc += kern_ri[:, c] @ np.sin(np.multiply.outer(nodes[c], x))
+        panels[j] = acc[0] + 1j * acc[1]
+        n_nodes += len(nodes)
     partial = np.cumsum(panels, axis=0)
 
     values = np.empty(len(x), dtype=complex)
@@ -235,7 +250,11 @@ def direct_field(
         t=float(t),
         values=values,
         part="total",
-        meta={"error_estimate": float(estimates.max()), "panels": n_panels},
+        meta={
+            "error_estimate": float(estimates.max()),
+            "panels": n_panels,
+            "nodes": n_nodes,
+        },
     )
     if estimates.max() > tol:
         raise AccuracyError(

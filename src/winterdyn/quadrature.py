@@ -17,7 +17,14 @@ windowed least-squares fit of the known tail model
 
     S_j = S + (-1)^j [cos(x j) A(j) + sin(x j) B(j)],  A, B ~ poly(1/j),
 
-which degenerates to plain Richardson in 1/j at x = pi.
+which degenerates to plain Richardson in 1/j at x = pi.  The model's design
+matrix is real, so the real and imaginary parts of the partial sums are fitted
+as two right-hand sides of one real least-squares problem.
+
+The caller (evolution.direct_field) builds the nodes of one panel at a time
+from panel_cell_edges and gl_nodes_weights and sums it as a real matrix
+product over fixed-size node blocks, so no nodes x points array over all
+panels is ever formed and memory does not grow with the tolerance.
 """
 
 from __future__ import annotations
@@ -70,17 +77,6 @@ def gl_nodes_weights(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def direct_panel_nodes(g: float, t: float, n_panels: int):
-    """Node/weight arrays for panels 0..n_panels-1 plus per-node panel index."""
-    nodes, weights, panel_of = [], [], []
-    for j in range(n_panels):
-        nd, w = gl_nodes_weights(panel_cell_edges(j, g, t))
-        nodes.append(nd)
-        weights.append(w)
-        panel_of.append(np.full(len(nd), j, dtype=np.intp))
-    return np.concatenate(nodes), np.concatenate(weights), np.concatenate(panel_of)
-
-
 def truncation_panels(l: int, t: float, tol: float, cap: int = 800) -> int:
     """Panels needed so the first neglected panel integral is below ~tol/3.
 
@@ -114,13 +110,15 @@ def tail_mode_fit(
     for p in range(1, max_power + 1):
         cols.append(sgn * np.cos(x * js) / jj**p)
         cols.append(sgn * np.sin(x * js) / jj**p)
-    A = np.array(cols).T.astype(complex)
+    A = np.array(cols).T
     norms = np.linalg.norm(A, axis=0)
     keep = norms > 1e-14
-    coef, *_ = np.linalg.lstsq(A[:, keep] / norms[keep], partial_sums[j_lo:], rcond=rcond)
-    resid = partial_sums[j_lo:] - (A[:, keep] / norms[keep]) @ coef
-    rms = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
-    return complex(coef[0] / norms[keep][0]), rms
+    A = A[:, keep] / norms[keep]
+    rhs = np.stack([partial_sums[j_lo:].real, partial_sums[j_lo:].imag], axis=1)
+    coef, *_ = np.linalg.lstsq(A, rhs, rcond=rcond)
+    resid = rhs - A @ coef
+    rms = float(np.sqrt(np.mean(np.sum(resid**2, axis=1))))
+    return complex(coef[0, 0], coef[0, 1]) / norms[keep][0], rms
 
 
 def ray_cell_edges(t: float, x: float, k_cap: float = 4096.0) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from winterdyn import DomainError
 from winterdyn.cli import main, parse_grid
 
 
@@ -30,6 +31,48 @@ def test_parse_grid_scalar():
 def test_parse_grid_bad():
     with pytest.raises(ValueError):
         parse_grid("1:2")
+
+
+@pytest.mark.parametrize(
+    "spec", ["1:2", "1:2:2:5", "0:abc:40", "abc", "0:1:4.5", "0:1:0", "logspace:0:1:3",
+             "logspace:1:10", "logspace:1:10:-1"]
+)
+def test_parse_grid_rejects_with_domain_error(spec):
+    with pytest.raises(DomainError):
+        parse_grid(spec)
+
+
+EVOLVE = ["evolve", "--g", "0.2", "--method", "exponential", "--n-max", "4"]
+CROSSINGS = ["crossings", "--g", "0.1", "--l", "2", "--curve-a", "pole:1", "--curve-b", "pole:2"]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--t", "1:2:2", "--x", "0:abc:40"],
+        ["--t", "1:2:2:5"],
+        ["--t", "logspace:0:10:3"],
+        ["--t", "1:2:0"],
+    ],
+)
+@pytest.mark.parametrize("command", [EVOLVE, CROSSINGS])
+def test_malformed_grid_exits_2_before_manifest(tmp_path, command, grid):
+    rc = main(command + grid + ["--out", str(tmp_path)])
+    assert rc == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_evolve_rejects_decreasing_times_before_manifest(tmp_path):
+    rc = main(EVOLVE + ["--t", "2:1:2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "evolve_manifest.json").exists()
+
+
+@pytest.mark.parametrize("spec", ["-1:1:3", "0:inf:3"])
+def test_evolve_rejects_negative_or_non_finite_times(tmp_path, spec):
+    rc = main(EVOLVE + [f"--t={spec}", "--out", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "evolve_manifest.json").exists()
 
 
 def test_poles_command(tmp_path):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_quadrature import tail_mode_fit_complex
 
 from winterdyn import (
     AccuracyError,
@@ -20,6 +22,9 @@ from winterdyn import (
     psi_power_asym,
     psi_power_quad,
 )
+from winterdyn.evolution import SPECTRAL_PREFACTOR, _sin_ratio
+from winterdyn.quadrature import gl_nodes_weights, panel_cell_edges, truncation_panels
+from winterdyn.spectrum import ab_product
 
 SQ = math.sqrt(2.0 / math.pi)
 
@@ -81,6 +86,83 @@ def test_direct_reports_accuracy_failure():
         direct_field(1, [2.0], 0.001, 0.1, tol=1e-14)
     assert exc.value.best is not None
     assert exc.value.estimate > 1e-14
+
+
+def direct_field_dense(l, x, t, g, n_panels):
+    """Reference form: every node of every panel in one nodes x points array,
+    scattered into panel sums with np.add.at; complex-lstsq tail fit at t = 0.
+
+    Returns (values, error estimate, node count).
+    """
+    nodes, wts, panel_of = [], [], []
+    for j in range(n_panels):
+        nd, w = gl_nodes_weights(panel_cell_edges(j, g, t))
+        nodes.append(nd)
+        wts.append(w)
+        panel_of.append(np.full(len(nd), j, dtype=np.intp))
+    nodes, wts, panel_of = map(np.concatenate, (nodes, wts, panel_of))
+    kern = (
+        (-1) ** l
+        * l
+        * _sin_ratio(nodes, l)
+        / (4.0 * ab_product(nodes.astype(complex), g))
+        * np.exp(-1j * nodes**2 * t)
+        * wts
+    )
+    contrib = kern[:, None] * np.sin(np.outer(nodes, x))
+    panels = np.zeros((n_panels, len(x)), dtype=complex)
+    np.add.at(panels, panel_of, contrib)
+    partial = np.cumsum(panels, axis=0)
+    if t == 0:
+        j_lo = max(2 * l + 4, 12)
+        n_short = j_lo + int(0.7 * (n_panels - j_lo))
+        values = np.empty(len(x), dtype=complex)
+        estimates = np.empty(len(x))
+        for i, xi in enumerate(x):
+            v, rms = tail_mode_fit_complex(partial[:, i], xi, j_lo)
+            v_short, _ = tail_mode_fit_complex(partial[:n_short, i], xi, j_lo)
+            values[i] = v
+            estimates[i] = 3.0 * rms + abs(v - v_short) + 1e-14
+    else:
+        values = partial[-1]
+        estimates = 3.0 * np.max(np.abs(panels[-5:, :]), axis=0)
+    return values * SPECTRAL_PREFACTOR, estimates.max() * SPECTRAL_PREFACTOR, len(nodes)
+
+
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("g", [0.1, 0.2])
+def test_direct_field_matches_dense_reference(l, g):
+    # streamed panels and the real tail fit give the dense route's values,
+    # estimates, verdicts, panel and node counts
+    x = np.linspace(0.0, math.pi, 33)
+    tol = 1e-6
+    for t in (0.0, 0.5, 5.0, 50.0):
+        try:
+            fld = direct_field(l, x, t, g, tol)
+            failed = False
+        except AccuracyError as exc:
+            fld, failed = exc.value.best, True
+        n_panels = 1000 if t == 0 else truncation_panels(l, t, tol)
+        assert fld.meta["panels"] == n_panels
+        values, estimate, n_nodes = direct_field_dense(l, x, t, g, n_panels)
+        np.testing.assert_allclose(
+            fld.values, values, rtol=0, atol=1e-13 * np.max(np.abs(values))
+        )
+        assert fld.meta["error_estimate"] == pytest.approx(estimate, rel=1e-9)
+        assert failed == (estimate > tol)
+        assert fld.meta["nodes"] == n_nodes
+
+
+def test_direct_field_memory_is_bounded():
+    # the dense route held a ~1 GB nodes x points array here
+    x = np.linspace(0.0, math.pi, 129)
+    tracemalloc.start()
+    try:
+        direct_field(2, x, 50.0, 0.2, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_decomposition_identity_pointwise(table02):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from winterdyn.quadrature import ray_cell_edges, refine_edges
+from winterdyn.quadrature import ray_cell_edges, refine_edges, tail_mode_fit
 
 
 def refine_edges_per_cell(edges, factor):
@@ -14,6 +14,45 @@ def refine_edges_per_cell(edges, factor):
     for a, b in zip(edges[:-1], edges[1:]):
         out.extend(np.linspace(a, b, factor + 1)[1:])
     return np.array(out)
+
+
+def tail_mode_fit_complex(partial_sums, x, j_lo, max_power=6, rcond=1e-11):
+    """Reference form: the real design matrix cast to complex, one complex lstsq."""
+    M = len(partial_sums)
+    js = np.arange(j_lo, M)
+    jj = js + 1.0
+    sgn = (-1.0) ** (js % 2)
+    cols = [np.ones_like(jj)]
+    for p in range(1, max_power + 1):
+        cols.append(sgn * np.cos(x * js) / jj**p)
+        cols.append(sgn * np.sin(x * js) / jj**p)
+    A = np.array(cols).T.astype(complex)
+    norms = np.linalg.norm(A, axis=0)
+    keep = norms > 1e-14
+    coef, *_ = np.linalg.lstsq(A[:, keep] / norms[keep], partial_sums[j_lo:], rcond=rcond)
+    resid = partial_sums[j_lo:] - (A[:, keep] / norms[keep]) @ coef
+    rms = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
+    return complex(coef[0] / norms[keep][0]), rms
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0, math.pi - 0.1, math.pi])
+def test_tail_mode_fit_matches_complex_lstsq(x):
+    # tail model plus noise: both real parts and both imaginary parts of the
+    # coefficients are non-zero, so a mix-up of the two right-hand sides shows
+    rng = np.random.default_rng(5)
+    js = np.arange(1000)
+    jj = js + 1.0
+    a = (1.0 + 2.0j) / jj + 0.5j / jj**2
+    b = (0.2 - 1.0j) / jj + 0.3 / jj**3
+    sums = (0.3 - 0.7j) + (-1.0) ** js * (np.cos(x * js) * a + np.sin(x * js) * b)
+    sums = sums + 1e-9 * (rng.standard_normal(1000) + 1j * rng.standard_normal(1000))
+    for m in (220, 700, 1000):
+        v, rms = tail_mode_fit(sums[:m], x, 12)
+        v_ref, rms_ref = tail_mode_fit_complex(sums[:m], x, 12)
+        assert abs(v - v_ref) <= 1e-13 * abs(v_ref)
+        assert abs(v - (0.3 - 0.7j)) < 1e-8
+        assert rms == pytest.approx(rms_ref, rel=1e-9)
+        assert 1e-10 < rms < 1e-8
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 5.0, 300.0])
