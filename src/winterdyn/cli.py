@@ -41,12 +41,13 @@ from .errors import (
 from .evolution import (
     TimeSeries,
     WaveField,
+    _csv_text,
+    _power_values,
+    _ray_accuracy_error,
     asymptotic_field,
     cavity_norm,
     direct_field,
     exponential_field,
-    _power_values,
-    _ray_accuracy_error,
     power_field,
     resonance_exponential_norm,
     resonance_term_norm,
@@ -72,6 +73,9 @@ EXIT_SOLVER = 2
 EXIT_QUADRATURE = 3
 EXIT_LINALG = 4
 EXIT_SEARCH = 5
+
+# Relative width of the bracket at which find_crossings stops bisecting.
+CROSSING_RTOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +160,21 @@ def cmd_poles(args) -> int:
 
     table = pole_table(args.g, args.n_max, args.tol)
     atomic_write(os.path.join(args.out, "poles.json"), table.to_json() + "\n")
-    lines = [
-        "n,re_k,im_k,omega,gamma,residual,omega_pert1,omega_pert2,gamma_pert2,gamma_pert3"
-    ]
-    for p in table.poles:
-        lines.append(
-            f"{p.n},{p.k.real!r},{p.k.imag!r},{p.omega!r},{p.gamma!r},{p.residual!r},"
-            f"{freq_pert(p.n, args.g, 1)!r},{freq_pert(p.n, args.g, 2)!r},"
-            f"{width_pert(p.n, args.g, 2)!r},{width_pert(p.n, args.g, 3)!r}"
-        )
-    atomic_write(os.path.join(args.out, "poles.csv"), "\n".join(lines) + "\n")
+    ns = [p.n for p in table.poles]
+    text = _csv_text(
+        "n,re_k,im_k,omega,gamma,residual,omega_pert1,omega_pert2,gamma_pert2,gamma_pert3",
+        ns,
+        table.k_values.real,
+        table.k_values.imag,
+        [p.omega for p in table.poles],
+        [p.gamma for p in table.poles],
+        [p.residual for p in table.poles],
+        [freq_pert(n, args.g, 1) for n in ns],
+        [freq_pert(n, args.g, 2) for n in ns],
+        [width_pert(n, args.g, 2) for n in ns],
+        [width_pert(n, args.g, 3) for n in ns],
+    )
+    atomic_write(os.path.join(args.out, "poles.csv"), text)
     return 0
 
 
@@ -414,8 +423,8 @@ def _curve_function(spec: str, l: int, g: float, n_max: int, x, tol, cache: dict
     raise DomainError(f"unknown curve spec {spec!r}")
 
 
-def find_crossings(fa, fb, t_grid, refine_tol=1e-4):
-    """Sign changes of log fa - log fb on the grid, bisected to relative tol."""
+def find_crossings(fa, fb, t_grid):
+    """Sign changes of log fa - log fb on the grid, bisected to CROSSING_RTOL."""
     diffs = np.array([math.log(fa(t)) - math.log(fb(t)) for t in t_grid])
     out = []
     for i in range(len(t_grid) - 1):
@@ -426,7 +435,7 @@ def find_crossings(fa, fb, t_grid, refine_tol=1e-4):
         if d0 * d1 < 0:
             lo, hi = float(t_grid[i]), float(t_grid[i + 1])
             flo = d0
-            while (hi - lo) > refine_tol * hi:
+            while (hi - lo) > CROSSING_RTOL * hi:
                 mid = 0.5 * (lo + hi)
                 fm = math.log(fa(mid)) - math.log(fb(mid))
                 if flo * fm <= 0:
@@ -499,10 +508,17 @@ def cmd_rerun(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _positive_g(value: str) -> float:
+def _coupling(value: str) -> float:
     g = float(value)
-    if g < 0:
+    if not g >= 0:
         raise argparse.ArgumentTypeError("g must be >= 0")
+    return g
+
+
+def _positive_coupling(value: str) -> float:
+    g = float(value)
+    if not g > 0:
+        raise argparse.ArgumentTypeError("g must be > 0 for this command")
     return g
 
 
@@ -514,19 +530,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, g_required=True):
-        p.add_argument("--g", type=_positive_g, required=g_required, help="coupling")
+    def common(p, coupling):
+        p.add_argument("--g", type=coupling, required=True, help="coupling")
         p.add_argument("--tol", type=float, default=1e-12)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = subs.add_parser("poles", help="solve resonance poles")
-    common(p)
+    common(p, _positive_coupling)
     p.add_argument("--n-max", type=int, default=10)
-    p.set_defaults(func=cmd_poles, validate_g_positive=True)
+    p.set_defaults(func=cmd_poles)
 
     p = subs.add_parser("evolve", help="time evolution norms and fields")
-    common(p)
+    common(p, _positive_coupling)
     p.add_argument("--l", type=int, default=1, help="initial box mode")
     p.add_argument("--n-max", type=int, default=24, help="pole table size")
     p.add_argument("--t", default="0:50:101", help="time grid spec")
@@ -542,12 +557,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="figure-style curve sets (first-order resonance model + power)",
     )
-    p.set_defaults(func=cmd_evolve, validate_g_positive=True)
+    p.set_defaults(func=cmd_evolve)
     # evolve tolerances are quadrature targets, not the pole tol
     p.set_defaults(tol=1e-6)
 
     p = subs.add_parser("mixing", help="index-space matrices and rotations")
-    common(p, g_required=True)
+    common(p, _coupling)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--n", type=int, default=64, help="truncation")
     p.add_argument("--order", type=int, choices=(1, 2), default=2)
     p.add_argument("--mode", choices=("series", "numeric"), default="numeric")
@@ -555,32 +571,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rotate", type=int, default=None, metavar="L")
     p.add_argument("--contamination", type=int, default=None, metavar="L")
     p.add_argument("--t", default="0:50:51", help="time grid for contamination")
-    p.set_defaults(func=cmd_mixing, validate_g_positive=False)
+    p.set_defaults(func=cmd_mixing)
 
     p = subs.add_parser("crossings", help="crossing times of two norm curves")
-    common(p)
+    common(p, _positive_coupling)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--n-max", type=int, default=24)
     p.add_argument("--t", default="1:300:300", help="search grid (t > 0)")
     p.add_argument("--x", default=f"0:{math.pi!r}:129")
     p.add_argument("--curve-a", required=True)
     p.add_argument("--curve-b", required=True)
-    p.set_defaults(func=cmd_crossings, validate_g_positive=True)
+    p.set_defaults(func=cmd_crossings)
     p.set_defaults(tol=1e-8)
 
     p = subs.add_parser("rerun", help="re-execute a command from its manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_rerun, validate_g_positive=False)
+    p.set_defaults(func=cmd_rerun)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "validate_g_positive", False) and args.g <= 0:
-        parser.error("g must be > 0 for this command")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PoleConvergenceError, DomainError) as exc:

@@ -47,7 +47,9 @@ SPECTRAL_PREFACTOR = (2.0 / math.pi) ** 1.5
 # form; 1e-4 keeps the cancellation error below 1e-10 with four terms.
 RING_WINDOW = 1e-4
 
-DEFAULT_T_MAX_DIRECT = 50.0
+# Latest time the direct route accepts; beyond it the chirp needs too many
+# cells per panel and the exponential + power decomposition takes over.
+T_MAX_DIRECT = 50.0
 
 # Nodes per block of the direct route's real matrix product; bounds the
 # sin(k x) block at DIRECT_CHUNK x points doubles whatever the tolerance.
@@ -99,6 +101,12 @@ def integrand_p(l: int, k: complex, x: float, g: float):
 # field containers
 # ---------------------------------------------------------------------------
 
+def _csv_text(header: str, *columns) -> str:
+    """CSV text: the header, then one row per entry with every value as repr."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
 WAVE_PARTS = ("total", "exponential", "power", "asymptotic")
 
 
@@ -122,11 +130,10 @@ class WaveField:
             raise ValueError("field values must be finite")
 
     def to_csv(self) -> str:
-        lines = ["x_or_t,re,im"]
-        for x, v in zip(self.x_grid, self.values):
-            v = complex(v)
-            lines.append(f"{float(x)!r},{v.real!r},{v.imag!r}")
-        return "\n".join(lines) + "\n"
+        values = np.asarray(self.values, dtype=complex)
+        return _csv_text(
+            "x_or_t,re,im", np.asarray(self.x_grid, dtype=float), values.real, values.imag
+        )
 
 
 @dataclass(frozen=True)
@@ -144,10 +151,9 @@ class TimeSeries:
             raise ValueError("norms must be finite")
 
     def to_csv(self) -> str:
-        lines = ["t,norm"]
-        for t, v in zip(self.t_grid, self.norms):
-            lines.append(f"{float(t)!r},{float(v)!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text(
+            "t,norm", np.asarray(self.t_grid, dtype=float), np.asarray(self.norms, dtype=float)
+        )
 
 
 def cavity_norm(fld: WaveField) -> float:
@@ -170,7 +176,6 @@ def direct_field(
     t: float,
     g: float,
     tol: float = 1e-6,
-    t_max: float = DEFAULT_T_MAX_DIRECT,
 ) -> WaveField:
     """psi^(l) on a grid by panel quadrature of the spectral integral.
 
@@ -189,9 +194,9 @@ def direct_field(
         raise DomainError("direct evolution requires g > 0")
     if t < 0:
         raise DomainError("time must be >= 0")
-    if t > t_max:
+    if t > T_MAX_DIRECT:
         raise DomainError(
-            f"t = {t} beyond t_max = {t_max}: the chirped integrand defeats "
+            f"t = {t} beyond t_max = {T_MAX_DIRECT}: the chirped integrand defeats "
             "panel quadrature; use the exponential + power decomposition"
         )
     x = np.atleast_1d(np.asarray(x_grid, dtype=float))
@@ -264,11 +269,6 @@ def direct_field(
             estimate=float(estimates.max()),
         )
     return fld
-
-
-def psi_direct(l: int, x: float, t: float, g: float, tol: float = 1e-6) -> complex:
-    """Pointwise direct evaluation; see direct_field for the machinery."""
-    return complex(direct_field(l, [x], t, g, tol).values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +346,6 @@ def exponential_field(
         part="exponential",
         meta={"tail_estimate": tail, "n_poles": len(table)},
     )
-
-
-def psi_exponential(
-    l: int, x: float, t: float, g: float, table: PoleTable, tol: float | None = None
-) -> complex:
-    """Pointwise exponential part; see exponential_field."""
-    return complex(exponential_field(l, [x], t, g, table, tol).values[0])
 
 
 def pole_wavefunction(n: int, x, t: float, g: float, table: PoleTable):

@@ -24,7 +24,7 @@ from scipy.linalg import expm
 from scipy.special import digamma, polygamma
 
 from .errors import DomainError, IllConditionedError
-from .evolution import SQRT_2_OVER_PI, TimeSeries, mixing_weight
+from .evolution import SQRT_2_OVER_PI, TimeSeries, _csv_text, _pole_weights
 from .poles import PoleTable
 
 MATRIX_LABELS = (
@@ -43,6 +43,9 @@ MATRIX_LABELS = (
 )
 
 COND_LIMIT = 1e8
+
+# Cavity grid points of the contamination norm in diagonal_evolution_check.
+CONTAMINATION_POINTS = 257
 
 
 @dataclass(frozen=True)
@@ -66,21 +69,18 @@ class IndexMatrix:
         return complex(self.entries[l - 1, n - 1])
 
     def to_csv(self) -> str:
-        lines = ["row,col,re,im"]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                v = self.entries[i, j]
-                lines.append(f"{i + 1},{j + 1},{complex(v).real!r},{complex(v).imag!r}")
-        return "\n".join(lines) + "\n"
+        idx = np.arange(1, self.dim + 1)
+        ent = np.asarray(self.entries, dtype=complex).ravel()
+        return _csv_text(
+            "row,col,re,im", np.repeat(idx, self.dim), np.tile(idx, self.dim), ent.real, ent.imag
+        )
 
     def to_json_block(self) -> dict:
+        ent = np.asarray(self.entries, dtype=complex)
         return {
             "label": self.label,
             "dim": self.dim,
-            "entries": [
-                [[complex(v).real, complex(v).imag] for v in row]
-                for row in self.entries
-            ],
+            "entries": np.stack([ent.real, ent.imag], -1).tolist(),
             "meta": {k: v for k, v in self.meta.items() if isinstance(v, (int, float, str))},
         }
 
@@ -158,14 +158,11 @@ def mixing_V_exact(g: float, table: PoleTable) -> IndexMatrix:
     if abs(table.g - g) > 1e-15:
         raise ValueError(f"pole table was built at g={table.g}, not g={g}")
     N = len(table)
-    ks = table.k_values
-    ent = np.empty((N, N), dtype=complex)
-    for row, l in enumerate(range(1, N + 1)):
-        signs = np.array([(-1.0) ** (l + p.n) for p in table.poles])
-        if np.any(np.abs(l**2 - ks**2) < 1e-14):
-            raise DomainError(f"degenerate l^2 = k^2 for l={l}")
-        ent[row, :] = signs * mixing_weight(l, ks, g)
-    return IndexMatrix(N, ent, "V_exact")
+    ls = np.arange(1, N + 1)
+    degenerate = np.any(np.abs(ls[:, None] ** 2 - table.k_values**2) < 1e-14, axis=1)
+    if degenerate.any():
+        raise DomainError(f"degenerate l^2 = k^2 for l={int(ls[degenerate][0])}")
+    return IndexMatrix(N, np.array([_pole_weights(l, table) for l in range(1, N + 1)]), "V_exact")
 
 
 def V_order(order: int, N: int) -> IndexMatrix:
@@ -190,18 +187,6 @@ def V_order(order: int, N: int) -> IndexMatrix:
         ).astype(complex)
         return IndexMatrix(N, ent, "V_order_2")
     raise ValueError("order must be 0, 1 or 2")
-
-
-def V2_entrywise(N: int) -> np.ndarray:
-    """Second-order mixing written entry by entry (cross-check of V_order(2))."""
-    l, n = _indices(N)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        off = (-1.0) ** (l + n) * 2.0 * l * n / (l**2 - n**2) * (1j * math.pi * n - 1.0)
-        off += (-1.0) ** (l + n + 1) * 2.0 * l * n * (l**2 + n**2) / (l**2 - n**2) ** 2
-    ent = np.asarray(off, dtype=complex)
-    ll = np.arange(1.0, N + 1.0)
-    np.fill_diagonal(ent, 0.25 - math.pi**2 * ll**2 / 6.0 - 1.5j * math.pi * ll)
-    return ent
 
 
 def Z_order(order: int, N: int) -> IndexMatrix:
@@ -308,10 +293,8 @@ class RotatedState:
         return SQRT_2_OVER_PI * (np.sin(np.outer(x, n)) @ self.coefficients)
 
     def to_csv(self) -> str:
-        lines = ["n,re,im"]
-        for i, c in enumerate(self.coefficients, start=1):
-            lines.append(f"{i},{complex(c).real!r},{complex(c).imag!r}")
-        return "\n".join(lines) + "\n"
+        c = np.asarray(self.coefficients, dtype=complex)
+        return _csv_text("n,re,im", np.arange(1, len(c) + 1), c.real, c.imag)
 
 
 def counter_rotate(
@@ -373,7 +356,6 @@ def diagonal_evolution_check(
     t_grid,
     order: int = 1,
     mode: str = "series",
-    n_x: int = 257,
 ) -> TimeSeries:
     """Cavity-integrated |contamination|^2 of the counter-rotated state.
 
@@ -401,7 +383,7 @@ def diagonal_evolution_check(
     coeff[l - 1] -= 1.0 / Z_exact(l, g, table)
 
     ks = table.k_values
-    x = np.linspace(0.0, math.pi, n_x)
+    x = np.linspace(0.0, math.pi, CONTAMINATION_POINTS)
     sin_mat = np.sin(np.outer(x, ks))
     norms = np.empty_like(t_arr)
     for i, t in enumerate(t_arr):

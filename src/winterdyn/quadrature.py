@@ -35,6 +35,16 @@ import numpy as np
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
+# Most panels a t > 0 direct evaluation truncates at.
+TRUNCATION_PANEL_CAP = 800
+
+# Highest power of 1/j in the t = 0 tail model, and the lstsq cutoff of its fit.
+TAIL_MAX_POWER = 6
+TAIL_RCOND = 1e-11
+
+# Farthest ray cutoff at t = 0, reached as x -> pi.
+RAY_K_CAP = 4096.0
+
 
 def baseline_subpanels(j: int, g: float) -> int:
     """Cells needed for the period-1 structure of 1/(4ab) in panel [j, j+1]."""
@@ -77,7 +87,7 @@ def gl_nodes_weights(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def truncation_panels(l: int, t: float, tol: float, cap: int = 800) -> int:
+def truncation_panels(l: int, t: float, tol: float) -> int:
     """Panels needed so the first neglected panel integral is below ~tol/3.
 
     Uses the non-stationary-phase envelope |P_j| ~ l / (2 t j^3).
@@ -85,16 +95,10 @@ def truncation_panels(l: int, t: float, tol: float, cap: int = 800) -> int:
     if t <= 0:
         raise ValueError("truncation_panels applies to t > 0 only")
     k = (3.4 * max(l, 1) / (t * max(tol, 1e-14))) ** (1.0 / 3.0)
-    return int(np.clip(math.ceil(k), 48, cap))
+    return int(np.clip(math.ceil(k), 48, TRUNCATION_PANEL_CAP))
 
 
-def tail_mode_fit(
-    partial_sums: np.ndarray,
-    x: float,
-    j_lo: int,
-    max_power: int = 6,
-    rcond: float = 1e-11,
-) -> tuple[complex, float]:
+def tail_mode_fit(partial_sums: np.ndarray, x: float, j_lo: int) -> tuple[complex, float]:
     """Extrapolate the panel partial sums to j = infinity at t = 0.
 
     Returns (limit, residual_rms).  The residual of the windowed fit is the
@@ -107,7 +111,7 @@ def tail_mode_fit(
     jj = js + 1.0
     sgn = (-1.0) ** (js % 2)
     cols = [np.ones_like(jj)]
-    for p in range(1, max_power + 1):
+    for p in range(1, TAIL_MAX_POWER + 1):
         cols.append(sgn * np.cos(x * js) / jj**p)
         cols.append(sgn * np.sin(x * js) / jj**p)
     A = np.array(cols).T
@@ -115,13 +119,13 @@ def tail_mode_fit(
     keep = norms > 1e-14
     A = A[:, keep] / norms[keep]
     rhs = np.stack([partial_sums[j_lo:].real, partial_sums[j_lo:].imag], axis=1)
-    coef, *_ = np.linalg.lstsq(A, rhs, rcond=rcond)
+    coef, *_ = np.linalg.lstsq(A, rhs, rcond=TAIL_RCOND)
     resid = rhs - A @ coef
     rms = float(np.sqrt(np.mean(np.sum(resid**2, axis=1))))
     return complex(coef[0, 0], coef[0, 1]) / norms[keep][0], rms
 
 
-def ray_cell_edges(t: float, x: float, k_cap: float = 4096.0) -> np.ndarray:
+def ray_cell_edges(t: float, x: float) -> np.ndarray:
     """Cells along the rotated-ray parameter for exp(-k^2 t) damping.
 
     For t > 0 the Gaussian factor confines the integrand to k <~ 6/sqrt(t);
@@ -139,7 +143,7 @@ def ray_cell_edges(t: float, x: float, k_cap: float = 4096.0) -> np.ndarray:
             edges.append(min(edges[-1] * 2.0, k_max))
     else:
         rate = (math.pi - x) / math.sqrt(2.0)
-        k_max = min(max(10.0, 40.0 / max(rate, 1e-9)), k_cap)
+        k_max = min(max(10.0, 40.0 / max(rate, 1e-9)), RAY_K_CAP)
         edges = list(np.linspace(0.0, 10.0, 21))
         while edges[-1] < k_max:
             edges.append(min(edges[-1] * 1.5, k_max))

@@ -71,18 +71,6 @@ def coef_b(k, g):
     return 0.5j + _phase_expm1(k) / (2.0 * TWO_PI * g * k)
 
 
-def coef_b_dk(k, g):
-    """Analytic derivative of coef_b with respect to k.
-
-    Used by the residue weights of the exponential part of the evolution.
-    """
-    _check_kg(k, g)
-    k = np.asarray(k, dtype=complex)
-    denom = 2.0 * TWO_PI * g * k
-    em1 = _phase_expm1(k)
-    return 1j * TWO_PI * (em1 + 1.0) / denom - em1 / (denom * k)
-
-
 def ab_product(k, g):
     """The product a(k,g) b(k,g).
 

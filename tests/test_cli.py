@@ -272,3 +272,91 @@ def test_evolve_power_t0_writes_norm_and_warns(tmp_path):
     rows = read_csv(tmp_path / "evolve_power_norm.csv")
     assert [float(r["t"]) for r in rows] == [0.0, 1.0]
     assert all(np.isfinite(float(r["norm"])) and float(r["norm"]) > 0 for r in rows)
+
+
+def test_artifact_bytes_pinned(tmp_path):
+    rc = main(["mixing", "--g", "0", "--n", "2", "--emit", "A,H", "--format", "json",
+               "--rotate", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "mixing_A.csv").read_text() == (
+        "row,col,re,im\n"
+        "1,1,0.0,0.0\n"
+        "1,2,1.3333333333333333,0.0\n"
+        "2,1,-1.3333333333333333,0.0\n"
+        "2,2,0.0,0.0\n"
+    )
+    assert (tmp_path / "mixing_A.json").read_text() == (
+        '{\n  "label": "A",\n  "dim": 2,\n  "entries": [\n'
+        "    [\n      [\n        0.0,\n        0.0\n      ],\n"
+        "      [\n        1.3333333333333333,\n        0.0\n      ]\n    ],\n"
+        "    [\n      [\n        -1.3333333333333333,\n        0.0\n      ],\n"
+        "      [\n        0.0,\n        0.0\n      ]\n    ]\n  ],\n"
+        '  "meta": {}\n}\n'
+    )
+    assert (tmp_path / "mixing_H.csv").read_text() == (
+        "row,col,re,im\n1,1,1.0,0.0\n1,2,0.0,0.0\n2,1,0.0,0.0\n2,2,2.0,0.0\n"
+    )
+    assert (tmp_path / "mixing_rotated_l1.csv").read_text() == "n,re,im\n1,1.0,0.0\n2,0.0,0.0\n"
+
+
+X33 = f"0:{math.pi!r}:33"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poles", "--g", "0.2", "--n-max", "6"],
+        ["evolve", "--g", "0.2", "--method", "exponential", "--n-max", "6",
+         "--t", "0.5:10:4", "--x", X33],
+        ["evolve", "--g", "0.2", "--method", "all", "--n-max", "6", "--t", "2", "--x", X33],
+        ["evolve", "--g", "0.2", "--parts", "split", "--t", "1:10:3", "--x", X33],
+        ["evolve", "--g", "0.1", "--l", "2", "--parts", "fig3", "--t", "1:10:3", "--x", X33],
+        ["mixing", "--g", "0.1", "--n", "6",
+         "--emit", "A,A2,AH,H,V,V0,V1,V2,Z1,Z2,U,Uinv,expgap", "--format", "json",
+         "--rotate", "2", "--contamination", "1", "--order", "1", "--mode", "series",
+         "--t", "0:10:6"],
+        CROSSINGS + ["--t", "1:20:39"],
+    ],
+    ids=["poles", "evolve-norms", "evolve-field", "evolve-split", "evolve-fig3", "mixing",
+         "crossings"],
+)
+def test_rerun_reproduces_every_output(tmp_path, argv):
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(argv + ["--out", str(first)]) == 0
+    manifest = first / f"{argv[0]}_manifest.json"
+    outputs = json.loads(manifest.read_text())["outputs"]
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(outputs + [manifest.name])
+    assert main(["rerun", "--manifest", str(manifest), "--out", str(second)]) == 0
+    assert sorted(p.name for p in second.iterdir()) == names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", [["poles", "--g", "0.2"], EVOLVE, CROSSINGS])
+def test_format_exists_only_on_mixing(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--format", "json", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("g", ["-0.1", "nan"])
+def test_mixing_rejects_negative_coupling(tmp_path, g):
+    with pytest.raises(SystemExit) as exc:
+        main(["mixing", f"--g={g}", "--n", "4", "--emit", "A", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_rerun_checks_coupling_before_writing(tmp_path):
+    first, second = tmp_path / "a", tmp_path / "b"
+    main(["poles", "--g", "0.1", "--n-max", "3", "--out", str(first)])
+    manifest = first / "poles_manifest.json"
+    blob = json.loads(manifest.read_text())
+    blob["params"]["g"] = 0
+    manifest.write_text(json.dumps(blob))
+    with pytest.raises(SystemExit) as exc:
+        main(["rerun", "--manifest", str(manifest), "--out", str(second)])
+    assert exc.value.code == 2
+    assert not second.exists() or not any(second.iterdir())

@@ -17,8 +17,6 @@ from winterdyn import (
     pole_table,
     pole_wavefunction,
     power_field,
-    psi_direct,
-    psi_exponential,
     psi_power_asym,
     psi_power_quad,
 )
@@ -69,15 +67,15 @@ def test_integrand_small_k_coefficient():
 # ---------------------------------------------------------------------------
 
 def test_psi_direct_initial_condition():
-    v = psi_direct(1, math.pi / 2, 0.0, 0.2, tol=1e-6)
+    v = direct_field(1, [math.pi / 2], 0.0, 0.2, tol=1e-6).values[0]
     assert abs(v - SQ) < 1e-6
-    v2 = psi_direct(2, math.pi / 4, 0.0, 0.1, tol=1e-6)
+    v2 = direct_field(2, [math.pi / 4], 0.0, 0.1, tol=1e-6).values[0]
     assert abs(v2 - SQ) < 1e-6
 
 
 def test_direct_caps_time():
     with pytest.raises(DomainError):
-        psi_direct(1, 1.0, 51.0, 0.2)
+        direct_field(1, [1.0], 51.0, 0.2)
 
 
 def test_direct_reports_accuracy_failure():
@@ -167,8 +165,8 @@ def test_direct_field_memory_is_bounded():
 
 def test_decomposition_identity_pointwise(table02):
     x = math.pi / 2
-    d = psi_direct(1, x, 5.0, 0.2, tol=1e-7)
-    e = psi_exponential(1, x, 5.0, 0.2, table02)
+    d = direct_field(1, [x], 5.0, 0.2, tol=1e-7).values[0]
+    e = exponential_field(1, [x], 5.0, 0.2, table02).values[0]
     p = psi_power_quad(1, x, 5.0, 0.2, tol=1e-8)
     assert abs(d - (e + p)) < 1e-6
 
@@ -230,7 +228,7 @@ def test_l2_dominated_by_first_pole(table01):
 
 def test_exponential_warns_at_t_zero(table02):
     with pytest.warns(UserWarning, match="1/n"):
-        psi_exponential(1, 1.0, 0.0, 0.2, table02)
+        exponential_field(1, [1.0], 0.0, 0.2, table02)
 
 
 def test_exponential_tail_tolerance(table02):
@@ -240,7 +238,7 @@ def test_exponential_tail_tolerance(table02):
 
 def test_exponential_table_mismatch(table02):
     with pytest.raises(ValueError):
-        psi_exponential(1, 1.0, 1.0, 0.1, table02)
+        exponential_field(1, [1.0], 1.0, 0.1, table02)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +247,8 @@ def test_exponential_table_mismatch(table02):
 
 def test_power_matches_direct_minus_exponential(table02):
     x, t = math.pi / 2, 2.0
-    d = psi_direct(1, x, t, 0.2, tol=1e-7)
-    e = psi_exponential(1, x, t, 0.2, table02)
+    d = direct_field(1, [x], t, 0.2, tol=1e-7).values[0]
+    e = exponential_field(1, [x], t, 0.2, table02).values[0]
     p = psi_power_quad(1, x, t, 0.2, tol=1e-9)
     assert abs(p - (d - e)) < 1e-6
 
@@ -388,6 +386,24 @@ def test_wavefield_csv_shape():
     lines = fld.to_csv().strip().split("\n")
     assert lines[0] == "x_or_t,re,im"
     assert lines[2].startswith("1.0,1.0,2.0")
+
+
+def test_csv_matches_per_entry_loop():
+    # reference: the per-entry formatting the shared encoder replaced
+    rng = np.random.default_rng(5)
+    x = np.array([0.0, 1e-8, 0.1, 1.0 / 3.0, math.pi, 123456.789])
+    vals = (rng.normal(size=6) + 1j * rng.normal(size=6)) * 10.0 ** rng.integers(-300, 300, 6)
+    vals[1] = complex(-0.0, -0.0)
+    fld = WaveField(x_grid=x, t=1.0, values=vals, part="total")
+    lines = ["x_or_t,re,im"]
+    for xi, v in zip(fld.x_grid, fld.values):
+        v = complex(v)
+        lines.append(f"{float(xi)!r},{v.real!r},{v.imag!r}")
+    assert fld.to_csv() == "\n".join(lines) + "\n"
+
+    ts = TimeSeries(t_grid=[1, 2, 7], norms=[0.5, 0, 1e-300])
+    lines = ["t,norm"] + [f"{float(t)!r},{float(v)!r}" for t, v in zip(ts.t_grid, ts.norms)]
+    assert ts.to_csv() == "\n".join(lines) + "\n"
 
 
 def test_decomposition_identity_grid_l2(table01):

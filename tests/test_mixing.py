@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ from scipy.integrate import simpson
 from winterdyn import (
     DomainError,
     IllConditionedError,
+    IndexMatrix,
     U_inverse,
     U_truncated,
-    V2_entrywise,
     V_order,
     Z_exact,
     Z_order,
@@ -26,6 +27,7 @@ from winterdyn import (
     rotated_state_closed_form,
     series_identities_check,
 )
+from winterdyn.mixing import _indices
 
 PI = math.pi
 
@@ -91,6 +93,18 @@ def test_series_identities():
 # ---------------------------------------------------------------------------
 # perturbative orders
 # ---------------------------------------------------------------------------
+
+def V2_entrywise(N: int) -> np.ndarray:
+    """Second-order mixing written entry by entry (cross-check of V_order(2))."""
+    l, n = _indices(N)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = (-1.0) ** (l + n) * 2.0 * l * n / (l**2 - n**2) * (1j * math.pi * n - 1.0)
+        off += (-1.0) ** (l + n + 1) * 2.0 * l * n * (l**2 + n**2) / (l**2 - n**2) ** 2
+    ent = np.asarray(off, dtype=complex)
+    ll = np.arange(1.0, N + 1.0)
+    np.fill_diagonal(ent, 0.25 - math.pi**2 * ll**2 / 6.0 - 1.5j * math.pi * ll)
+    return ent
+
 
 def test_V_orders():
     assert np.allclose(V_order(0, 4).entries, np.eye(4))
@@ -244,6 +258,26 @@ def test_rotated_state_csv():
     lines = st.to_csv().strip().split("\n")
     assert lines[0] == "n,re,im"
     assert len(lines) == 5
+
+
+def test_csv_and_json_match_per_entry_loops():
+    # reference: the per-entry formatting the shared encoder replaced
+    mats = (matrix_A(5), U_inverse(0.1, 5, 2, "numeric"), IndexMatrix(2, -np.zeros((2, 2)), "H"))
+    for mat in mats:
+        lines = ["row,col,re,im"]
+        for i in range(mat.dim):
+            for j in range(mat.dim):
+                v = complex(mat.entries[i, j])
+                lines.append(f"{i + 1},{j + 1},{v.real!r},{v.imag!r}")
+        assert mat.to_csv() == "\n".join(lines) + "\n"
+        entries = [[[complex(v).real, complex(v).imag] for v in row] for row in mat.entries]
+        assert json.dumps(mat.to_json_block()["entries"]) == json.dumps(entries)
+
+    st = counter_rotate(2, 0.1, 6, order=2, mode="numeric")
+    lines = ["n,re,im"]
+    for i, c in enumerate(st.coefficients, start=1):
+        lines.append(f"{i},{complex(c).real!r},{complex(c).imag!r}")
+    assert st.to_csv() == "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

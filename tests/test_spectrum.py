@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winterdyn import DomainError, ab_product, coef_a, coef_b, coef_b_dk, eigenfunction
+from winterdyn import DomainError, ab_product, coef_a, coef_b, eigenfunction
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -48,22 +48,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         coef_b(1.0, 0.0)
     with pytest.raises(DomainError):
-        coef_b_dk(0.0, 0.2)
-
-
-@pytest.mark.parametrize("k,g", [(1.0, 0.5), (2.0, 0.1), (0.7 - 0.1j, 0.3)])
-def test_coef_b_dk_matches_finite_difference(k, g):
-    h = 1e-6
-    fd = (complex(coef_b(k + h, g)) - complex(coef_b(k - h, g))) / (2 * h)
-    an = complex(coef_b_dk(k, g))
-    assert abs(an - fd) / abs(an) < 1e-8
-
-
-def test_derivative_conjugation_symmetry():
-    # for real k and g, d a/dk is the conjugate of d b/dk
-    k, g, h = 1.37, 0.2, 1e-6
-    da = (complex(coef_a(k + h, g)) - complex(coef_a(k - h, g))) / (2 * h)
-    assert abs(complex(coef_b_dk(k, g)).conjugate() - da) < 1e-7
+        coef_b(0.0, 0.2)
 
 
 finite_k = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
