@@ -8,14 +8,17 @@ mixing     index-space matrices, rotated states, exponentiation gap
 crossings  bisection for crossing times between two norm curves
 rerun      re-execute a run from its manifest (byte-identical outputs)
 
-Every command writes `<command>_manifest.json` first, then its data files,
-all atomically (temp file + rename).  Exit codes are stable: 2 input/solver,
-3 quadrature accuracy, 4 linear algebra, 5 crossing search.
+Every command checks its inputs, then writes `<command>_manifest.json`,
+then its data files, all atomically (temp file + rename).  Two limits are
+met only later, in the library: mixing's index ranges and the direct
+route's t cap.  Exit codes are stable: 2 input/solver, 3 quadrature,
+4 linear algebra, 5 crossing search.
 
-Norm curves named `exponential` and `pole:<n>` in evolve --parts and in
-crossings reproduce survival-probability figures in the first-order
+evolve and crossings share one table of norm curves.  `exponential` and
+`pole:<n>` reproduce survival-probability figures in the first-order
 resonance model (order-g mixing weights, order-g^2 widths, unit-normalized
-pole states); `exponential-exact` gives the full residue-sum norm instead.
+pole states); `exponential-exact` (evolve --method exponential) gives the
+full residue-sum norm.
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ def cmd_poles(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# evolve
+# evolve, and the one table of norm curves that crossings shares
 # ---------------------------------------------------------------------------
 
 def _power_norm(l, g, t, x, tol) -> float:
@@ -203,104 +206,81 @@ def _power_norm(l, g, t, x, tol) -> float:
     return cavity_norm(WaveField(x_grid=x, t=t, values=values, part="power"))
 
 
-def _norm_series(l, g, method, t_grid, x, table, tol) -> TimeSeries:
-    norms = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        if method == "direct":
-            fld = direct_field(l, x, t, g, tol)
-            norms[i] = cavity_norm(fld)
-        elif method == "exponential":
-            fld = exponential_field(l, x, t, g, table)
-            norms[i] = cavity_norm(fld)
-        elif method == "power":
-            norms[i] = _power_norm(l, g, t, x, tol)
-        elif method == "asymptotic":
-            norms[i] = cavity_norm(asymptotic_field(l, x, t, g))
-        else:
-            raise ValueError(method)
-    return TimeSeries(t_grid=np.asarray(t_grid, dtype=float), norms=norms)
+def _field(method: str, args, x, t: float, table) -> WaveField:
+    """One route's field on x at time t."""
+    if method == "direct":
+        return direct_field(args.l, x, t, args.g, args.tol)
+    if method == "exponential":
+        return exponential_field(args.l, x, t, args.g, table)
+    if method == "power":
+        return power_field(args.l, x, t, args.g, args.tol)
+    return asymptotic_field(args.l, x, t, args.g)
+
+
+def _curves(specs, args, x, table) -> list:
+    """For each curve spec, a function from an array of times to cavity norms.
+
+    `pole:<n>` and `exponential` are the first-order resonance model;
+    `exponential-exact`, `power`, `asymptotic` and `direct` integrate that
+    route's field over the cavity.  Raises DomainError for an unknown spec.
+    """
+
+    def cavity(method):
+        return lambda ts: np.array([cavity_norm(_field(method, args, x, t, table)) for t in ts])
+
+    curves = {
+        "exponential": lambda ts: resonance_exponential_norm(args.l, args.g, args.n_max, ts),
+        "exponential-exact": cavity("exponential"),
+        "power": lambda ts: np.array([_power_norm(args.l, args.g, t, x, args.tol) for t in ts]),
+        "asymptotic": cavity("asymptotic"),
+        "direct": cavity("direct"),
+    }
+    for spec in specs:
+        n = spec.removeprefix("pole:")
+        if n != spec and n.isdecimal() and int(n) >= 1:
+            curves[spec] = lambda ts, n=int(n): resonance_term_norm(args.l, n, args.g, ts)
+        if spec not in curves:
+            raise DomainError(f"unknown curve spec {spec!r}; use pole:<n >= 1>, exponential, "
+                              "exponential-exact, power, asymptotic or direct")
+    return [curves[spec] for spec in specs]
 
 
 def cmd_evolve(args) -> int:
     t_grid = _time_grid(args.t)
     x = _position_grid(args.x)
-    params = {
-        "g": args.g,
-        "l": args.l,
-        "n_max": args.n_max,
-        "tol": args.tol,
-        "t": args.t,
-        "x": args.x,
-        "method": args.method,
-        "parts": args.parts,
-    }
-
-    if args.parts:
-        if args.parts == "split":
-            outputs = ["evolve_exponential_norm.csv", "evolve_power_norm.csv"]
-        else:
-            outputs = [
-                "evolve_pole_diag_norm.csv",
-                "evolve_pole_offdiag_norm.csv",
-                "evolve_power_norm.csv",
-            ]
-        write_manifest(args.out, "evolve", params, outputs)
-        if args.parts == "split":
-            res = resonance_exponential_norm(args.l, args.g, args.n_max, t_grid)
-            atomic_write(
-                os.path.join(args.out, "evolve_exponential_norm.csv"),
-                TimeSeries(t_grid, res).to_csv(),
-            )
-        else:
-            diag = resonance_term_norm(args.l, args.l, args.g, t_grid)
-            off = resonance_term_norm(args.l, 1, args.g, t_grid)
-            atomic_write(
-                os.path.join(args.out, "evolve_pole_diag_norm.csv"),
-                TimeSeries(t_grid, diag).to_csv(),
-            )
-            atomic_write(
-                os.path.join(args.out, "evolve_pole_offdiag_norm.csv"),
-                TimeSeries(t_grid, off).to_csv(),
-            )
-        norms = np.array([_power_norm(args.l, args.g, t, x, args.tol) for t in t_grid])
-        atomic_write(
-            os.path.join(args.out, "evolve_power_norm.csv"),
-            TimeSeries(t_grid, norms).to_csv(),
-        )
-        return 0
-
-    methods = (
-        ["direct", "exponential", "power", "asymptotic"]
-        if args.method == "all"
-        else [args.method]
-    )
+    keys = ("g", "l", "n_max", "tol", "t", "x", "method", "parts")
+    params = {key: getattr(args, key) for key in keys}
+    if args.parts == "fig3" and args.l < 2:
+        raise DomainError("--parts fig3 sets pole l against pole 1, so it needs --l >= 2")
+    routes = ["direct", "exponential", "power", "asymptotic"]
+    methods = routes if args.method == "all" else [args.method]
+    # output name -> curve spec; --method exponential is the exact residue sum
+    outputs = {
+        "split": {"evolve_exponential_norm.csv": "exponential", "evolve_power_norm.csv": "power"},
+        "fig3": {
+            "evolve_pole_diag_norm.csv": f"pole:{args.l}",
+            "evolve_pole_offdiag_norm.csv": "pole:1",
+            "evolve_power_norm.csv": "power",
+        },
+        None: {f"evolve_{m}_norm.csv": "exponential-exact" if m == "exponential" else m
+               for m in methods},
+    }[args.parts]
     table = None
-    if "exponential" in methods:
+    if "exponential-exact" in outputs.values():
         table = pole_table(args.g, args.n_max, min(args.tol, 1e-10))
 
-    single_t = len(t_grid) == 1
-    outputs = []
-    for m in methods:
-        outputs.append(
-            f"evolve_field_{m}.csv" if single_t else f"evolve_{m}_norm.csv"
-        )
-    write_manifest(args.out, "evolve", params, outputs)
-
-    for m, name in zip(methods, outputs):
-        if single_t:
-            t = float(t_grid[0])
-            if m == "direct":
-                fld = direct_field(args.l, x, t, args.g, args.tol)
-            elif m == "exponential":
-                fld = exponential_field(args.l, x, t, args.g, table)
-            elif m == "power":
-                fld = power_field(args.l, x, t, args.g, args.tol)
-            else:
-                fld = asymptotic_field(args.l, x, t, args.g)
+    if args.parts is None and len(t_grid) == 1:
+        snapshots = [f"evolve_field_{m}.csv" for m in methods]
+        write_manifest(args.out, "evolve", params, snapshots)
+        for m, name in zip(methods, snapshots):
+            fld = _field(m, args, x, float(t_grid[0]), table)
             atomic_write(os.path.join(args.out, name), fld.to_csv())
-        else:
-            series = _norm_series(args.l, args.g, m, t_grid, x, table, args.tol)
-            atomic_write(os.path.join(args.out, name), series.to_csv())
+        return 0
+
+    norms = _curves(list(outputs.values()), args, x, table)
+    write_manifest(args.out, "evolve", params, list(outputs))
+    for name, norm in zip(outputs, norms):
+        atomic_write(os.path.join(args.out, name), TimeSeries(t_grid, norm(t_grid)).to_csv())
     return 0
 
 
@@ -329,6 +309,12 @@ def cmd_mixing(args) -> int:
     for tok in tokens:
         if tok not in _MATRIX_MAKERS and tok != "expgap":
             raise DomainError(f"unknown --emit token {tok!r}")
+    t_grid = _time_grid(args.t) if args.contamination is not None else None
+    table = None
+    if "V" in tokens or args.contamination is not None:
+        if args.g <= 0:
+            raise DomainError("exact mixing requires g > 0")
+        table = pole_table(args.g, args.n, args.tol)
 
     outputs = []
     for tok in tokens:
@@ -355,13 +341,6 @@ def cmd_mixing(args) -> int:
         "format": args.format,
     }
     write_manifest(args.out, "mixing", params, outputs)
-
-    table = None
-    needs_table = "V" in tokens or args.contamination is not None
-    if needs_table:
-        if args.g <= 0:
-            raise DomainError("exact mixing requires g > 0")
-        table = pole_table(args.g, args.n, args.tol)
 
     for tok in tokens:
         if tok == "expgap":
@@ -391,7 +370,7 @@ def cmd_mixing(args) -> int:
         )
     if args.contamination is not None:
         series = diagonal_evolution_check(
-            args.contamination, args.g, table, parse_grid(args.t), args.order, args.mode
+            args.contamination, args.g, table, t_grid, args.order, args.mode
         )
         atomic_write(
             os.path.join(args.out, f"mixing_contamination_l{args.contamination}.csv"),
@@ -404,28 +383,16 @@ def cmd_mixing(args) -> int:
 # crossings
 # ---------------------------------------------------------------------------
 
-def _curve_function(spec: str, l: int, g: float, n_max: int, x, tol, cache: dict):
-    """Scalar t -> norm for one curve spec."""
-    if spec.startswith("pole:"):
-        n = int(spec.split(":", 1)[1])
-        return lambda t: float(resonance_term_norm(l, n, g, t))
-    if spec == "exponential":
-        return lambda t: float(resonance_exponential_norm(l, g, n_max, t))
-    if spec == "power":
-        return lambda t: _power_norm(l, g, t, x, tol)
-    if spec == "asymptotic":
-        return lambda t: cavity_norm(asymptotic_field(l, x, t, g))
-    if spec == "exponential-exact":
-        if "table" not in cache:
-            cache["table"] = pole_table(g, n_max, 1e-12)
-        table = cache["table"]
-        return lambda t: cavity_norm(exponential_field(l, x, t, g, table))
-    raise DomainError(f"unknown curve spec {spec!r}")
-
-
 def find_crossings(fa, fb, t_grid):
-    """Sign changes of log fa - log fb on the grid, bisected to CROSSING_RTOL."""
-    diffs = np.array([math.log(fa(t)) - math.log(fb(t)) for t in t_grid])
+    """Sign changes of log fa - log fb on the grid, bisected to CROSSING_RTOL.
+
+    fa and fb map an array of times to an array of norms.
+    """
+
+    def gap(ts):
+        return [math.log(a) - math.log(b) for a, b in zip(fa(ts), fb(ts))]
+
+    diffs = gap(t_grid)
     out = []
     for i in range(len(t_grid) - 1):
         d0, d1 = diffs[i], diffs[i + 1]
@@ -437,7 +404,7 @@ def find_crossings(fa, fb, t_grid):
             flo = d0
             while (hi - lo) > CROSSING_RTOL * hi:
                 mid = 0.5 * (lo + hi)
-                fm = math.log(fa(mid)) - math.log(fb(mid))
+                fm = gap(np.array([mid]))[0]
                 if flo * fm <= 0:
                     hi = mid
                 else:
@@ -447,25 +414,17 @@ def find_crossings(fa, fb, t_grid):
 
 
 def cmd_crossings(args) -> int:
-    t_grid = parse_grid(args.t)
+    t_grid = _time_grid(args.t)
     if t_grid[0] <= 0:
         raise DomainError("crossing search needs t > 0 (norm curves are compared on a log scale)")
     x = _position_grid(args.x)
-    params = {
-        "g": args.g,
-        "l": args.l,
-        "n_max": args.n_max,
-        "tol": args.tol,
-        "t": args.t,
-        "x": args.x,
-        "curve_a": args.curve_a,
-        "curve_b": args.curve_b,
-    }
+    specs = [args.curve_a, args.curve_b]
+    table = pole_table(args.g, args.n_max, 1e-12) if "exponential-exact" in specs else None
+    fa, fb = _curves(specs, args, x, table)
+    keys = ("g", "l", "n_max", "tol", "t", "x", "curve_a", "curve_b")
+    params = {key: getattr(args, key) for key in keys}
     write_manifest(args.out, "crossings", params, ["crossings.json"])
 
-    cache: dict = {}
-    fa = _curve_function(args.curve_a, args.l, args.g, args.n_max, x, args.tol, cache)
-    fb = _curve_function(args.curve_b, args.l, args.g, args.n_max, x, args.tol, cache)
     found = find_crossings(fa, fb, t_grid)
     if not found:
         raise CrossingNotFoundError(
@@ -522,6 +481,13 @@ def _positive_coupling(value: str) -> float:
     return g
 
 
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="winterdyn",
@@ -537,13 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("poles", help="solve resonance poles")
     common(p, _positive_coupling)
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=_positive_int, default=10)
     p.set_defaults(func=cmd_poles)
 
     p = subs.add_parser("evolve", help="time evolution norms and fields")
     common(p, _positive_coupling)
-    p.add_argument("--l", type=int, default=1, help="initial box mode")
-    p.add_argument("--n-max", type=int, default=24, help="pole table size")
+    p.add_argument("--l", type=_positive_int, default=1, help="initial box mode")
+    p.add_argument("--n-max", type=_positive_int, default=24, help="pole table size")
     p.add_argument("--t", default="0:50:101", help="time grid spec")
     p.add_argument("--x", default=f"0:{math.pi!r}:129", help="position grid spec")
     p.add_argument(
@@ -575,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("crossings", help="crossing times of two norm curves")
     common(p, _positive_coupling)
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=24)
+    p.add_argument("--l", type=_positive_int, default=1)
+    p.add_argument("--n-max", type=_positive_int, default=24)
     p.add_argument("--t", default="1:300:300", help="search grid (t > 0)")
     p.add_argument("--x", default=f"0:{math.pi!r}:129")
     p.add_argument("--curve-a", required=True)

@@ -144,10 +144,8 @@ def test_criterion_06_exponential_power_crossover():
     # the first-order resonance curve hands over to the power tail near t = 30
     g, l = 0.2, 1
     x = np.linspace(0, PI, 129)
-    fa = lambda t: float(resonance_exponential_norm(l, g, 12, t))
-    fb = lambda t: float(
-        simpson(np.abs(power_field(l, x, t, g, tol=1e-10).values) ** 2, x=x)
-    )
+    fa = lambda ts: resonance_exponential_norm(l, g, 12, ts)
+    fb = lambda ts: _power_norm_curve(l, g, ts, x)
     found = find_crossings(fa, fb, np.linspace(5.0, 80.0, 76))
     assert found, "no crossing located"
     t_star = found[0][0]
@@ -158,17 +156,15 @@ def test_criterion_06_exponential_power_crossover():
 def test_criterion_07_first_excited_windows():
     g, l = 0.1, 2
     # diagonal pole-2 term vs off-diagonal pole-1 term
-    fa = lambda t: float(resonance_term_norm(l, 1, g, t))
-    fb = lambda t: float(resonance_term_norm(l, 2, g, t))
+    fa = lambda ts: resonance_term_norm(l, 1, g, ts)
+    fb = lambda ts: resonance_term_norm(l, 2, g, ts)
     found = find_crossings(fa, fb, np.linspace(1.0, 20.0, 39))
     assert found
     t1 = found[0][0]
     assert 3.6 <= t1 <= 5.6  # 4.6 +- 1
     # power takeover of the surviving pole-1 term
     x = np.linspace(0, PI, 129)
-    fc = lambda t: float(
-        simpson(np.abs(power_field(l, x, t, g, tol=1e-10).values) ** 2, x=x)
-    )
+    fc = lambda ts: _power_norm_curve(l, g, ts, x)
     found2 = find_crossings(fa, fc, np.linspace(100.0, 260.0, 33))
     assert found2
     t2 = found2[0][0]

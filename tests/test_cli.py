@@ -302,6 +302,71 @@ def test_artifact_bytes_pinned(tmp_path):
 X33 = f"0:{math.pi!r}:33"
 
 
+def test_curve_artifact_bytes_pinned(tmp_path):
+    split, fig3, cross = tmp_path / "split", tmp_path / "fig3", tmp_path / "cross"
+    assert main(["evolve", "--g", "0.2", "--parts", "split", "--t", "1:10:3", "--x", X33,
+                 "--out", str(split)]) == 0
+    assert main(["evolve", "--g", "0.1", "--l", "2", "--parts", "fig3", "--t", "1:10:3",
+                 "--x", X33, "--out", str(fig3)]) == 0
+    assert main(CROSSINGS + ["--t", "1:20:39", "--out", str(cross)]) == 0
+    assert (split / "evolve_exponential_norm.csv").read_text() == (
+        "t,norm\n1.0,0.6061976664797118\n5.5,0.06300119812723168\n10.0,0.006561419936306071\n"
+    )
+    assert (split / "evolve_power_norm.csv").read_text() == (
+        "t,norm\n1.0,0.00043957345306544867\n5.5,1.6019511251558602e-05\n"
+        "10.0,3.3814737655005822e-06\n"
+    )
+    assert (fig3 / "evolve_pole_diag_norm.csv").read_text() == (
+        "t,norm\n1.0,0.3659313069412933\n5.5,0.003969150963242845\n10.0,4.305223158055476e-05\n"
+    )
+    assert (fig3 / "evolve_pole_offdiag_norm.csv").read_text() == (
+        "t,norm\n1.0,0.01567842450307869\n5.5,0.008906655926190766\n10.0,0.005059725214862742\n"
+    )
+    assert (fig3 / "evolve_power_norm.csv").read_text() == (
+        "t,norm\n1.0,2.4986350040615797e-05\n5.5,4.3621056948065844e-07\n"
+        "10.0,8.180518194393035e-08\n"
+    )
+    assert (cross / "crossings.json").read_text() == (
+        '{\n  "curve_a": "pole:1",\n  "curve_b": "pole:2",\n  "crossings": [\n    {\n'
+        '      "t": 4.5811767578125,\n      "bracket": [\n        4.5810546875,\n'
+        '        4.581298828125\n      ]\n    }\n  ]\n}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crossings", "--g", "0.1", "--l", "2", "--curve-a", "pole:1", "--curve-b", "pole:2",
+         "--t", "20:1:39"],
+        ["mixing", "--g", "0.1", "--n", "8", "--contamination", "1", "--t", "5:1:3"],
+        ["mixing", "--g", "0.1", "--n", "8", "--contamination", "1", "--t", "0:abc:3"],
+        ["mixing", "--g", "0", "--n", "8", "--contamination", "1"],
+        ["evolve", "--g", "0.1", "--l", "1", "--parts", "fig3", "--t", "1:10:3"],
+    ]
+    + [["crossings", "--g", "0.1", "--l", "2", "--curve-a", spec, "--curve-b", "pole:2",
+        "--t", "1:20:39"] for spec in ("pole:abc", "pole:0", "pole:", "bogus", "exponential:2")],
+    ids=["crossings-decreasing-t", "mixing-decreasing-t", "mixing-malformed-t",
+         "mixing-zero-coupling", "evolve-fig3-l1", "pole-abc", "pole-0", "pole-empty", "bogus",
+         "exponential-suffix"],
+)
+def test_bad_input_exits_2_before_manifest(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", [["--l", "0"], ["--n-max", "0"], ["--l", "-1"]])
+@pytest.mark.parametrize(
+    "command",
+    [EVOLVE + ["--t", "1:2:2"],
+     ["crossings", "--g", "0.1", "--curve-a", "pole:1", "--curve-b", "pole:2"]],
+)
+def test_mode_and_table_size_checked_by_parser(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(command + flag + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv",
     [
