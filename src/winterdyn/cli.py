@@ -9,10 +9,8 @@ crossings  bisection for crossing times between two norm curves
 rerun      re-execute a run from its manifest (byte-identical outputs)
 
 Every command checks its inputs, then writes `<command>_manifest.json`,
-then its data files, all atomically (temp file + rename).  Two limits are
-met only later, in the library: mixing's index ranges and the direct
-route's t cap.  Exit codes are stable: 2 input/solver, 3 quadrature,
-4 linear algebra, 5 crossing search.
+then its data files, all atomically (temp file + rename).  Exit codes are
+stable: 2 input/solver, 3 quadrature, 4 linear algebra, 5 crossing search.
 
 evolve and crossings share one table of norm curves.  `exponential` and
 `pole:<n>` reproduce survival-probability figures in the first-order
@@ -42,9 +40,13 @@ from .errors import (
     PoleConvergenceError,
 )
 from .evolution import (
+    T_MAX_DIRECT,
     TimeSeries,
     WaveField,
+    _asymptotic_values,
+    _cavity_norms,
     _csv_text,
+    _exponential_values,
     _power_values,
     _ray_accuracy_error,
     asymptotic_field,
@@ -79,6 +81,9 @@ EXIT_SEARCH = 5
 
 # Relative width of the bracket at which find_crossings stops bisecting.
 CROSSING_RTOL = 1e-4
+
+# Levels of the bisection tree that find_crossings evaluates per curve call.
+_BISECTION_DEPTH = 3
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +190,34 @@ def cmd_poles(args) -> int:
 # evolve, and the one table of norm curves that crossings shares
 # ---------------------------------------------------------------------------
 
-def _power_norm(l, g, t, x, tol) -> float:
-    """Cavity norm of the power part, tolerating the single marginal point.
+def _power_norm(l, g, ts, x, tol) -> np.ndarray:
+    """Cavity norms of the power part at times ts, tolerating the single marginal point.
 
     Only (x, t) = (pi, 0), where the ray integral is marginally divergent,
     may miss tol; its cutoff-limited value enters the norm with a warning.
     """
-    values, estimates = _power_values(l, x, t, g, tol)
+    values, estimates = _power_values(l, x, ts, g, tol)
     missed = ~(estimates <= tol)
-    fatal = missed & ((t != 0) | (x < math.pi - 1e-12))
+    fatal = missed & ((ts != 0)[None, :] | (x < math.pi - 1e-12)[:, None])
     if fatal.any():
-        i = int(np.argmax(np.where(fatal, estimates, -np.inf)))
-        raise _ray_accuracy_error(l, x[i], t, g, tol, estimates[i], complex(values[i]))
+        i, j = np.unravel_index(np.argmax(np.where(fatal, estimates, -np.inf)), fatal.shape)
+        raise _ray_accuracy_error(l, x[i], ts[j], g, tol, estimates[i, j], complex(values[i, j]))
     if missed.any():
         warnings.warn(
             "ray integral is marginally divergent at (x, t) = (pi, 0); "
             "using the cutoff-limited value for the norm",
             stacklevel=2,
         )
-    return cavity_norm(WaveField(x_grid=x, t=t, values=values, part="power"))
+    return _cavity_norms(x, values)
+
+
+def _check_direct_times(specs, t_grid):
+    """Refuse a direct-route curve or field beyond T_MAX_DIRECT up front."""
+    if "direct" in specs and t_grid[-1] > T_MAX_DIRECT:
+        raise DomainError(
+            f"t = {t_grid[-1]} beyond t_max = {T_MAX_DIRECT}: the chirped integrand defeats "
+            "panel quadrature; use the exponential + power decomposition"
+        )
 
 
 def _field(method: str, args, x, t: float, table) -> WaveField:
@@ -222,18 +236,21 @@ def _curves(specs, args, x, table) -> list:
 
     `pole:<n>` and `exponential` are the first-order resonance model;
     `exponential-exact`, `power`, `asymptotic` and `direct` integrate that
-    route's field over the cavity.  Raises DomainError for an unknown spec.
+    route's field over the cavity.  Every curve but `direct` evaluates all
+    its times at once.  Raises DomainError for an unknown spec.
     """
-
-    def cavity(method):
-        return lambda ts: np.array([cavity_norm(_field(method, args, x, t, table)) for t in ts])
-
+    l, g = args.l, args.g
     curves = {
-        "exponential": lambda ts: resonance_exponential_norm(args.l, args.g, args.n_max, ts),
-        "exponential-exact": cavity("exponential"),
-        "power": lambda ts: np.array([_power_norm(args.l, args.g, t, x, args.tol) for t in ts]),
-        "asymptotic": cavity("asymptotic"),
-        "direct": cavity("direct"),
+        "exponential": lambda ts: resonance_exponential_norm(l, g, args.n_max, ts),
+        "exponential-exact": lambda ts: _cavity_norms(
+            x, _exponential_values(l, x, ts, g, table)[0]
+        ),
+        "power": lambda ts: _power_norm(l, g, ts, x, args.tol),
+        "asymptotic": lambda ts: _cavity_norms(x, _asymptotic_values(l, x, ts, g)),
+        # the direct route's cells depend on t: one field per time
+        "direct": lambda ts: np.array(
+            [cavity_norm(direct_field(l, x, t, g, args.tol)) for t in ts]
+        ),
     }
     for spec in specs:
         n = spec.removeprefix("pole:")
@@ -265,6 +282,7 @@ def cmd_evolve(args) -> int:
         None: {f"evolve_{m}_norm.csv": "exponential-exact" if m == "exponential" else m
                for m in methods},
     }[args.parts]
+    _check_direct_times(outputs.values(), t_grid)
     table = None
     if "exponential-exact" in outputs.values():
         table = pole_table(args.g, args.n_max, min(args.tol, 1e-10))
@@ -309,6 +327,18 @@ def cmd_mixing(args) -> int:
     for tok in tokens:
         if tok not in _MATRIX_MAKERS and tok != "expgap":
             raise DomainError(f"unknown --emit token {tok!r}")
+    # every matrix but V (sized by its pole table) needs the truncation N >= 2,
+    # and so do a rotation at g > 0 and the contamination check
+    needs_n = (
+        any(tok != "V" for tok in tokens)
+        or (args.rotate is not None and args.g > 0)
+        or args.contamination is not None
+    )
+    if needs_n and args.n < 2:
+        raise DomainError("truncation --n must be >= 2")
+    for flag, l in (("--rotate", args.rotate), ("--contamination", args.contamination)):
+        if l is not None and not 1 <= l <= args.n:
+            raise DomainError(f"{flag} {l} must lie in 1..n = 1..{args.n}")
     t_grid = _time_grid(args.t) if args.contamination is not None else None
     table = None
     if "V" in tokens or args.contamination is not None:
@@ -383,14 +413,26 @@ def cmd_mixing(args) -> int:
 # crossings
 # ---------------------------------------------------------------------------
 
+def _bisection_tree(lo: float, hi: float, depth: int) -> list[float]:
+    """Every midpoint the next `depth` bisection steps of [lo, hi] can probe."""
+    if depth == 0:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *_bisection_tree(lo, mid, depth - 1), *_bisection_tree(mid, hi, depth - 1)]
+
+
 def find_crossings(fa, fb, t_grid):
     """Sign changes of log fa - log fb on the grid, bisected to CROSSING_RTOL.
 
-    fa and fb map an array of times to an array of norms.
+    fa and fb map an array of times to an array of norms.  A norm of 0 has
+    log -inf, so a gap between two zero norms is nan and never a sign change.
+    Plain bisection, except that a probe not yet known evaluates the next
+    _BISECTION_DEPTH levels of the bisection tree in one curve call.
     """
 
     def gap(ts):
-        return [math.log(a) - math.log(b) for a, b in zip(fa(ts), fb(ts))]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(fa(ts)) - np.log(fb(ts))
 
     diffs = gap(t_grid)
     out = []
@@ -402,9 +444,13 @@ def find_crossings(fa, fb, t_grid):
         if d0 * d1 < 0:
             lo, hi = float(t_grid[i]), float(t_grid[i + 1])
             flo = d0
+            known = {}
             while (hi - lo) > CROSSING_RTOL * hi:
                 mid = 0.5 * (lo + hi)
-                fm = gap(np.array([mid]))[0]
+                if mid not in known:
+                    probes = _bisection_tree(lo, hi, _BISECTION_DEPTH)
+                    known = dict(zip(probes, gap(np.array(probes))))
+                fm = known[mid]
                 if flo * fm <= 0:
                     hi = mid
                 else:
@@ -419,6 +465,7 @@ def cmd_crossings(args) -> int:
         raise DomainError("crossing search needs t > 0 (norm curves are compared on a log scale)")
     x = _position_grid(args.x)
     specs = [args.curve_a, args.curve_b]
+    _check_direct_times(specs, t_grid)
     table = pole_table(args.g, args.n_max, 1e-12) if "exponential-exact" in specs else None
     fa, fb = _curves(specs, args, x, table)
     keys = ("g", "l", "n_max", "tol", "t", "x", "curve_a", "curve_b")

@@ -33,6 +33,7 @@ from .poles import PoleTable, width_pert
 from .quadrature import (
     gl_nodes_weights,
     panel_cell_edges,
+    ray_band,
     ray_cell_edges,
     refine_edges,
     tail_mode_fit,
@@ -156,14 +157,26 @@ class TimeSeries:
         )
 
 
-def cavity_norm(fld: WaveField) -> float:
-    """Integral of |psi|^2 over the cavity by composite Simpson on the grid."""
-    x = np.asarray(fld.x_grid, dtype=float)
+def _cavity_norms(x_grid, values) -> np.ndarray:
+    """Integral of |psi|^2 over the cavity for each column of points x times values.
+
+    Composite Simpson runs along the rows of the contiguous times x points
+    transpose, which keeps the operation order of a one-field call: each
+    norm equals cavity_norm of its column's field bit for bit.
+    """
+    x = np.asarray(x_grid, dtype=float)
     if len(x) < 33:
         raise DomainError("cavity_norm needs at least 33 grid points")
     if x[0] > 1e-12 or x[-1] < math.pi - 1e-12:
         raise DomainError("grid must cover [0, pi]")
-    return float(simpson(np.abs(fld.values) ** 2, x=x))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field values must be finite")
+    return simpson(np.abs(np.ascontiguousarray(values.T)) ** 2, x=x, axis=-1)
+
+
+def cavity_norm(fld: WaveField) -> float:
+    """Integral of |psi|^2 over the cavity by composite Simpson on the grid."""
+    return float(_cavity_norms(fld.x_grid, np.asarray(fld.values)[:, None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +305,8 @@ def _pole_weights(l: int, table: PoleTable) -> np.ndarray:
     return signs * mixing_weight(l, ks, table.g)
 
 
-def exponential_tail_estimate(l: int, t: float, table: PoleTable) -> float:
-    """Size of the first pole term beyond the table.
+def exponential_tail_estimate(l: int, t, table: PoleTable):
+    """Size of the first pole term beyond the table, at a time or an array of times.
 
     The weights fall off like 1/n, so |V_(l,N+1)| ~ |V_(l,N)| N/(N+1); the
     width of the next pole is extrapolated with the n^3 law.
@@ -303,7 +316,33 @@ def exponential_tail_estimate(l: int, t: float, table: PoleTable) -> float:
     v_last = abs(complex(_pole_weights(l, table)[-1]))
     gamma_next = last.gamma * ((n + 1) / n) ** 3
     sin_growth = math.cosh(abs(last.k.imag) * math.pi)
-    return v_last * (n / (n + 1)) * sin_growth * math.exp(-0.5 * gamma_next * t)
+    return v_last * (n / (n + 1)) * sin_growth * np.exp(-0.5 * gamma_next * np.asarray(t))
+
+
+def _exponential_values(l: int, x, t, g: float, table: PoleTable):
+    """Residue sum at every (x, t), and the tail estimate of each t.
+
+    sin(k x) is formed once; every t follows from one product with the
+    poles x times matrix of weighted phases.  Returns the points x times
+    values and the per-t tails, and warns once when some t is 0.
+    """
+    _check_mode(l)
+    if abs(table.g - g) > 1e-15:
+        raise ValueError(f"pole table was built at g={table.g}, not g={g}")
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(t >= 0):
+        raise DomainError("time must be >= 0")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    ks = table.k_values
+    weights = _pole_weights(l, table)[:, None] * np.exp(np.multiply.outer(-1j * ks**2, t))
+    values = SQRT_2_OVER_PI * (np.sin(np.outer(x, ks)) @ weights)
+    if np.any(t == 0):
+        warnings.warn(
+            "exponential part alone does not reproduce the t=0 state: the "
+            "residue series converges like 1/n there",
+            stacklevel=3,
+        )
+    return values, exponential_tail_estimate(l, t, table)
 
 
 def exponential_field(
@@ -315,23 +354,9 @@ def exponential_field(
     tol: float | None = None,
 ) -> WaveField:
     """Exponential part of psi^(l): truncated residue sum over the pole table."""
-    _check_mode(l)
-    if abs(table.g - g) > 1e-15:
-        raise ValueError(f"pole table was built at g={table.g}, not g={g}")
-    if t < 0:
-        raise DomainError("time must be >= 0")
     x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    ks = table.k_values
-    weights = _pole_weights(l, table) * np.exp(-1j * ks**2 * t)
-    values = SQRT_2_OVER_PI * (np.sin(np.outer(x, ks)) @ weights)
-
-    tail = exponential_tail_estimate(l, t, table)
-    if t == 0:
-        warnings.warn(
-            "exponential part alone does not reproduce the t=0 state: the "
-            "residue series converges like 1/n there",
-            stacklevel=2,
-        )
+    values, tails = _exponential_values(l, x, t, g, table)
+    tail = float(tails[0])
     if tol is not None and tail > tol:
         raise AccuracyError(
             f"pole table too short: tail estimate {tail:.2e} > tol {tol:.1e} "
@@ -342,7 +367,7 @@ def exponential_field(
     return WaveField(
         x_grid=x,
         t=float(t),
-        values=values,
+        values=values[:, 0],
         part="exponential",
         meta={"tail_estimate": tail, "n_poles": len(table)},
     )
@@ -366,7 +391,7 @@ _ROT = cmath.exp(-1j * math.pi / 4.0)
 
 
 def _ray_sums(l, x, t, g, edges):
-    """GL-15 sums of the ray integrand at every x on one cell set, with tails.
+    """GL-15 sums of the ray integrand at every (x, t) on one cell set, with tails.
 
     The integrand is p^(l)(kappa e^{-i pi/4}; x, g) e^{-kappa^2 t} in
     overflow-free form.  Along the ray both sines and the coefficient b grow
@@ -381,12 +406,13 @@ def _ray_sums(l, x, t, g, edges):
 
     with delta = 1/(4 pi g k); every exponential that remains has a
     non-positive real exponent on the ray.  Only e^{i k (x - pi)} A_x depends
-    on x, so the rest is formed once per node and the integrand is a
-    nodes x points array.
+    on x and only e^{-kappa^2 t} on t, so the integrand without the Gaussian
+    is one nodes x points array and every t follows from one real matrix
+    product with the nodes x times Gaussian factors.
 
-    The tail of each point is C/K, with C the 1/k^2 envelope constant
+    The tail of each (x, t) is C/K, with C the 1/k^2 envelope constant
     measured over the last cell and K the last edge; a sum that is not
-    finite gets an infinite tail.
+    finite gets an infinite tail.  Both returns are points x times.
     """
     nodes, wts = gl_nodes_weights(edges)
     k = nodes * _ROT
@@ -395,10 +421,7 @@ def _ray_sums(l, x, t, g, edges):
     a_coef = -0.5j - delta * a_pi
     b_wrapped = 0.5j * (1.0 - a_pi) + delta * a_pi
     # -(1/16) A_pi A_x = (1/16) A_pi expm1(-2 i k x)
-    per_node = (
-        (-1) ** l * l / 16.0 * a_pi / (a_coef * b_wrapped * (k**2 - l**2))
-        * np.exp(-nodes**2 * t)
-    )
+    per_node = (-1) ** l * l / 16.0 * a_pi / (a_coef * b_wrapped * (k**2 - l**2))
     # the nodes x points factor e^{i k (x - pi)} expm1(-2 i k x), formed in
     # place so that no more than two such arrays are alive at once
     f = np.multiply.outer(1j * k, x - math.pi)
@@ -406,48 +429,69 @@ def _ray_sums(l, x, t, g, edges):
     expm1_x = np.multiply.outer(-2j * k, x)
     np.expm1(expm1_x, out=expm1_x)
     f *= expm1_x
+    del expm1_x
     f *= per_node[:, None]
+    gauss = np.exp(-np.multiply.outer(nodes**2, t))
     last = nodes >= edges[-2]
-    envelope = np.max(np.abs(f[last]) * nodes[last, None] ** 2, axis=0)
+    decay = gauss[last] * nodes[last, None] ** 2  # last-cell nodes x times
+    envelope = np.max(np.abs(f[last])[:, :, None] * decay[:, None, :], axis=0)
     f *= wts[:, None]
-    sums = f.sum(axis=0)
+    # interleaved (re, im) columns: one real product gives every sum
+    sums = (f.view(np.float64).T @ gauss).reshape(len(x), 2, len(t))
+    sums = sums[:, 0] + 1j * sums[:, 1]
     return sums, np.where(np.isfinite(sums), envelope / edges[-1], math.inf)
 
 
-def _power_values(l: int, x, t: float, g: float, tol: float):
-    """Power part at every x by quadrature along the ray arg k = -pi/4.
+def _power_values(l: int, x, t, g: float, tol: float):
+    """Power part at every (x, t) by quadrature along the ray arg k = -pi/4.
 
-    Returns the values and each point's error estimate |cur - prev| + tail.
-    Every point climbs the cell ladder base -> x2 -> x4 -> x8 and leaves it
-    at the first level whose estimate meets tol, so only the points still
-    above tol are evaluated on the next level.  A point that ends above tol
-    (such as the marginal point (x, t) = (pi, 0)) keeps its last value.
+    t is a time or an array of times.  Returns points x times arrays of the
+    values and of each (x, t)'s error estimate |cur - prev| + tail.  The
+    times t > 0 of one band 4^b <= t < 4^(b+1) share one cell set, so a band
+    is one _ray_sums call per ladder level; at t = 0 the cutoff scales with
+    1/(pi - x), so each point gets its own cells.  Every (x, t) climbs the
+    cell ladder base -> x2 -> x4 -> x8 and leaves it at the first level whose
+    estimate meets tol; the next level evaluates only the points and times
+    that still hold an (x, t) above tol, and updates only those.  An (x, t)
+    that ends above tol (such as the marginal point (pi, 0)) keeps its last
+    value.
     """
     _check_mode(l)
     if g <= 0:
         raise DomainError("power part requires g > 0")
-    if t < 0:
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(t >= 0):
         raise DomainError("time must be >= 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((x >= 0.0) & (x <= math.pi)):
         raise DomainError("cavity position x must lie in [0, pi]")
 
-    if t > 0:
-        # the Gaussian cutoff does not depend on x: one cell set serves all points
-        groups = [(np.arange(len(x)), ray_cell_edges(t, math.pi))]
-    else:
-        # at t = 0 the cutoff scales with 1/(pi - x): each point gets its own cells
-        groups = [(np.array([i]), ray_cell_edges(t, xi)) for i, xi in enumerate(x)]
-    values = np.empty(len(x), dtype=complex)
-    estimates = np.empty(len(x))
-    for active, edges in groups:
-        values[active], _ = _ray_sums(l, x[active], t, g, edges)
+    # (points, times, cells): every point with each band of t > 0, and at
+    # t = 0 each point with its own cells
+    bands: dict[float, list[int]] = {}
+    for j in np.flatnonzero(t > 0):
+        bands.setdefault(ray_band(t[j]), []).append(j)
+    every_x = np.arange(len(x))
+    groups = [(every_x, np.array(js), ray_cell_edges(b, math.pi)) for b, js in bands.items()]
+    zeros = np.flatnonzero(t == 0)
+    if zeros.size:
+        groups += [(np.array([i]), zeros, ray_cell_edges(0.0, xi)) for i, xi in enumerate(x)]
+
+    values = np.empty((len(x), len(t)), dtype=complex)
+    estimates = np.empty((len(x), len(t)))
+    for rows, cols, edges in groups:
+        values[np.ix_(rows, cols)], _ = _ray_sums(l, x[rows], t[cols], g, edges)
+        active = np.ones((len(rows), len(cols)), dtype=bool)
         for factor in (2, 4, 8):
-            cur, tails = _ray_sums(l, x[active], t, g, refine_edges(edges, factor))
-            estimates[active] = np.abs(cur - values[active]) + tails
-            values[active] = cur
-            active = active[~(estimates[active] <= tol)]
-            if not active.size:
+            r, c = active.any(axis=1), active.any(axis=0)
+            block = np.ix_(rows[r], cols[c])
+            live = active[np.ix_(r, c)]
+            cur, tails = _ray_sums(l, x[rows[r]], t[cols[c]], g, refine_edges(edges, factor))
+            est = np.abs(cur - values[block]) + tails
+            values[block] = np.where(live, cur, values[block])
+            estimates[block] = np.where(live, est, estimates[block])
+            active[np.ix_(r, c)] = live & ~(est <= tol)
+            if not active.any():
                 break
     return _ROT * SPECTRAL_PREFACTOR * values, estimates
 
@@ -470,9 +514,9 @@ def psi_power_quad(l: int, x: float, t: float, g: float, tol: float = 1e-8) -> c
     with the cutoff-limited value attached.
     """
     values, estimates = _power_values(l, [x], t, g, tol)
-    value = complex(values[0])
-    if not estimates[0] <= tol:
-        raise _ray_accuracy_error(l, x, t, g, tol, estimates[0], value)
+    value = complex(values[0, 0])
+    if not estimates[0, 0] <= tol:
+        raise _ray_accuracy_error(l, x, t, g, tol, estimates[0, 0], value)
     return value
 
 
@@ -485,6 +529,7 @@ def power_field(l: int, x_grid, t: float, g: float, tol: float = 1e-8) -> WaveFi
     """
     x = np.atleast_1d(np.asarray(x_grid, dtype=float))
     values, estimates = _power_values(l, x, t, g, tol)
+    values, estimates = values[:, 0], estimates[:, 0]
     worst = float(estimates.max(initial=0.0))
     fld = WaveField(
         x_grid=x, t=float(t), values=values, part="power", meta={"error_estimate": worst}
@@ -495,14 +540,15 @@ def power_field(l: int, x_grid, t: float, g: float, tol: float = 1e-8) -> WaveFi
     return fld
 
 
-def psi_power_asym(l: int, x: float, t: float, g: float) -> complex:
-    """Two-term large-time form of the power part, amplitude ~ t^(-3/2).
+def _asymptotic_values(l: int, x, t, g: float):
+    """Two-term large-time form of the power part at every (x, t).
 
-    The caller is responsible for the regime (useful for t >~ 10; better
-    than 1% beyond t ~ 10^3).
+    Returns a points x times array; amplitude ~ t^(-3/2).
     """
     _check_mode(l)
-    if t <= 0:
+    x = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
+    t = np.atleast_1d(np.asarray(t, dtype=float))[None, :]
+    if not np.all(t > 0):
         raise DomainError("asymptotic form needs t > 0")
     gp = g / (1.0 + g)
     bracket = (
@@ -521,12 +567,21 @@ def psi_power_asym(l: int, x: float, t: float, g: float) -> complex:
         * x
         / t**1.5
     )
-    return complex(lead * (1.0 - 1.5j / t * bracket))
+    return lead * (1.0 - 1.5j / t * bracket)
+
+
+def psi_power_asym(l: int, x: float, t: float, g: float) -> complex:
+    """Two-term large-time form of the power part, amplitude ~ t^(-3/2).
+
+    The caller is responsible for the regime (useful for t >~ 10; better
+    than 1% beyond t ~ 10^3).
+    """
+    return complex(_asymptotic_values(l, x, t, g)[0, 0])
 
 
 def asymptotic_field(l: int, x_grid, t: float, g: float) -> WaveField:
     x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    values = np.array([psi_power_asym(l, xi, t, g) for xi in x])
+    values = _asymptotic_values(l, x, t, g)[:, 0]
     return WaveField(x_grid=x, t=float(t), values=values, part="asymptotic")
 
 

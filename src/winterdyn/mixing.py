@@ -19,12 +19,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg import expm
 from scipy.special import digamma, polygamma
 
 from .errors import DomainError, IllConditionedError
-from .evolution import SQRT_2_OVER_PI, TimeSeries, _csv_text, _pole_weights
+from .evolution import SQRT_2_OVER_PI, TimeSeries, _cavity_norms, _csv_text, _pole_weights
 from .poles import PoleTable
 
 MATRIX_LABELS = (
@@ -384,9 +383,6 @@ def diagonal_evolution_check(
 
     ks = table.k_values
     x = np.linspace(0.0, math.pi, CONTAMINATION_POINTS)
-    sin_mat = np.sin(np.outer(x, ks))
-    norms = np.empty_like(t_arr)
-    for i, t in enumerate(t_arr):
-        delta = SQRT_2_OVER_PI * (sin_mat @ (coeff * np.exp(-1j * ks**2 * t)))
-        norms[i] = float(simpson(np.abs(delta) ** 2, x=x))
-    return TimeSeries(t_grid=t_arr, norms=norms)
+    phases = coeff[:, None] * np.exp(np.multiply.outer(-1j * ks**2, t_arr))
+    delta = SQRT_2_OVER_PI * (np.sin(np.outer(x, ks)) @ phases)
+    return TimeSeries(t_grid=t_arr, norms=_cavity_norms(x, delta))

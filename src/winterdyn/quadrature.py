@@ -125,19 +125,32 @@ def tail_mode_fit(partial_sums: np.ndarray, x: float, j_lo: int) -> tuple[comple
     return complex(coef[0, 0], coef[0, 1]) / norms[keep][0], rms
 
 
+def ray_band(t: float) -> float:
+    """Lower end 4^b of the band 4^b <= t < 4^(b+1) that holds t > 0.
+
+    Exact at every power of 4: the binary exponent from math.frexp is an
+    integer, where math.log(t, 4) can round 4^b just below b.
+    """
+    _, e = math.frexp(t)  # 2^(e-1) <= t < 2^e
+    return math.ldexp(1.0, 2 * ((e - 1) // 2))
+
+
 def ray_cell_edges(t: float, x: float) -> np.ndarray:
     """Cells along the rotated-ray parameter for exp(-k^2 t) damping.
 
-    For t > 0 the Gaussian factor confines the integrand to k <~ 6/sqrt(t);
-    beyond that geometric doubling reaches K = max(10, sqrt(36/t)) where
-    exp(-K^2 t) <= e^-36.  At t = 0 the envelope decays like
+    For t > 0 every time in the band 4^b <= t < 4^(b+1) gets the cells of
+    t_b = 4^b, so one cell set serves a whole band of times.  The Gaussian
+    factor confines the integrand to k <~ 6/sqrt(t_b); beyond that geometric
+    doubling reaches K = max(10, sqrt(36/t_b)), where exp(-K^2 t) <= e^-36
+    since t >= t_b.  At t = 0 the envelope decays like
     exp(-(pi - x) k / sqrt(2)), so the cutoff scales with 1/(pi - x); at
     x = pi, t = 0 the ray integral is marginally divergent and the caller
     must rely on the measured tail estimate.
     """
     if t > 0:
-        k_max = max(10.0, math.sqrt(36.0 / t))
-        core = min(6.0 / math.sqrt(t), k_max)
+        t_b = ray_band(t)
+        k_max = max(10.0, math.sqrt(36.0 / t_b))
+        core = min(6.0 / math.sqrt(t_b), k_max)
         edges = list(np.linspace(0.0, core, 13))
         while edges[-1] < k_max:
             edges.append(min(edges[-1] * 2.0, k_max))

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from winterdyn import DomainError
-from winterdyn.cli import main, parse_grid
+from winterdyn.cli import CROSSING_RTOL, find_crossings, main, parse_grid
 
 
 def read_csv(path):
@@ -172,6 +174,73 @@ def test_crossings_two_pole_terms(tmp_path):
     assert t == pytest.approx(4.581, abs=0.05)
 
 
+def test_crossings_of_underflowing_curves_exit_5(tmp_path):
+    # pole 5 decays as exp(-4 pi 125 g^2 t) and both norms reach 0 on the grid:
+    # log 0 = -inf, and the nan gap of two zero norms is no sign change
+    rc = main(
+        ["crossings", "--g", "0.1", "--l", "2", "--curve-a", "pole:5",
+         "--curve-b", "pole:1", "--t", "1:1e5:10", "--out", str(tmp_path)]
+    )
+    assert rc == 5
+    assert not (tmp_path / "crossings.json").exists()
+
+
+def find_crossings_one_probe(fa, fb, t_grid):
+    """Reference form: bisection that calls each curve once per probe."""
+
+    def gap(ts):
+        return [math.log(a) - math.log(b) for a, b in zip(fa(ts), fb(ts))]
+
+    diffs = gap(t_grid)
+    out = []
+    for i in range(len(t_grid) - 1):
+        d0, d1 = diffs[i], diffs[i + 1]
+        if d0 == 0.0:
+            out.append((float(t_grid[i]), (float(t_grid[i]), float(t_grid[i]))))
+            continue
+        if d0 * d1 < 0:
+            lo, hi = float(t_grid[i]), float(t_grid[i + 1])
+            flo = d0
+            while (hi - lo) > CROSSING_RTOL * hi:
+                mid = 0.5 * (lo + hi)
+                fm = gap(np.array([mid]))[0]
+                if flo * fm <= 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            out.append((0.5 * (lo + hi), (lo, hi)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rates=st.tuples(st.floats(0.01, 3.0), st.floats(0.01, 3.0)),
+    weight=st.floats(1e-3, 1e3),
+    wiggle=st.floats(0.0, 0.9),
+    freq=st.floats(0.1, 5.0),
+    lo=st.floats(0.01, 10.0),
+    span=st.floats(0.1, 100.0),
+    count=st.integers(2, 40),
+)
+def test_batched_bisection_equals_one_probe_bisection(rates, weight, wiggle, freq, lo, span,
+                                                      count):
+    # two exponentials, one with a wiggle so that several crossings can occur
+    calls = []
+
+    def fa(ts):
+        calls.append(len(ts))
+        return np.exp(-rates[0] * ts) * (1.0 + wiggle * np.sin(freq * ts))
+
+    def fb(ts):
+        return weight * np.exp(-rates[1] * ts)
+
+    t_grid = np.linspace(lo, lo + span, count)
+    found = find_crossings(fa, fb, t_grid)
+    # one grid call, then at most 7 probes a call
+    assert calls[0] == count and all(n <= 7 for n in calls[1:])
+    assert found == find_crossings_one_probe(fa, fb, t_grid)
+
+
 def test_crossings_disjoint_exit_5(tmp_path):
     rc = main(
         ["crossings", "--g", "0.1", "--l", "2", "--curve-a", "pole:1",
@@ -313,7 +382,7 @@ def test_curve_artifact_bytes_pinned(tmp_path):
         "t,norm\n1.0,0.6061976664797118\n5.5,0.06300119812723168\n10.0,0.006561419936306071\n"
     )
     assert (split / "evolve_power_norm.csv").read_text() == (
-        "t,norm\n1.0,0.00043957345306544867\n5.5,1.6019511251558602e-05\n"
+        "t,norm\n1.0,0.0004395734530654488\n5.5,1.60195112515586e-05\n"
         "10.0,3.3814737655005822e-06\n"
     )
     assert (fig3 / "evolve_pole_diag_norm.csv").read_text() == (
@@ -323,14 +392,29 @@ def test_curve_artifact_bytes_pinned(tmp_path):
         "t,norm\n1.0,0.01567842450307869\n5.5,0.008906655926190766\n10.0,0.005059725214862742\n"
     )
     assert (fig3 / "evolve_power_norm.csv").read_text() == (
-        "t,norm\n1.0,2.4986350040615797e-05\n5.5,4.3621056948065844e-07\n"
-        "10.0,8.180518194393035e-08\n"
+        "t,norm\n1.0,2.498635004061577e-05\n5.5,4.3621056948065823e-07\n"
+        "10.0,8.180518194393038e-08\n"
     )
     assert (cross / "crossings.json").read_text() == (
         '{\n  "curve_a": "pole:1",\n  "curve_b": "pole:2",\n  "crossings": [\n    {\n'
         '      "t": 4.5811767578125,\n      "bracket": [\n        4.5810546875,\n'
         '        4.581298828125\n      ]\n    }\n  ]\n}\n'
     )
+
+
+def test_power_norms_match_per_time_kernel_literals(tmp_path):
+    # the power norms the per-t ray kernel wrote, before times shared a cell
+    # set per band and a matrix product
+    per_t = {
+        ("0.2", "1"): [0.00043957345306544867, 1.6019511251558602e-05, 3.3814737655005822e-06],
+        ("0.1", "2"): [2.4986350040615797e-05, 4.3621056948065844e-07, 8.180518194393035e-08],
+    }
+    for (g, l), old in per_t.items():
+        out = tmp_path / g
+        assert main(["evolve", "--g", g, "--l", l, "--method", "power", "--t", "1:10:3",
+                     "--x", X33, "--out", str(out)]) == 0
+        norms = [float(r["norm"]) for r in read_csv(out / "evolve_power_norm.csv")]
+        np.testing.assert_allclose(norms, old, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -342,12 +426,23 @@ def test_curve_artifact_bytes_pinned(tmp_path):
         ["mixing", "--g", "0.1", "--n", "8", "--contamination", "1", "--t", "0:abc:3"],
         ["mixing", "--g", "0", "--n", "8", "--contamination", "1"],
         ["evolve", "--g", "0.1", "--l", "1", "--parts", "fig3", "--t", "1:10:3"],
+        ["evolve", "--g", "0.2", "--method", "direct", "--t", "40:60:2"],
+        ["evolve", "--g", "0.2", "--method", "all", "--t", "60"],
+        ["crossings", "--g", "0.2", "--curve-a", "direct", "--curve-b", "power",
+         "--t", "40:60:3"],
+        ["mixing", "--g", "0.1", "--n", "4", "--rotate", "9"],
+        ["mixing", "--g", "0.1", "--n", "4", "--contamination", "9"],
+        ["mixing", "--g", "0", "--n", "4", "--rotate", "0"],
+        ["mixing", "--g", "0.1", "--n", "1", "--emit", "U"],
+        ["mixing", "--g", "0.1", "--n", "4", "--emit", "V", "--contamination", "5"],
     ]
     + [["crossings", "--g", "0.1", "--l", "2", "--curve-a", spec, "--curve-b", "pole:2",
         "--t", "1:20:39"] for spec in ("pole:abc", "pole:0", "pole:", "bogus", "exponential:2")],
     ids=["crossings-decreasing-t", "mixing-decreasing-t", "mixing-malformed-t",
-         "mixing-zero-coupling", "evolve-fig3-l1", "pole-abc", "pole-0", "pole-empty", "bogus",
-         "exponential-suffix"],
+         "mixing-zero-coupling", "evolve-fig3-l1", "evolve-direct-beyond-t-max",
+         "evolve-all-snapshot-beyond-t-max", "crossings-direct-beyond-t-max", "mixing-rotate-9",
+         "mixing-contamination-9", "mixing-rotate-0", "mixing-n-1", "mixing-V-contamination-5",
+         "pole-abc", "pole-0", "pole-empty", "bogus", "exponential-suffix"],
 )
 def test_bad_input_exits_2_before_manifest(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2

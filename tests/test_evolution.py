@@ -1,5 +1,7 @@
+import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from winterdyn import (
     DomainError,
     TimeSeries,
     WaveField,
+    asymptotic_field,
     cavity_norm,
     direct_field,
     exponential_field,
@@ -20,8 +23,21 @@ from winterdyn import (
     psi_power_asym,
     psi_power_quad,
 )
-from winterdyn.evolution import SPECTRAL_PREFACTOR, _sin_ratio
-from winterdyn.quadrature import gl_nodes_weights, panel_cell_edges, truncation_panels
+from winterdyn.evolution import (
+    _ROT,
+    SPECTRAL_PREFACTOR,
+    _cavity_norms,
+    _exponential_values,
+    _power_values,
+    _sin_ratio,
+)
+from winterdyn.quadrature import (
+    gl_nodes_weights,
+    panel_cell_edges,
+    ray_cell_edges,
+    refine_edges,
+    truncation_panels,
+)
 from winterdyn.spectrum import ab_product
 
 SQ = math.sqrt(2.0 / math.pi)
@@ -226,6 +242,21 @@ def test_l2_dominated_by_first_pole(table01):
     assert np.max(np.abs(full - first)) / np.max(np.abs(full)) < 1e-3
 
 
+def test_exponential_values_batch_every_time(table02):
+    # one product for all t gives each time's field; the t = 0 warning comes once
+    x = np.linspace(0.0, math.pi, 33)
+    ts = np.array([0.0, 0.5, 5.0, 50.0])
+    with pytest.warns(UserWarning, match="1/n") as caught:
+        values, tails = _exponential_values(1, x, ts, 0.2, table02)
+    assert len(caught) == 1
+    for j, t in enumerate(ts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fld = exponential_field(1, x, t, 0.2, table02)
+        np.testing.assert_allclose(values[:, j], fld.values, rtol=0, atol=1e-15)
+        assert tails[j] == pytest.approx(fld.meta["tail_estimate"], rel=1e-15)
+
+
 def test_exponential_warns_at_t_zero(table02):
     with pytest.warns(UserWarning, match="1/n"):
         exponential_field(1, [1.0], 0.0, 0.2, table02)
@@ -290,6 +321,68 @@ def test_power_field_matches_pointwise(l, g):
             assert fld.meta["error_estimate"] <= tol
 
 
+def _ray_sums_per_t(l, x, t, g, edges):
+    """Reference form: the ray integrand of one t as one nodes x points array,
+    with e^{-kappa^2 t} in the per-node factor."""
+    nodes, wts = gl_nodes_weights(edges)
+    k = nodes * _ROT
+    delta = 1.0 / (4.0 * math.pi * g * k)
+    a_pi = -np.expm1(-2j * math.pi * k)
+    a_coef = -0.5j - delta * a_pi
+    b_wrapped = 0.5j * (1.0 - a_pi) + delta * a_pi
+    per_node = (
+        (-1) ** l * l / 16.0 * a_pi / (a_coef * b_wrapped * (k**2 - l**2))
+        * np.exp(-nodes**2 * t)
+    )
+    f = np.exp(np.multiply.outer(1j * k, x - math.pi))
+    f *= np.expm1(np.multiply.outer(-2j * k, x))
+    f *= per_node[:, None]
+    last = nodes >= edges[-2]
+    envelope = np.max(np.abs(f[last]) * nodes[last, None] ** 2, axis=0)
+    sums = (f * wts[:, None]).sum(axis=0)
+    return sums, np.where(np.isfinite(sums), envelope / edges[-1], math.inf)
+
+
+def power_values_per_t(l, x, t, g, tol):
+    """Reference form: the ray kernel at one time, each point climbing the
+    ladder base -> x2 -> x4 -> x8 on its own."""
+    if t > 0:
+        groups = [(np.arange(len(x)), ray_cell_edges(t, math.pi))]
+    else:
+        groups = [(np.array([i]), ray_cell_edges(t, xi)) for i, xi in enumerate(x)]
+    values = np.empty(len(x), dtype=complex)
+    estimates = np.empty(len(x))
+    for active, edges in groups:
+        values[active], _ = _ray_sums_per_t(l, x[active], t, g, edges)
+        for factor in (2, 4, 8):
+            cur, tails = _ray_sums_per_t(l, x[active], t, g, refine_edges(edges, factor))
+            estimates[active] = np.abs(cur - values[active]) + tails
+            values[active] = cur
+            active = active[~(estimates[active] <= tol)]
+            if not active.size:
+                break
+    return _ROT * SPECTRAL_PREFACTOR * values, estimates
+
+
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("g", [0.05, 0.2])
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_power_values_match_per_time_reference(l, g, tol):
+    # the time-batched kernel gives each (x, t) the per-t kernel's value, and
+    # every estimate but the marginal point's (pi, 0) meets tol
+    x = np.linspace(0.0, math.pi, 33)
+    ts = np.array([0.0, 0.3, 0.5, 1.0, 2.0, 4.0, 5.0, 16.0, 50.0, 64.0, 300.0, 1e5])
+    values, estimates = _power_values(l, x, ts, g, tol)
+    assert values.shape == estimates.shape == (len(x), len(ts))
+    for j, t in enumerate(ts):
+        ref, ref_estimates = power_values_per_t(l, x, t, g, tol)
+        np.testing.assert_allclose(values[:, j], ref, rtol=1e-13, atol=0)
+        marginal = (x == math.pi) & (t == 0)
+        assert np.all(estimates[~marginal, j] <= tol)
+        assert np.all(ref_estimates[~marginal] <= tol)
+        assert np.all(estimates[marginal, j] > tol) and np.all(ref_estimates[marginal] > tol)
+
+
 def test_power_field_marginal_point_raises_with_field():
     x = np.linspace(0.0, math.pi, 33)
     with pytest.raises(AccuracyError) as exc:
@@ -307,6 +400,40 @@ def test_power_field_marginal_point_raises_with_field():
 def test_power_field_rejects_positions_outside_cavity():
     with pytest.raises(DomainError):
         power_field(1, [0.5, 3.5], 1.0, 0.2)
+
+
+def psi_power_asym_scalar(l, x, t, g):
+    """Reference form: the two-term closed form in scalar math/cmath."""
+    gp = g / (1.0 + g)
+    bracket = (
+        1.0 / l**2 + math.pi**2 / 6.0 + (2.0 / 3.0) * math.pi**2 * gp - math.pi**2 * gp**2
+        - x**2 / 6.0
+    )
+    lead = cmath.exp(1j * math.pi / 4.0) / math.sqrt(2.0) * (-1) ** l / l * gp**2 * x / t**1.5
+    return complex(lead * (1.0 - 1.5j / t * bracket))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_asymptotic_field_matches_scalar_form(l):
+    # numpy over x gives the scalar closed form at every point; so does
+    # psi_power_asym
+    x = np.linspace(0.0, math.pi, 33)
+    for t, g in [(0.3, 0.05), (7.0, 0.2), (1e4, 0.4)]:
+        ref = [psi_power_asym_scalar(l, xi, t, g) for xi in x]
+        np.testing.assert_allclose(asymptotic_field(l, x, t, g).values, ref, rtol=1e-15, atol=0)
+        assert psi_power_asym(l, x[7], t, g) == pytest.approx(ref[7], rel=1e-15)
+
+
+def test_cavity_norms_of_columns_equal_cavity_norm():
+    # the batched Simpson call keeps the one-field operation order, bit for bit
+    rng = np.random.default_rng(3)
+    for n in (33, 34, 129):
+        x = np.linspace(0.0, math.pi, n)
+        values = rng.normal(size=(n, 7)) + 1j * rng.normal(size=(n, 7))
+        norms = _cavity_norms(x, values)
+        for j in range(7):
+            fld = WaveField(x_grid=x, t=float(j), values=values[:, j], part="power")
+            assert norms[j] == cavity_norm(fld)
 
 
 def test_asymptotic_against_quadrature():

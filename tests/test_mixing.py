@@ -27,7 +27,8 @@ from winterdyn import (
     rotated_state_closed_form,
     series_identities_check,
 )
-from winterdyn.mixing import _indices
+from winterdyn.evolution import SQRT_2_OVER_PI
+from winterdyn.mixing import CONTAMINATION_POINTS, _indices
 
 PI = math.pi
 
@@ -330,3 +331,20 @@ def test_diagonal_evolution_contamination_grows_relatively():
     signal = np.exp(-t[2].gamma * np.array([1.0, 40.0]))
     rel = np.sqrt(series.norms) / signal
     assert rel[1] > 10 * rel[0]
+
+
+def test_diagonal_evolution_matches_per_time_loop():
+    # reference: one residue sum and one Simpson norm per time
+    g, l = 0.1, 2
+    table = pole_table(g, 12, tol=1e-13)
+    ts = np.array([0.0, 0.5, 2.0, 10.0, 40.0])
+    series = diagonal_evolution_check(l, g, table, ts, order=1, mode="series")
+    n = len(table)
+    coeff = (U_inverse(g, n, 1, "series").entries @ mixing_V_exact(g, table).entries)[l - 1]
+    coeff[l - 1] -= 1.0 / Z_exact(l, g, table)
+    ks = table.k_values
+    x = np.linspace(0.0, math.pi, CONTAMINATION_POINTS)
+    sin_mat = np.sin(np.outer(x, ks))
+    for t, norm in zip(ts, series.norms):
+        delta = SQRT_2_OVER_PI * (sin_mat @ (coeff * np.exp(-1j * ks**2 * t)))
+        assert norm == pytest.approx(float(simpson(np.abs(delta) ** 2, x=x)), rel=1e-13)

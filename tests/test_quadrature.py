@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from winterdyn.quadrature import ray_cell_edges, refine_edges, tail_mode_fit
+from winterdyn.quadrature import ray_band, ray_cell_edges, refine_edges, tail_mode_fit
 
 
 def refine_edges_per_cell(edges, factor):
@@ -66,3 +66,27 @@ def test_refine_edges_matches_per_cell_linspace(t, x):
         assert np.array_equal(fine[::factor], edges)
         np.testing.assert_allclose(fine, ref, rtol=4e-16, atol=0)
         assert np.all(np.diff(fine) > 0)
+
+
+@pytest.mark.parametrize("b", [-31, -29, -5, -1, 0, 1, 2, 3, 4, 5, 30])
+def test_ray_band_exact_at_powers_of_four(b):
+    # 4^b starts its own band and the float just below it lies in the band
+    # before; math.log(4.0**-29, 4) is -29.000000000000004, and math.log(t, 4)
+    # rounds the float just below 64 up to 3.0
+    t = 4.0**b
+    below, above = np.nextafter(t, 0.0), np.nextafter(t, np.inf)
+    assert ray_band(t) == t
+    assert ray_band(float(above)) == t
+    assert ray_band(float(below)) == t / 4.0
+    assert ray_band(float(np.nextafter(4.0 * t, 0.0))) == t
+    assert np.array_equal(ray_cell_edges(float(above), math.pi), ray_cell_edges(t, math.pi))
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.3, 0.5, 3.99, 5.0, 50.0, 300.0, 1e5])
+def test_ray_cells_shared_by_band_and_cover_cutoff(t):
+    # every t of a band gets the cells of the band's start, whose cutoff K
+    # still has exp(-K^2 t) <= e^-36
+    edges = ray_cell_edges(t, 1.0)
+    assert np.array_equal(edges, ray_cell_edges(ray_band(t), math.pi))
+    assert ray_band(t) <= t < 4.0 * ray_band(t)
+    assert edges[-1] ** 2 * t >= 36.0
