@@ -8,9 +8,12 @@ mixing     index-space matrices, rotated states, exponentiation gap
 crossings  bisection for crossing times between two norm curves
 rerun      re-execute a run from its manifest (byte-identical outputs)
 
-Every command checks its inputs, then writes `<command>_manifest.json`,
-then its data files, all atomically (temp file + rename).  Exit codes are
-stable: 2 input/solver, 3 quadrature, 4 linear algebra, 5 crossing search.
+Every command is a generator of (file name, text) pairs; `publish` runs it,
+staging each text in a temporary directory inside --out, moves the staged
+files into place once the command has finished, and writes
+`<command>_manifest.json` last.  A run that raises leaves --out as it was.
+Exit codes are stable: 2 input/solver, 3 quadrature, 4 linear algebra,
+5 crossing search.
 
 evolve and crossings share one table of norm curves.  `exponential` and
 `pole:<n>` reproduce survival-probability figures in the first-order
@@ -40,7 +43,6 @@ from .errors import (
     PoleConvergenceError,
 )
 from .evolution import (
-    T_MAX_DIRECT,
     TimeSeries,
     WaveField,
     _asymptotic_values,
@@ -145,31 +147,55 @@ def atomic_write(path: str, text: str):
         raise
 
 
-def write_manifest(out_dir: str, command: str, params: dict, outputs: list[str]) -> str:
+def publish(args) -> int:
+    """Run the command args.func, then publish its outputs and manifest in --out.
+
+    Each output is staged as soon as the command yields it; the staged files
+    replace those in --out only after the command has finished, and the
+    manifest, written last, records them.  A run that raises leaves --out as
+    it found it, down to the directories it had to create for it.
+    """
+    out = args.out
+    made = []  # the directories makedirs creates, innermost first
+    d = os.path.abspath(out)
+    while not os.path.isdir(d):
+        made.append(d)
+        d = os.path.dirname(d)
+    os.makedirs(out, exist_ok=True)
+    names = []
+    try:
+        with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
+            for name, text in args.func(args):
+                atomic_write(os.path.join(staging, name), text)
+                del text  # free it before the command computes the next output
+                names.append(name)
+            for name in names:
+                os.replace(os.path.join(staging, name), os.path.join(out, name))
+    except BaseException:
+        for d in made:
+            os.rmdir(d)
+        raise
     manifest = {
-        "command": command,
-        "params": params,
-        "outputs": outputs,
+        "command": args.command,
+        "params": {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")},
+        "outputs": names,
         "version": __version__,
     }
-    path = os.path.join(out_dir, f"{command}_manifest.json")
-    atomic_write(path, json.dumps(manifest, indent=2) + "\n")
-    return path
+    atomic_write(
+        os.path.join(out, f"{args.command}_manifest.json"), json.dumps(manifest, indent=2) + "\n"
+    )
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # poles
 # ---------------------------------------------------------------------------
 
-def cmd_poles(args) -> int:
-    params = {"g": args.g, "n_max": args.n_max, "tol": args.tol}
-    outputs = ["poles.json", "poles.csv"]
-    write_manifest(args.out, "poles", params, outputs)
-
+def cmd_poles(args):
     table = pole_table(args.g, args.n_max, args.tol)
-    atomic_write(os.path.join(args.out, "poles.json"), table.to_json() + "\n")
+    yield "poles.json", table.to_json() + "\n"
     ns = [p.n for p in table.poles]
-    text = _csv_text(
+    yield "poles.csv", _csv_text(
         "n,re_k,im_k,omega,gamma,residual,omega_pert1,omega_pert2,gamma_pert2,gamma_pert3",
         ns,
         table.k_values.real,
@@ -182,8 +208,6 @@ def cmd_poles(args) -> int:
         [width_pert(n, args.g, 2) for n in ns],
         [width_pert(n, args.g, 3) for n in ns],
     )
-    atomic_write(os.path.join(args.out, "poles.csv"), text)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +235,6 @@ def _power_norm(l, g, ts, x, tol) -> np.ndarray:
     return _cavity_norms(x, values)
 
 
-def _check_direct_times(specs, t_grid):
-    """Refuse a direct-route curve or field beyond T_MAX_DIRECT up front."""
-    if "direct" in specs and t_grid[-1] > T_MAX_DIRECT:
-        raise DomainError(
-            f"t = {t_grid[-1]} beyond t_max = {T_MAX_DIRECT}: the chirped integrand defeats "
-            "panel quadrature; use the exponential + power decomposition"
-        )
-
-
 def _field(method: str, args, x, t: float, table) -> WaveField:
     """One route's field on x at time t."""
     if method == "direct":
@@ -237,7 +252,9 @@ def _curves(specs, args, x, table) -> list:
     `pole:<n>` and `exponential` are the first-order resonance model;
     `exponential-exact`, `power`, `asymptotic` and `direct` integrate that
     route's field over the cavity.  Every curve but `direct` evaluates all
-    its times at once.  Raises DomainError for an unknown spec.
+    its times at once; `direct` evaluates them latest first, so that its
+    t cap refuses a grid before any quadrature.  Raises DomainError for an
+    unknown spec.
     """
     l, g = args.l, args.g
     curves = {
@@ -249,8 +266,8 @@ def _curves(specs, args, x, table) -> list:
         "asymptotic": lambda ts: _cavity_norms(x, _asymptotic_values(l, x, ts, g)),
         # the direct route's cells depend on t: one field per time
         "direct": lambda ts: np.array(
-            [cavity_norm(direct_field(l, x, t, g, args.tol)) for t in ts]
-        ),
+            [cavity_norm(direct_field(l, x, t, g, args.tol)) for t in ts[::-1]]
+        )[::-1],
     }
     for spec in specs:
         n = spec.removeprefix("pole:")
@@ -262,17 +279,15 @@ def _curves(specs, args, x, table) -> list:
     return [curves[spec] for spec in specs]
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args):
     t_grid = _time_grid(args.t)
     x = _position_grid(args.x)
-    keys = ("g", "l", "n_max", "tol", "t", "x", "method", "parts")
-    params = {key: getattr(args, key) for key in keys}
     if args.parts == "fig3" and args.l < 2:
         raise DomainError("--parts fig3 sets pole l against pole 1, so it needs --l >= 2")
     routes = ["direct", "exponential", "power", "asymptotic"]
     methods = routes if args.method == "all" else [args.method]
     # output name -> curve spec; --method exponential is the exact residue sum
-    outputs = {
+    curves = {
         "split": {"evolve_exponential_norm.csv": "exponential", "evolve_power_norm.csv": "power"},
         "fig3": {
             "evolve_pole_diag_norm.csv": f"pole:{args.l}",
@@ -282,24 +297,18 @@ def cmd_evolve(args) -> int:
         None: {f"evolve_{m}_norm.csv": "exponential-exact" if m == "exponential" else m
                for m in methods},
     }[args.parts]
-    _check_direct_times(outputs.values(), t_grid)
     table = None
-    if "exponential-exact" in outputs.values():
+    if "exponential-exact" in curves.values():
         table = pole_table(args.g, args.n_max, min(args.tol, 1e-10))
 
     if args.parts is None and len(t_grid) == 1:
-        snapshots = [f"evolve_field_{m}.csv" for m in methods]
-        write_manifest(args.out, "evolve", params, snapshots)
-        for m, name in zip(methods, snapshots):
-            fld = _field(m, args, x, float(t_grid[0]), table)
-            atomic_write(os.path.join(args.out, name), fld.to_csv())
-        return 0
+        for m in methods:
+            yield f"evolve_field_{m}.csv", _field(m, args, x, float(t_grid[0]), table).to_csv()
+        return
 
-    norms = _curves(list(outputs.values()), args, x, table)
-    write_manifest(args.out, "evolve", params, list(outputs))
-    for name, norm in zip(outputs, norms):
-        atomic_write(os.path.join(args.out, name), TimeSeries(t_grid, norm(t_grid)).to_csv())
-    return 0
+    norms = _curves(list(curves.values()), args, x, table)
+    for name, norm in zip(curves, norms):
+        yield name, TimeSeries(t_grid, norm(t_grid)).to_csv()
 
 
 # ---------------------------------------------------------------------------
@@ -322,91 +331,38 @@ _MATRIX_MAKERS = {
 }
 
 
-def cmd_mixing(args) -> int:
+def cmd_mixing(args):
     tokens = [t.strip() for t in (args.emit.split(",") if args.emit else []) if t.strip()]
     for tok in tokens:
         if tok not in _MATRIX_MAKERS and tok != "expgap":
             raise DomainError(f"unknown --emit token {tok!r}")
-    # every matrix but V (sized by its pole table) needs the truncation N >= 2,
-    # and so do a rotation at g > 0 and the contamination check
-    needs_n = (
-        any(tok != "V" for tok in tokens)
-        or (args.rotate is not None and args.g > 0)
-        or args.contamination is not None
-    )
-    if needs_n and args.n < 2:
-        raise DomainError("truncation --n must be >= 2")
-    for flag, l in (("--rotate", args.rotate), ("--contamination", args.contamination)):
-        if l is not None and not 1 <= l <= args.n:
-            raise DomainError(f"{flag} {l} must lie in 1..n = 1..{args.n}")
     t_grid = _time_grid(args.t) if args.contamination is not None else None
     table = None
     if "V" in tokens or args.contamination is not None:
-        if args.g <= 0:
-            raise DomainError("exact mixing requires g > 0")
         table = pole_table(args.g, args.n, args.tol)
-
-    outputs = []
-    for tok in tokens:
-        if tok == "expgap":
-            outputs.append("mixing_expgap.json")
-        else:
-            outputs.append(f"mixing_{tok}.csv")
-            if args.format == "json":
-                outputs.append(f"mixing_{tok}.json")
-    if args.rotate is not None:
-        outputs.append(f"mixing_rotated_l{args.rotate}.csv")
-    if args.contamination is not None:
-        outputs.append(f"mixing_contamination_l{args.contamination}.csv")
-    params = {
-        "g": args.g,
-        "n": args.n,
-        "order": args.order,
-        "mode": args.mode,
-        "emit": args.emit,
-        "rotate": args.rotate,
-        "contamination": args.contamination,
-        "t": args.t,
-        "tol": args.tol,
-        "format": args.format,
-    }
-    write_manifest(args.out, "mixing", params, outputs)
 
     for tok in tokens:
         if tok == "expgap":
             gap = exponentiation_gap(args.g, args.n)
             gap_with_ah = exponentiation_gap(args.g, args.n, subtract_ah=False)
-            atomic_write(
-                os.path.join(args.out, "mixing_expgap.json"),
-                json.dumps(
-                    {"g": args.g, "n": args.n, "gap": gap, "gap_without_ah_subtraction": gap_with_ah},
-                    indent=2,
-                )
-                + "\n",
-            )
+            yield "mixing_expgap.json", json.dumps(
+                {"g": args.g, "n": args.n, "gap": gap, "gap_without_ah_subtraction": gap_with_ah},
+                indent=2,
+            ) + "\n"
             continue
         mat: IndexMatrix = _MATRIX_MAKERS[tok](args, table)
-        atomic_write(os.path.join(args.out, f"mixing_{tok}.csv"), mat.to_csv())
+        yield f"mixing_{tok}.csv", mat.to_csv()
         if args.format == "json":
-            atomic_write(
-                os.path.join(args.out, f"mixing_{tok}.json"),
-                json.dumps(mat.to_json_block(), indent=2) + "\n",
-            )
+            yield f"mixing_{tok}.json", json.dumps(mat.to_json_block(), indent=2) + "\n"
 
     if args.rotate is not None:
         state = counter_rotate(args.rotate, args.g, args.n, args.order, args.mode)
-        atomic_write(
-            os.path.join(args.out, f"mixing_rotated_l{args.rotate}.csv"), state.to_csv()
-        )
+        yield f"mixing_rotated_l{args.rotate}.csv", state.to_csv()
     if args.contamination is not None:
         series = diagonal_evolution_check(
             args.contamination, args.g, table, t_grid, args.order, args.mode
         )
-        atomic_write(
-            os.path.join(args.out, f"mixing_contamination_l{args.contamination}.csv"),
-            series.to_csv(),
-        )
-    return 0
+        yield f"mixing_contamination_l{args.contamination}.csv", series.to_csv()
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +415,14 @@ def find_crossings(fa, fb, t_grid):
     return out
 
 
-def cmd_crossings(args) -> int:
+def cmd_crossings(args):
     t_grid = _time_grid(args.t)
     if t_grid[0] <= 0:
         raise DomainError("crossing search needs t > 0 (norm curves are compared on a log scale)")
     x = _position_grid(args.x)
     specs = [args.curve_a, args.curve_b]
-    _check_direct_times(specs, t_grid)
     table = pole_table(args.g, args.n_max, 1e-12) if "exponential-exact" in specs else None
     fa, fb = _curves(specs, args, x, table)
-    keys = ("g", "l", "n_max", "tol", "t", "x", "curve_a", "curve_b")
-    params = {key: getattr(args, key) for key in keys}
-    write_manifest(args.out, "crossings", params, ["crossings.json"])
-
     found = find_crossings(fa, fb, t_grid)
     if not found:
         raise CrossingNotFoundError(
@@ -483,31 +434,22 @@ def cmd_crossings(args) -> int:
         "curve_b": args.curve_b,
         "crossings": [{"t": t, "bracket": [lo, hi]} for t, (lo, hi) in found],
     }
-    atomic_write(
-        os.path.join(args.out, "crossings.json"), json.dumps(payload, indent=2) + "\n"
-    )
-    return 0
+    yield "crossings.json", json.dumps(payload, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # rerun
 # ---------------------------------------------------------------------------
 
-def cmd_rerun(args) -> int:
+def _rerun_args(args) -> argparse.Namespace:
+    """The parsed arguments of the run that --manifest records, writing to --out."""
     with open(args.manifest) as fh:
         manifest = json.load(fh)
-    command = manifest["command"]
-    params = manifest["params"]
-    argv = [command]
-    for key, val in params.items():
-        if val is None:
-            continue
-        argv.append(f"--{key.replace('_', '-')}")
-        argv.append(str(val))
-    argv += ["--out", args.out]
-    parser = build_parser()
-    sub = parser.parse_args(argv)
-    return sub.func(sub)
+    argv = [manifest["command"], "--out", args.out]
+    for key, val in manifest["params"].items():
+        if val is not None:
+            argv.append(f"--{key.replace('_', '-')}={val}")
+    return build_parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -600,15 +542,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("rerun", help="re-execute a command from its manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_rerun)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "rerun":
+        args = _rerun_args(args)
     try:
-        return args.func(args)
+        return publish(args)
     except (PoleConvergenceError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps these onto stable exit codes (see cli.EXIT_CODES).
+`cli.main` maps these onto stable exit codes: the `cli.EXIT_*` constants.
 """
 
 

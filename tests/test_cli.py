@@ -1,14 +1,16 @@
+import argparse
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winterdyn import DomainError
-from winterdyn.cli import CROSSING_RTOL, find_crossings, main, parse_grid
+from winterdyn import DomainError, cli
+from winterdyn.cli import CROSSING_RTOL, build_parser, find_crossings, main, parse_grid
 
 
 def read_csv(path):
@@ -435,6 +437,10 @@ def test_power_norms_match_per_time_kernel_literals(tmp_path):
         ["mixing", "--g", "0", "--n", "4", "--rotate", "0"],
         ["mixing", "--g", "0.1", "--n", "1", "--emit", "U"],
         ["mixing", "--g", "0.1", "--n", "4", "--emit", "V", "--contamination", "5"],
+        ["evolve", "--g", "0.2", "--method", "power", "--t", "1:2:2", "--x", "0:3.1:40"],
+        ["crossings", "--g", "0.2", "--curve-a", "power", "--curve-b", "exponential",
+         "--t", "1:5:3", "--x", "0:3.1:40"],
+        ["evolve", "--g", "0.2", "--method", "asymptotic", "--t", "0:10:3"],
     ]
     + [["crossings", "--g", "0.1", "--l", "2", "--curve-a", spec, "--curve-b", "pole:2",
         "--t", "1:20:39"] for spec in ("pole:abc", "pole:0", "pole:", "bogus", "exponential:2")],
@@ -442,10 +448,75 @@ def test_power_norms_match_per_time_kernel_literals(tmp_path):
          "mixing-zero-coupling", "evolve-fig3-l1", "evolve-direct-beyond-t-max",
          "evolve-all-snapshot-beyond-t-max", "crossings-direct-beyond-t-max", "mixing-rotate-9",
          "mixing-contamination-9", "mixing-rotate-0", "mixing-n-1", "mixing-V-contamination-5",
-         "pole-abc", "pole-0", "pole-empty", "bogus", "exponential-suffix"],
+         "evolve-power-short-x", "crossings-power-short-x", "evolve-asymptotic-t0", "pole-abc",
+         "pole-0", "pole-empty", "bogus", "exponential-suffix"],
 )
 def test_bad_input_exits_2_before_manifest(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # three norms are staged before the asymptotic curve refuses t = 0
+        (["evolve", "--g", "0.2", "--method", "all", "--t", "0:1:2", "--tol", "1e-5",
+          "--x", X33], 2),
+        (["evolve", "--g", "0.2", "--method", "power", "--t", "0"], 3),
+    ],
+    ids=["evolve-all-direct-t0", "evolve-power-snapshot-t0"],
+)
+def test_failure_mid_run_leaves_no_out_dir(tmp_path, argv, code):
+    out = tmp_path / "new" / "out"
+    assert main(argv + ["--out", str(out)]) == code
+    assert not any(tmp_path.iterdir())
+
+
+def test_failed_run_keeps_earlier_outputs(tmp_path):
+    argv = ["evolve", "--g", "0.2", "--method", "asymptotic", "--out", str(tmp_path)]
+    assert main(argv + ["--t", "1:10:3"]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(argv + ["--t", "0:10:3"]) == 2
+    # iterdir lists hidden names, so a .staging-* directory left behind shows here
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_outputs_staged_then_manifest_written_last(tmp_path, monkeypatch):
+    paths = []
+    write = cli.atomic_write
+
+    def recorder(path, text):
+        paths.append(os.path.relpath(path, tmp_path))
+        write(path, text)
+
+    monkeypatch.setattr(cli, "atomic_write", recorder)
+    assert main(["poles", "--g", "0.2", "--n-max", "3", "--out", str(tmp_path)]) == 0
+    *staged, manifest = paths
+    assert manifest == "poles_manifest.json"
+    assert [os.path.dirname(p).startswith(".staging-") for p in staged] == [True, True]
+    assert sorted(os.path.basename(p) for p in staged) == ["poles.csv", "poles.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--g", "0.2", "--method", "direct", "--t", "40:60:2"],
+        ["crossings", "--g", "0.2", "--curve-a", "direct", "--curve-b", "power",
+         "--t", "40:60:3"],
+    ],
+    ids=["evolve", "crossings"],
+)
+def test_direct_cap_refuses_before_any_quadrature(tmp_path, monkeypatch, argv):
+    times = []
+    direct_field = cli.direct_field
+
+    def recorder(l, x, t, *rest):
+        times.append(t)
+        return direct_field(l, x, t, *rest)
+
+    monkeypatch.setattr(cli, "direct_field", recorder)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert times == [60.0]  # the latest time, refused before any quadrature
     assert not any(tmp_path.iterdir())
 
 
@@ -476,15 +547,23 @@ def test_mode_and_table_size_checked_by_parser(tmp_path, command, flag):
          "--rotate", "2", "--contamination", "1", "--order", "1", "--mode", "series",
          "--t", "0:10:6"],
         CROSSINGS + ["--t", "1:20:39"],
+        # a value that starts with '-' must not read as an option on rerun
+        ["evolve", "--g", "0.2", "--method", "exponential", "--n-max", "4", "--t", "2",
+         "--x=-1:3:40"],
     ],
     ids=["poles", "evolve-norms", "evolve-field", "evolve-split", "evolve-fig3", "mixing",
-         "crossings"],
+         "crossings", "evolve-negative-x"],
 )
 def test_rerun_reproduces_every_output(tmp_path, argv):
     first, second = tmp_path / "a", tmp_path / "b"
     assert main(argv + ["--out", str(first)]) == 0
     manifest = first / f"{argv[0]}_manifest.json"
-    outputs = json.loads(manifest.read_text())["outputs"]
+    blob = json.loads(manifest.read_text())
+    outputs = blob["outputs"]
+    # every option but --out is recorded, so rerun drops none
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {a.dest for a in commands.choices[argv[0]]._actions} - {"help", "out"}
+    assert set(blob["params"]) == options
     names = sorted(p.name for p in first.iterdir())
     assert names == sorted(outputs + [manifest.name])
     assert main(["rerun", "--manifest", str(manifest), "--out", str(second)]) == 0
