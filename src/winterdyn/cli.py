@@ -11,9 +11,10 @@ rerun      re-execute a run from its manifest (byte-identical outputs)
 Every command is a generator of (file name, text) pairs; `publish` runs it,
 staging each text in a temporary directory inside --out, moves the staged
 files into place once the command has finished, and writes
-`<command>_manifest.json` last.  A run that raises leaves --out as it was.
-Exit codes are stable: 2 input/solver, 3 quadrature, 4 linear algebra,
-5 crossing search.
+`<command>_manifest.json` last.  `main` maps every failure after argument
+parsing in one handler, and a failure leaves --out as it was.  Exit codes are
+stable (the table is in `errors`): 2 input, manifest, --out, overflow, memory
+or pole solver, 3 quadrature, 4 linear algebra, 5 crossing search.
 
 evolve and crossings share one table of norm curves.  `exponential` and
 `pole:<n>` reproduce survival-probability figures in the first-order
@@ -35,13 +36,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import (
-    AccuracyError,
-    CrossingNotFoundError,
-    DomainError,
-    IllConditionedError,
-    PoleConvergenceError,
-)
+from .errors import FOREIGN_EXIT_CODES, CrossingNotFoundError, DomainError, WinterError, exit_code
 from .evolution import (
     TimeSeries,
     WaveField,
@@ -75,11 +70,6 @@ from .mixing import (
     mixing_V_exact,
 )
 from .poles import freq_pert, pole_table, width_pert
-
-EXIT_SOLVER = 2
-EXIT_QUADRATURE = 3
-EXIT_LINALG = 4
-EXIT_SEARCH = 5
 
 # Relative width of the bracket at which find_crossings stops bisecting.
 CROSSING_RTOL = 1e-4
@@ -120,8 +110,8 @@ def parse_grid(spec: str) -> np.ndarray:
 def _position_grid(spec: str) -> np.ndarray:
     """Parse --x, refusing a grid that no field can be built on."""
     x = parse_grid(spec)
-    if not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0):
-        raise DomainError(f"--x {spec!r} must give finite, strictly increasing positions")
+    if not np.all((x >= 0) & (x <= math.pi)) or np.any(np.diff(x) <= 0):
+        raise DomainError(f"--x {spec!r} must give strictly increasing positions in [0, pi]")
     return x
 
 
@@ -161,9 +151,9 @@ def publish(args) -> int:
     while not os.path.isdir(d):
         made.append(d)
         d = os.path.dirname(d)
-    os.makedirs(out, exist_ok=True)
     names = []
     try:
+        os.makedirs(out, exist_ok=True)
         with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
             for name, text in args.func(args):
                 atomic_write(os.path.join(staging, name), text)
@@ -173,7 +163,8 @@ def publish(args) -> int:
                 os.replace(os.path.join(staging, name), os.path.join(out, name))
     except BaseException:
         for d in made:
-            os.rmdir(d)
+            if os.path.isdir(d):  # makedirs may have failed before making it
+                os.rmdir(d)
         raise
     manifest = {
         "command": args.command,
@@ -442,9 +433,21 @@ def cmd_crossings(args):
 # ---------------------------------------------------------------------------
 
 def _rerun_args(args) -> argparse.Namespace:
-    """The parsed arguments of the run that --manifest records, writing to --out."""
+    """The parsed arguments of the run that --manifest records, writing to --out.
+
+    Raises DomainError for a file that is not a manifest (OSError if it
+    cannot be read).
+    """
     with open(args.manifest) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise DomainError(f"manifest {args.manifest!r} is not JSON: {exc}") from None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("params"), dict)
+            and manifest.get("command") in ("poles", "evolve", "mixing", "crossings")):
+        raise DomainError(
+            f"manifest {args.manifest!r} records no poles, evolve, mixing or crossings run"
+        )
     argv = [manifest["command"], "--out", args.out]
     for key, val in manifest["params"].items():
         if val is not None:
@@ -463,11 +466,11 @@ def _coupling(value: str) -> float:
     return g
 
 
-def _positive_coupling(value: str) -> float:
-    g = float(value)
-    if not g > 0:
-        raise argparse.ArgumentTypeError("g must be > 0 for this command")
-    return g
+def _positive(value: str) -> float:
+    v = float(value)
+    if not v > 0:
+        raise argparse.ArgumentTypeError("must be > 0")
+    return v
 
 
 def _positive_int(value: str) -> int:
@@ -487,16 +490,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, coupling):
         p.add_argument("--g", type=coupling, required=True, help="coupling")
-        p.add_argument("--tol", type=float, default=1e-12)
+        p.add_argument("--tol", type=_positive, default=1e-12)
         p.add_argument("--out", default=".", help="output directory")
 
     p = subs.add_parser("poles", help="solve resonance poles")
-    common(p, _positive_coupling)
+    common(p, _positive)
     p.add_argument("--n-max", type=_positive_int, default=10)
     p.set_defaults(func=cmd_poles)
 
     p = subs.add_parser("evolve", help="time evolution norms and fields")
-    common(p, _positive_coupling)
+    common(p, _positive)
     p.add_argument("--l", type=_positive_int, default=1, help="initial box mode")
     p.add_argument("--n-max", type=_positive_int, default=24, help="pole table size")
     p.add_argument("--t", default="0:50:101", help="time grid spec")
@@ -529,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mixing)
 
     p = subs.add_parser("crossings", help="crossing times of two norm curves")
-    common(p, _positive_coupling)
+    common(p, _positive)
     p.add_argument("--l", type=_positive_int, default=1)
     p.add_argument("--n-max", type=_positive_int, default=24)
     p.add_argument("--t", default="1:300:300", help="search grid (t > 0)")
@@ -548,22 +551,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "rerun":
-        args = _rerun_args(args)
     try:
+        if args.command == "rerun":
+            args = _rerun_args(args)
         return publish(args)
-    except (PoleConvergenceError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except AccuracyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
-    except (IllConditionedError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LINALG
-    except CrossingNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
+    except (WinterError, *FOREIGN_EXIT_CODES) as exc:
+        message = exc if isinstance(exc, WinterError) else f"{type(exc).__name__}: {exc}"
+        print(f"error: {message}", file=sys.stderr)
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

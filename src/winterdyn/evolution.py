@@ -128,7 +128,7 @@ class WaveField:
         if np.any(np.diff(x) <= 0):
             raise ValueError("x_grid must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
+            raise DomainError("field values must be finite")
 
     def to_csv(self) -> str:
         values = np.asarray(self.values, dtype=complex)
@@ -149,7 +149,7 @@ class TimeSeries:
         if np.any(np.diff(t) <= 0):
             raise ValueError("t_grid must be strictly increasing")
         if not np.all(np.isfinite(self.norms)):
-            raise ValueError("norms must be finite")
+            raise DomainError("norms must be finite")
 
     def to_csv(self) -> str:
         return _csv_text(
@@ -170,7 +170,7 @@ def _cavity_norms(x_grid, values) -> np.ndarray:
     if x[0] > 1e-12 or x[-1] < math.pi - 1e-12:
         raise DomainError("grid must cover [0, pi]")
     if not np.all(np.isfinite(values)):
-        raise ValueError("field values must be finite")
+        raise DomainError("field values must be finite")
     return simpson(np.abs(np.ascontiguousarray(values.T)) ** 2, x=x, axis=-1)
 
 
@@ -196,7 +196,8 @@ def direct_field(
     with the two-mode tail model; for t > 0 the chirp makes the panel
     integrals decay like 1/(t j^3) and plain truncation at the tolerance-
     derived panel count suffices.  Raises AccuracyError (carrying the best
-    field and the estimate) when the target cannot be certified.
+    field and the estimate) when the target cannot be certified; a field
+    that is not finite is never certified and carries no best field.
 
     The panels are summed one at a time as real matrix products over blocks
     of at most DIRECT_CHUNK nodes, so memory stays O(DIRECT_CHUNK * points +
@@ -263,23 +264,21 @@ def direct_field(
 
     values *= SPECTRAL_PREFACTOR
     estimates *= SPECTRAL_PREFACTOR
-    fld = WaveField(
-        x_grid=x,
-        t=float(t),
-        values=values,
-        part="total",
-        meta={
-            "error_estimate": float(estimates.max()),
-            "panels": n_panels,
-            "nodes": n_nodes,
-        },
-    )
-    if estimates.max() > tol:
+    worst = float(estimates.max())
+    fld = None  # a non-finite field has no certificate and no best value
+    if np.all(np.isfinite(values)):
+        fld = WaveField(
+            x_grid=x,
+            t=float(t),
+            values=values,
+            part="total",
+            meta={"error_estimate": worst, "panels": n_panels, "nodes": n_nodes},
+        )
+    if fld is None or not worst <= tol:
         raise AccuracyError(
-            f"direct quadrature reached {estimates.max():.2e} > tol {tol:.1e} "
-            f"(l={l}, t={t}, g={g})",
+            f"direct quadrature reached {worst:.2e} > tol {tol:.1e} (l={l}, t={t}, g={g})",
             best=fld,
-            estimate=float(estimates.max()),
+            estimate=worst,
         )
     return fld
 
@@ -525,16 +524,18 @@ def power_field(l: int, x_grid, t: float, g: float, tol: float = 1e-8) -> WaveFi
 
     meta["error_estimate"] is the largest per-point estimate.  When it
     exceeds tol, AccuracyError names the worst point and carries the whole
-    field as `best`.
+    field as `best` (None for a field that is not finite).
     """
     x = np.atleast_1d(np.asarray(x_grid, dtype=float))
     values, estimates = _power_values(l, x, t, g, tol)
     values, estimates = values[:, 0], estimates[:, 0]
     worst = float(estimates.max(initial=0.0))
-    fld = WaveField(
-        x_grid=x, t=float(t), values=values, part="power", meta={"error_estimate": worst}
-    )
-    if not worst <= tol:
+    fld = None  # a non-finite field has no certificate and no best value
+    if np.all(np.isfinite(values)):
+        fld = WaveField(
+            x_grid=x, t=float(t), values=values, part="power", meta={"error_estimate": worst}
+        )
+    if fld is None or not worst <= tol:
         i = int(np.argmax(estimates))
         raise _ray_accuracy_error(l, x[i], t, g, tol, worst, fld)
     return fld

@@ -253,8 +253,9 @@ def U_inverse(g: float, N: int, order: int = 2, mode: str = "numeric") -> IndexM
         return IndexMatrix(N, ent, "U_inverse", meta={"g": g, "order": order, "mode": mode})
     if mode == "numeric":
         u = U_truncated(g, N, order).entries
-        cond = float(np.linalg.cond(u))
-        if cond > COND_LIMIT:
+        # an overflowed U has no condition number (LAPACK refuses inf and nan)
+        cond = float(np.linalg.cond(u)) if np.all(np.isfinite(u)) else math.inf
+        if not cond <= COND_LIMIT:
             raise IllConditionedError(
                 f"U at N={N}, g={g} has condition estimate {cond:.2e} > {COND_LIMIT:.0e}"
             )
@@ -283,7 +284,7 @@ class RotatedState:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.coefficients)):
-            raise ValueError("coefficients must be finite")
+            raise DomainError("coefficients must be finite")
 
     def synthesize(self, x_grid) -> np.ndarray:
         """sqrt(2/pi) sum_n c_n sin(n x) on the given grid."""

@@ -111,8 +111,8 @@ def _solve(ns: np.ndarray, g: float, tol: float) -> np.ndarray:
     """
     if g <= 0:
         raise DomainError("pole solver requires coupling g > 0")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not tol > 0:
+        raise DomainError("tol must be > 0")
     n = ns.astype(float)
     k = n.astype(complex)
     k_prev = np.full_like(k, np.nan)

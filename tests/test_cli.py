@@ -3,13 +3,16 @@ import csv
 import json
 import math
 import os
+import pathlib
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winterdyn import DomainError, cli
+from winterdyn import DomainError, WinterError, cli, errors
 from winterdyn.cli import CROSSING_RTOL, build_parser, find_crossings, main, parse_grid
 
 
@@ -441,6 +444,12 @@ def test_power_norms_match_per_time_kernel_literals(tmp_path):
         ["crossings", "--g", "0.2", "--curve-a", "power", "--curve-b", "exponential",
          "--t", "1:5:3", "--x", "0:3.1:40"],
         ["evolve", "--g", "0.2", "--method", "asymptotic", "--t", "0:10:3"],
+        ["evolve", "--g", "0.2", "--method", "exponential", "--t", "1:2:2", "--x=-1:3.2:129"],
+        ["evolve", "--g", "0.2", "--method", "exponential", "--t", "1:2:2", "--x", "0:4:129"],
+        ["evolve", "--g", "0.2", "--method", "direct", "--t", "1", "--x", "0:4:33"],
+        ["evolve", "--g", "0.2", "--method", "asymptotic", "--t", "1", "--x=-0.5:3:33"],
+        ["crossings", "--g", "0.1", "--l", "2", "--curve-a", "pole:1", "--curve-b", "asymptotic",
+         "--t", "1:20:39", "--x", "0:3.2:129"],
     ]
     + [["crossings", "--g", "0.1", "--l", "2", "--curve-a", spec, "--curve-b", "pole:2",
         "--t", "1:20:39"] for spec in ("pole:abc", "pole:0", "pole:", "bogus", "exponential:2")],
@@ -448,7 +457,10 @@ def test_power_norms_match_per_time_kernel_literals(tmp_path):
          "mixing-zero-coupling", "evolve-fig3-l1", "evolve-direct-beyond-t-max",
          "evolve-all-snapshot-beyond-t-max", "crossings-direct-beyond-t-max", "mixing-rotate-9",
          "mixing-contamination-9", "mixing-rotate-0", "mixing-n-1", "mixing-V-contamination-5",
-         "evolve-power-short-x", "crossings-power-short-x", "evolve-asymptotic-t0", "pole-abc",
+         "evolve-power-short-x", "crossings-power-short-x", "evolve-asymptotic-t0",
+         "evolve-exponential-x-below-0", "evolve-exponential-x-beyond-pi",
+         "evolve-direct-x-beyond-pi", "evolve-asymptotic-x-below-0", "crossings-x-beyond-pi",
+         "pole-abc",
          "pole-0", "pole-empty", "bogus", "exponential-suffix"],
 )
 def test_bad_input_exits_2_before_manifest(tmp_path, argv):
@@ -549,7 +561,7 @@ def test_mode_and_table_size_checked_by_parser(tmp_path, command, flag):
         CROSSINGS + ["--t", "1:20:39"],
         # a value that starts with '-' must not read as an option on rerun
         ["evolve", "--g", "0.2", "--method", "exponential", "--n-max", "4", "--t", "2",
-         "--x=-1:3:40"],
+         "--x=-0:3:40"],
     ],
     ids=["poles", "evolve-norms", "evolve-field", "evolve-split", "evolve-fig3", "mixing",
          "crossings", "evolve-negative-x"],
@@ -588,6 +600,34 @@ def test_mixing_rejects_negative_coupling(tmp_path, g):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    [["poles", "--g", "0.2"], ["mixing", "--g", "0.1", "--n", "4", "--emit", "V"],
+     EVOLVE + ["--t", "1:2:2"], CROSSINGS],
+    ids=["poles", "mixing", "evolve", "crossings"],
+)
+def test_tol_checked_by_parser(tmp_path, monkeypatch, command, tol):
+    monkeypatch.setattr(cli, "pole_table", None)  # a pole solve would fail the test
+    with pytest.raises(SystemExit) as exc:
+        main(command + [f"--tol={tol}", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_rerun_checks_tol_before_writing(tmp_path):
+    first, second = tmp_path / "a", tmp_path / "b"
+    main(["poles", "--g", "0.1", "--n-max", "3", "--out", str(first)])
+    manifest = first / "poles_manifest.json"
+    blob = json.loads(manifest.read_text())
+    blob["params"]["tol"] = math.nan
+    manifest.write_text(json.dumps(blob))
+    with pytest.raises(SystemExit) as exc:
+        main(["rerun", "--manifest", str(manifest), "--out", str(second)])
+    assert exc.value.code == 2
+    assert not second.exists()
+
+
 def test_rerun_checks_coupling_before_writing(tmp_path):
     first, second = tmp_path / "a", tmp_path / "b"
     main(["poles", "--g", "0.1", "--n-max", "3", "--out", str(first)])
@@ -599,3 +639,150 @@ def test_rerun_checks_coupling_before_writing(tmp_path):
         main(["rerun", "--manifest", str(manifest), "--out", str(second)])
     assert exc.value.code == 2
     assert not second.exists() or not any(second.iterdir())
+
+
+def exit_code_of(argv):
+    """main's return value, or the code of the SystemExit the parser raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def tree(root):
+    """Every path under root with its bytes (None for a directory), hidden names too."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["evolve", "--g", "1e300", "--parts", "split", "--t", "1:2:2"], 2),
+        (["crossings", "--g", "1e300", "--l", "2", "--curve-a", "pole:1", "--curve-b", "pole:2",
+          "--t", "1:5:3"], 2),
+        (["evolve", "--g", "1e-300", "--method", "direct", "--t", "1"], 3),
+        (["evolve", "--g", "1e-300", "--method", "power", "--t", "1"], 3),
+        (["mixing", "--g", "1e300", "--n", "4", "--emit", "Uinv"], 4),
+        (["mixing", "--g", "1e200", "--n", "4", "--rotate", "1"], 4),
+    ],
+    ids=["evolve-split-overflow", "crossings-overflow", "evolve-direct-nan-field",
+         "evolve-power-nan-field", "mixing-Uinv-nan-cond", "mixing-rotate-nan-cond"],
+)
+def test_failure_exit_code_leaves_out_as_it_was(tmp_path, argv, code):
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "poles.csv").write_text("earlier output\n")
+    before = tree(tmp_path)
+    for out in (tmp_path / "old", tmp_path / "new" / "out"):
+        assert main(argv + ["--out", str(out)]) == code
+        assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "text",
+    [None, '{"command": "poles", "par', '{"foo": 1}', '{"command": "poles"}',
+     '{"params": {"g": 0.2}}', "[]", '{"command": "rerun", "params": {}}'],
+    ids=["missing", "truncated", "no-command-or-params", "no-params", "no-command", "list",
+         "rerun"],
+)
+def test_rerun_of_unreadable_manifest_exits_2(tmp_path, text):
+    manifest = tmp_path / "run_manifest.json"
+    if text is not None:
+        manifest.write_text(text)
+    before = tree(tmp_path)
+    assert main(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "out",
+    [["afile"], ["afile", "sub"], ["new", "x" * 300]],
+    ids=["file", "below-file", "name-too-long-below-new-dir"],
+)
+def test_unusable_out_exits_2_and_creates_nothing(tmp_path, out):
+    (tmp_path / "afile").write_text("kept\n")
+    before = tree(tmp_path)
+    assert main(["poles", "--g", "0.2", "--n-max", "3", "--out", os.path.join(tmp_path, *out)]) == 2
+    assert tree(tmp_path) == before
+
+
+def test_memory_error_exits_2_and_leaves_out(tmp_path, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "pole_table", out_of_memory)
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "poles.csv").write_text("earlier output\n")
+    before = tree(tmp_path)
+    for out in (tmp_path / "old", tmp_path / "new" / "out"):
+        assert main(["poles", "--g", "0.2", "--out", str(out)]) == 2
+        assert tree(tmp_path) == before
+
+
+# --g and --tol values from out of range to beyond floating-point range
+NUMBERS = ["-1", "0", "1e-300", "1e-5", "0.2", "1e154", "1e300", "inf", "nan"]
+
+
+@st.composite
+def grid_spec(draw, starts, stops, max_count):
+    start, stop = draw(st.sampled_from(starts)), draw(st.sampled_from(stops))
+    return f"{start}:{stop}:{draw(st.integers(1, max_count))}"
+
+
+X_SPECS = grid_spec(["-1", "-0", "0", "1"], ["3", repr(math.pi), "4"], 33)
+T_SPECS = grid_spec(["0", "0.5", "1", "10"], ["0.2", "2", "30", "1e6"], 5)
+CHEAP_CURVES = st.sampled_from(["pole:1", "pole:2", "pole:3", "exponential", "asymptotic"])
+
+
+@st.composite
+def cli_argv(draw):
+    """Any command but rerun, without the direct route or a power crossing search (slow)."""
+    command = draw(st.sampled_from(["poles", "mixing", "evolve", "crossings"]))
+    argv = [command, f"--g={draw(st.sampled_from(NUMBERS))}"]
+    if draw(st.booleans()):
+        argv.append(f"--tol={draw(st.sampled_from(NUMBERS))}")
+    if command == "poles":
+        argv.append(f"--n-max={draw(st.integers(1, 30))}")
+    elif command == "mixing":
+        tokens = draw(st.lists(st.sampled_from([*cli._MATRIX_MAKERS, "expgap"]), unique=True))
+        argv += [f"--n={draw(st.integers(1, 16))}", f"--emit={','.join(tokens)}",
+                 f"--mode={draw(st.sampled_from(['series', 'numeric']))}",
+                 f"--format={draw(st.sampled_from(['csv', 'json']))}", f"--t={draw(T_SPECS)}"]
+        for flag in ("--rotate", "--contamination"):
+            l = draw(st.sampled_from([None, 0, 1, 9]))
+            if l is not None:
+                argv.append(f"{flag}={l}")
+    else:
+        argv += [f"--l={draw(st.integers(1, 2))}", f"--x={draw(X_SPECS)}", f"--t={draw(T_SPECS)}"]
+        if command == "evolve":
+            argv.append(draw(st.sampled_from(["--method=exponential", "--method=asymptotic",
+                                              "--parts=split", "--parts=fig3"])))
+        else:
+            argv += [f"--curve-a={draw(CHEAP_CURVES)}", f"--curve-b={draw(CHEAP_CURVES)}"]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=cli_argv(), existing=st.booleans())
+def test_every_invocation_exits_with_a_stable_code(argv, existing):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        out = root / "out" if existing else root / "new" / "out"
+        if existing:
+            out.mkdir()
+            (out / "poles.csv").write_text("earlier output\n")
+        before = tree(root)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = exit_code_of(argv + ["--out", str(out)])
+        assert code in (0, 2, 3, 4, 5)
+        if code:
+            assert tree(root) == before
+
+
+def test_every_package_error_carries_an_exit_code():
+    kinds = [v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, WinterError)]
+    codes = {k.__name__: k.exit_code for k in kinds if k is not WinterError}
+    assert codes == {"DomainError": 2, "PoleConvergenceError": 2, "OctantViolationError": 2,
+                     "AccuracyError": 3, "IllConditionedError": 4, "CrossingNotFoundError": 5}
+    assert [errors.exit_code(e) for e in (FileNotFoundError(), OverflowError(), MemoryError(),
+                                          np.linalg.LinAlgError())] == [2, 2, 2, 4]

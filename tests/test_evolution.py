@@ -542,3 +542,23 @@ def test_decomposition_identity_grid_l2(table01):
     e = exponential_field(2, x, 5.0, 0.1, table01).values
     p = power_field(2, x, 5.0, 0.1, tol=1e-7).values
     assert np.max(np.abs(d - (e + p))) < 1e-5
+
+
+@pytest.mark.parametrize("route", [direct_field, power_field], ids=["direct", "power"])
+def test_non_finite_field_is_an_accuracy_error(route):
+    # at g = 1e-300 the integrand's 1/(a b) overflows to nan
+    x = np.linspace(0.0, math.pi, 33)
+    with pytest.raises(AccuracyError) as exc, np.errstate(all="ignore"):
+        route(1, x, 1.0, 1e-300, 1e-6)
+    assert exc.value.best is None
+
+
+def test_non_finite_values_are_domain_errors():
+    x = np.linspace(0.0, math.pi, 33)
+    values = np.full(33, np.nan, dtype=complex)
+    with pytest.raises(DomainError):
+        WaveField(x_grid=x, t=0.0, values=values, part="total")
+    with pytest.raises(DomainError):
+        TimeSeries(np.array([0.0, 1.0]), np.array([1.0, np.inf]))
+    with pytest.raises(DomainError):
+        _cavity_norms(x, values[:, None])

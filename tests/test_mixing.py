@@ -9,6 +9,7 @@ from winterdyn import (
     DomainError,
     IllConditionedError,
     IndexMatrix,
+    RotatedState,
     U_inverse,
     U_truncated,
     V_order,
@@ -348,3 +349,15 @@ def test_diagonal_evolution_matches_per_time_loop():
     for t, norm in zip(ts, series.norms):
         delta = SQRT_2_OVER_PI * (sin_mat @ (coeff * np.exp(-1j * ks**2 * t)))
         assert norm == pytest.approx(float(simpson(np.abs(delta) ** 2, x=x)), rel=1e-13)
+
+
+@pytest.mark.parametrize("g", [1e200, 1e300])
+def test_U_inverse_refuses_overflowed_U(g):
+    # U's g^2 terms overflow: the condition estimate is not <= COND_LIMIT
+    with pytest.raises(IllConditionedError), np.errstate(invalid="ignore", over="ignore"):
+        U_inverse(g, 4, mode="numeric")
+
+
+def test_rotated_state_refuses_non_finite_coefficients():
+    with pytest.raises(DomainError):
+        RotatedState(l=1, coefficients=np.array([1.0, np.nan]), order=1)

@@ -216,3 +216,9 @@ def test_branch_holds_at_g_half():
         p = find_pole(n, 0.5, tol=1e-12)
         assert p.residual < 1e-12
         assert p.k.imag < 0 and p.k.real > abs(p.k.imag)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_non_positive_tol_is_a_domain_error(tol):
+    with pytest.raises(DomainError):
+        pole_table(0.2, 3, tol)
