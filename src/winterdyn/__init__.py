@@ -50,7 +50,6 @@ from .mixing import (
     matrix_H,
     mixing_V_exact,
     rotated_state_closed_form,
-    series_identities_check,
 )
 from .poles import (
     Pole,
@@ -61,13 +60,12 @@ from .poles import (
     pole_table,
     width_pert,
 )
-from .spectrum import EigenSample, ab_product, coef_a, coef_b, eigenfunction
+from .spectrum import ab_product, coef_a, coef_b, eigenfunction
 
 __all__ = [
     "AccuracyError",
     "CrossingNotFoundError",
     "DomainError",
-    "EigenSample",
     "IllConditionedError",
     "IndexMatrix",
     "OctantViolationError",
@@ -111,6 +109,5 @@ __all__ = [
     "resonance_exponential_norm",
     "resonance_term_norm",
     "rotated_state_closed_form",
-    "series_identities_check",
     "width_pert",
 ]

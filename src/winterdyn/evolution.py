@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import AccuracyError, DomainError
 from .poles import PoleTable, width_pert
@@ -162,7 +161,9 @@ def _cavity_norms(x_grid, values) -> np.ndarray:
 
     Composite Simpson runs along the rows of the contiguous times x points
     transpose, which keeps the operation order of a one-field call: each
-    norm equals cavity_norm of its column's field bit for bit.
+    norm equals cavity_norm of its column's field bit for bit.  The rule is
+    the irregular-spacing form in a fixed operation order; an even point
+    count adds Cartwright's correction for the last interval.
     """
     x = np.asarray(x_grid, dtype=float)
     if len(x) < 33:
@@ -171,7 +172,22 @@ def _cavity_norms(x_grid, values) -> np.ndarray:
         raise DomainError("grid must cover [0, pi]")
     if not np.all(np.isfinite(values)):
         raise DomainError("field values must be finite")
-    return simpson(np.abs(np.ascontiguousarray(values.T)) ** 2, x=x, axis=-1)
+    y = np.abs(np.ascontiguousarray(values.T)) ** 2
+    h = np.diff(x)
+    m = len(x) - 2 - (len(x) + 1) % 2  # the Simpson pairs cover intervals 0..m
+    h0, h1 = h[0:m:2], h[1 : m + 1 : 2]
+    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
+    norms = np.sum(hsum / 6.0 * (
+        y[:, 0:m:2] * (2.0 - 1.0 / h0divh1)
+        + y[:, 1 : m + 1 : 2] * (hsum * (hsum / hprod))
+        + y[:, 2 : m + 2 : 2] * (2.0 - h0divh1)), axis=-1)
+    if len(x) % 2 == 0:
+        hm2, hm1 = h[-2:-1], h[-1:]
+        alpha = (2 * hm1**2 + 3 * hm2 * hm1) / (6 * (hm1 + hm2))
+        beta = (hm1**2 + 3.0 * hm2 * hm1) / (6 * hm2)
+        eta = hm1**3 / (6 * hm2 * (hm2 + hm1))
+        norms += alpha * y[:, -1] + beta * y[:, -2] - eta * y[:, -3]
+    return norms
 
 
 def cavity_norm(fld: WaveField) -> float:
@@ -258,6 +274,10 @@ def direct_field(
             v_short, _ = tail_mode_fit(partial[:n_short, i], xi, j_lo)
             values[i] = v
             estimates[i] = 3.0 * rms + abs(v - v_short) + 1e-14
+        # a slow mode cos((pi - x) j) that turns less than once across the
+        # shorter window fools both fits: such a point gets no certificate
+        blind = (x < math.pi - 1e-12) & ((math.pi - x) * (n_short - j_lo) < 2.0 * math.pi)
+        estimates[blind] = math.inf
     else:
         values[:] = partial[-1]
         estimates[:] = 3.0 * np.max(np.abs(panels[-5:, :]), axis=0)

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import digamma, polygamma
 
 from .errors import DomainError, IllConditionedError
 from .evolution import SQRT_2_OVER_PI, TimeSeries, _cavity_norms, _csv_text, _pole_weights
@@ -61,6 +59,8 @@ class IndexMatrix:
             raise ValueError(f"unknown matrix label {self.label!r}")
         if self.entries.shape != (self.dim, self.dim):
             raise ValueError("entries shape does not match dim")
+        if not np.all(np.isfinite(self.entries)):
+            raise DomainError(f"{self.label} has entries beyond floating-point range")
 
     def __getitem__(self, ln: tuple[int, int]) -> complex:
         """Entry by 1-based physical indices (l, n)."""
@@ -124,28 +124,6 @@ def matrix_A_squared_closed(N: int) -> IndexMatrix:
     diag = -(math.pi**2 * np.arange(1.0, N + 1.0) ** 2 / 3.0 + 0.25)
     np.fill_diagonal(ent, diag)
     return IndexMatrix(N, ent, "A_squared_closed")
-
-
-def series_identities_check(m: int, N: int) -> tuple[float, float]:
-    """Tail-accelerated partial sums behind the closed form of A^2.
-
-    Returns (sum over k != m of 1/(k^2 - m^2), sum of k^2/(k^2 - m^2)^2),
-    each as the explicit sum to N plus the analytic remainder: the first
-    tail telescopes to harmonic numbers, the second reduces to trigamma
-    values.  Closed forms are 3/(4 m^2) and pi^2/12 + 1/(16 m^2).
-    """
-    if m < 1:
-        raise DomainError("m must be a positive integer")
-    if N <= 2 * m:
-        raise DomainError("N must exceed 2m for the tail formulas")
-    k = np.arange(1, N + 1, dtype=float)
-    k = k[k != m]
-    d = k**2 - m**2
-    s1 = float(np.sum(1.0 / d))
-    s2 = float(np.sum(k**2 / d**2))
-    tail1 = (digamma(N + m + 1) - digamma(N - m + 1)) / (2.0 * m)
-    tail2 = 0.5 * tail1 + 0.25 * (polygamma(1, N - m + 1) + polygamma(1, N + m + 1))
-    return s1 + float(tail1), s2 + float(tail2)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +198,7 @@ def Z_exact(n: int, g: float, table: PoleTable) -> complex:
     return complex(math.sqrt((sinh_term - sin_term) / math.pi))
 
 
-def U_truncated(g: float, N: int, order: int = 2) -> IndexMatrix:
-    """Renormalized mixing matrix through the requested order in g."""
+def _u_entries(g: float, N: int, order: int) -> np.ndarray:
     a = matrix_A(N).entries
     ent = np.eye(N, dtype=complex) + g * a
     if order == 2:
@@ -230,7 +207,12 @@ def U_truncated(g: float, N: int, order: int = 2) -> IndexMatrix:
         ent += g * g * (0.5 * a2 - 0.5 * a + 1j * math.pi * ah)
     elif order != 1:
         raise ValueError("order must be 1 or 2")
-    return IndexMatrix(N, ent, "U", meta={"g": g, "order": order})
+    return ent
+
+
+def U_truncated(g: float, N: int, order: int = 2) -> IndexMatrix:
+    """Renormalized mixing matrix through the requested order in g."""
+    return IndexMatrix(N, _u_entries(g, N, order), "U", meta={"g": g, "order": order})
 
 
 def U_inverse(g: float, N: int, order: int = 2, mode: str = "numeric") -> IndexMatrix:
@@ -252,7 +234,7 @@ def U_inverse(g: float, N: int, order: int = 2, mode: str = "numeric") -> IndexM
             raise ValueError("order must be 1 or 2")
         return IndexMatrix(N, ent, "U_inverse", meta={"g": g, "order": order, "mode": mode})
     if mode == "numeric":
-        u = U_truncated(g, N, order).entries
+        u = _u_entries(g, N, order)
         # an overflowed U has no condition number (LAPACK refuses inf and nan)
         cond = float(np.linalg.cond(u)) if np.all(np.isfinite(u)) else math.inf
         if not cond <= COND_LIMIT:
@@ -333,13 +315,21 @@ def exponentiation_gap(g: float, N: int, subtract_ah: bool = True) -> float:
     uses the truncated square A_N^2, matching what the matrix exponential of
     A_N produces.  Mixing in the closed-form (infinite) A^2 would leave an
     O(g^2/N) truncation mismatch that buries the O(g^3) signal.
+
+    iM is Hermitian for the real antisymmetric M = g (1 - g/2) A_N, so
+    exp(M) = v e^{-iw} v^H exactly with (w, v) = eigh(iM) (Moler & Van Loan,
+    SIAM Rev. 45, 3 (2003), the method for normal matrices).
     """
     a = matrix_A(N).entries
     ah = matrix_AH(N).entries
     u2 = np.eye(N, dtype=complex) + g * a + g * g * (
         0.5 * (a @ a) - 0.5 * a + 1j * math.pi * ah
     )
-    gap = u2 - expm(g * (1.0 - 0.5 * g) * a)
+    # |M| is below the g^2 A_N^2 / 2 term of U, so a finite U has a finite M
+    if not np.all(np.isfinite(u2)):
+        raise DomainError(f"U at N={N}, g={g} is beyond floating-point range")
+    w, v = np.linalg.eigh(1j * (g * (1.0 - 0.5 * g) * a))
+    gap = u2 - (v * np.exp(-1j * w)) @ v.conj().T
     if subtract_ah:
         gap = gap - 1j * math.pi * g * g * ah
     return float(np.abs(gap).sum(axis=1).max())

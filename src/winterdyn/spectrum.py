@@ -14,8 +14,6 @@ square roots take the principal branch (-pi < arg z <= pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -80,16 +78,8 @@ def ab_product(k, g):
     return coef_a(k, g) * coef_b(k, g)
 
 
-@dataclass(frozen=True)
-class EigenSample:
-    """One sample psi(x; k, g) of a continuum eigenfunction."""
-
-    x: float
-    value: complex
-
-
-def eigenfunction(x: float, k: complex, g: float) -> EigenSample:
-    """Delta-normalized continuum eigenfunction sampled at position x >= 0.
+def eigenfunction(x: float, k: complex, g: float) -> complex:
+    """Delta-normalized continuum eigenfunction psi(x; k, g) at position x >= 0.
 
     The common normalization 1/sqrt(2 pi a b) is evaluated with a single
     principal square root of the product a*b.  Dividing both pieces by the
@@ -115,4 +105,4 @@ def eigenfunction(x: float, k: complex, g: float) -> EigenSample:
         value = (a * np.exp(1j * k * x) + b * np.exp(-1j * k * x)) / (
             np.sqrt(2.0 * np.pi) * s
         )
-    return EigenSample(x=float(x), value=complex(value))
+    return complex(value)

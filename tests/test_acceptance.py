@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 from scipy.integrate import simpson
+from test_mixing import series_identities_check
 
 from winterdyn import (
     Z_exact,
@@ -33,7 +34,6 @@ from winterdyn import (
     resonance_exponential_norm,
     resonance_term_norm,
     rotated_state_closed_form,
-    series_identities_check,
     V_order,
 )
 from winterdyn.cli import find_crossings, main

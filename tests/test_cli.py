@@ -4,6 +4,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -664,9 +666,13 @@ def tree(root):
         (["evolve", "--g", "1e-300", "--method", "power", "--t", "1"], 3),
         (["mixing", "--g", "1e300", "--n", "4", "--emit", "Uinv"], 4),
         (["mixing", "--g", "1e200", "--n", "4", "--rotate", "1"], 4),
+        (["mixing", "--g", "1e300", "--n", "4", "--emit", "U"], 2),
+        (["mixing", "--g", "1e300", "--n", "4", "--emit", "Uinv", "--mode", "series"], 2),
+        (["mixing", "--g", "1e300", "--n", "4", "--emit", "expgap"], 2),
     ],
     ids=["evolve-split-overflow", "crossings-overflow", "evolve-direct-nan-field",
-         "evolve-power-nan-field", "mixing-Uinv-nan-cond", "mixing-rotate-nan-cond"],
+         "evolve-power-nan-field", "mixing-Uinv-nan-cond", "mixing-rotate-nan-cond",
+         "mixing-U-overflow", "mixing-Uinv-series-overflow", "mixing-expgap-overflow"],
 )
 def test_failure_exit_code_leaves_out_as_it_was(tmp_path, argv, code):
     (tmp_path / "old").mkdir()
@@ -777,6 +783,36 @@ def test_every_invocation_exits_with_a_stable_code(argv, existing):
         assert code in (0, 2, 3, 4, 5)
         if code:
             assert tree(root) == before
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now fails
+from winterdyn.cli import main
+out, x33 = sys.argv[1], sys.argv[2]
+runs = [
+    ["poles", "--g", "0.2", "--n-max", "6"],
+    ["evolve", "--g", "0.2", "--parts", "split", "--t", "1:10:3", "--x", x33],
+    ["crossings", "--g", "0.1", "--l", "2", "--curve-a", "pole:1", "--curve-b", "pole:2",
+     "--t", "1:20:39"],
+    ["mixing", "--g", "0.1", "--n", "6", "--emit", "A,A2,AH,H,V,V0,V1,V2,Z1,Z2,U,Uinv,expgap",
+     "--rotate", "1", "--contamination", "1", "--t", "0:10:6"],
+]
+print([main(argv + ["--out", f"{out}/{i}"]) for i, argv in enumerate(runs)])
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy is the tests' reference only
+    src = pathlib.Path(cli.__file__).parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", NO_SCIPY_SCRIPT, str(tmp_path), X33],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0]", proc.stderr
 
 
 def test_every_package_error_carries_an_exit_code():

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 from test_quadrature import tail_mode_fit_complex
 
 from winterdyn import (
@@ -100,6 +101,23 @@ def test_direct_reports_accuracy_failure():
         direct_field(1, [2.0], 0.001, 0.1, tol=1e-14)
     assert exc.value.best is not None
     assert exc.value.estimate > 1e-14
+
+
+@pytest.mark.parametrize("l, g", [(1, 0.2), (3, 0.4), (2, 0.05)])
+def test_direct_t0_estimate_covers_true_error(l, g):
+    # t = 0 is the one time with a known answer, sqrt(2/pi) sin(l x): just
+    # inside the barrier a certified value lies within its estimate, and a
+    # refused one carries an estimate no smaller than its true error
+    tol = 1e-6
+    for gap in (6e-3, 3e-3, 1e-3, 1e-4, 1e-6):
+        x = math.pi - gap
+        exact = SQ * math.sin(l * x)
+        try:
+            fld = direct_field(l, [x], 0.0, g, tol)
+        except AccuracyError as exc:
+            assert exc.estimate >= abs(exc.best.values[0] - exact)
+        else:
+            assert abs(fld.values[0] - exact) <= fld.meta["error_estimate"] <= tol
 
 
 def direct_field_dense(l, x, t, g, n_panels):
@@ -434,6 +452,21 @@ def test_cavity_norms_of_columns_equal_cavity_norm():
         for j in range(7):
             fld = WaveField(x_grid=x, t=float(j), values=values[:, j], part="power")
             assert norms[j] == cavity_norm(fld)
+
+
+@pytest.mark.parametrize("n", [33, 34, 129, 130, 257])
+def test_cavity_norms_equal_scipy_simpson(n):
+    # scipy.integrate.simpson is the reference: same rule, same operation
+    # order, so every norm matches bit for bit, odd and even point counts
+    rng = np.random.default_rng(n)
+    uneven = np.sort(rng.uniform(0.0, math.pi, n))
+    uneven[[0, -1]] = 0.0, math.pi
+    for x in (np.linspace(0.0, math.pi, n), uneven):
+        values = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+        ref = simpson(np.abs(np.ascontiguousarray(values.T)) ** 2, x=x, axis=-1)
+        assert np.array_equal(_cavity_norms(x, values), ref)
+        fld = WaveField(x_grid=x, t=0.0, values=values[:, 0], part="total")
+        assert cavity_norm(fld) == float(simpson(np.abs(values[:, 0]) ** 2, x=x))
 
 
 def test_asymptotic_against_quadrature():

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import expm
+from scipy.special import digamma, polygamma
 
 from winterdyn import (
     DomainError,
@@ -26,7 +28,6 @@ from winterdyn import (
     pole_table,
     pole_wavefunction,
     rotated_state_closed_form,
-    series_identities_check,
 )
 from winterdyn.evolution import SQRT_2_OVER_PI
 from winterdyn.mixing import CONTAMINATION_POINTS, _indices
@@ -36,6 +37,28 @@ PI = math.pi
 
 def inf_norm(m):
     return np.abs(m).sum(axis=1).max()
+
+
+def series_identities_check(m: int, N: int) -> tuple[float, float]:
+    """Tail-accelerated partial sums behind the closed form of A^2.
+
+    Returns (sum over k != m of 1/(k^2 - m^2), sum of k^2/(k^2 - m^2)^2),
+    each as the explicit sum to N plus the analytic remainder: the first
+    tail telescopes to harmonic numbers, the second reduces to trigamma
+    values.  Closed forms are 3/(4 m^2) and pi^2/12 + 1/(16 m^2).
+    """
+    if m < 1:
+        raise DomainError("m must be a positive integer")
+    if N <= 2 * m:
+        raise DomainError("N must exceed 2m for the tail formulas")
+    k = np.arange(1, N + 1, dtype=float)
+    k = k[k != m]
+    d = k**2 - m**2
+    s1 = float(np.sum(1.0 / d))
+    s2 = float(np.sum(k**2 / d**2))
+    tail1 = (digamma(N + m + 1) - digamma(N - m + 1)) / (2.0 * m)
+    tail2 = 0.5 * tail1 + 0.25 * (polygamma(1, N - m + 1) + polygamma(1, N + m + 1))
+    return s1 + float(tail1), s2 + float(tail2)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +316,21 @@ def test_exponentiation_gap_zero_coupling():
 def test_exponentiation_gap_scaling():
     gaps = [exponentiation_gap(g, 8) for g in (0.04, 0.02)]
     assert 6.0 < gaps[0] / gaps[1] < 10.0
+
+
+@pytest.mark.parametrize("N", [8, 64])
+@pytest.mark.parametrize("subtract_ah", [True, False])
+def test_exponentiation_gap_matches_expm(N, subtract_ah):
+    # scipy's expm is the reference for the closed-form exponential
+    for g in (0.02, 0.2):
+        a = matrix_A(N).entries
+        ah = matrix_AH(N).entries
+        u2 = np.eye(N) + g * a + g * g * (0.5 * (a @ a) - 0.5 * a + 1j * PI * ah)
+        gap = u2 - expm(g * (1.0 - 0.5 * g) * a)
+        if subtract_ah:
+            gap = gap - 1j * PI * g * g * ah
+        ref = inf_norm(gap)
+        assert exponentiation_gap(g, N, subtract_ah) == pytest.approx(ref, rel=1e-13)
 
 
 def test_exponentiation_gap_ah_not_absorbed():

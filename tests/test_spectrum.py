@@ -75,7 +75,7 @@ def test_conjugation_symmetry_property(kr, ki, g, sg):
 
 
 def test_eigenfunction_vanishes_at_origin():
-    assert eigenfunction(0.0, 1.37 + 0.0j, 0.2).value == 0.0
+    assert eigenfunction(0.0, 1.37 + 0.0j, 0.2) == 0.0
 
 
 def test_eigenfunction_continuous_at_barrier():
@@ -86,8 +86,8 @@ def test_eigenfunction_continuous_at_barrier():
         g = rng.uniform(0.05, 2.0)
         if abs(complex(ab_product(k, g))) < 1e-3:
             continue
-        left = eigenfunction(math.pi - 1e-13, k, g).value
-        right = eigenfunction(math.pi + 1e-13, k, g).value
+        left = eigenfunction(math.pi - 1e-13, k, g)
+        right = eigenfunction(math.pi + 1e-13, k, g)
         assert abs(left - right) < 1e-11
         checked += 1
 
@@ -97,7 +97,7 @@ def test_eigenfunction_integer_k_normalization():
     for n in (1, 2, 3):
         ab = complex(ab_product(n, 0.37))
         assert ab == pytest.approx(0.25, abs=1e-14)
-        v = eigenfunction(1.1, n, 0.37).value
+        v = eigenfunction(1.1, n, 0.37)
         assert v == pytest.approx(SQRT_2_OVER_PI * math.sin(n * 1.1), abs=1e-13)
 
 
@@ -110,9 +110,9 @@ def test_eigenfunction_near_pole_guard():
 
 
 def _peak_ratio(k, g):
-    inside = abs(eigenfunction(math.pi / 2, k, g).value)
+    inside = abs(eigenfunction(math.pi / 2, k, g))
     outside = max(
-        abs(eigenfunction(x, k, g).value) for x in np.linspace(math.pi, 3 * math.pi, 200)
+        abs(eigenfunction(x, k, g)) for x in np.linspace(math.pi, 3 * math.pi, 200)
     )
     return inside / outside
 
