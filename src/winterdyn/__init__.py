@@ -25,10 +25,7 @@ from .evolution import (
     cavity_norm,
     direct_field,
     exponential_field,
-    integrand_p,
-    pole_wavefunction,
     power_field,
-    psi_power_asym,
     psi_power_quad,
     resonance_exponential_norm,
     resonance_term_norm,
@@ -49,18 +46,15 @@ from .mixing import (
     matrix_AH,
     matrix_H,
     mixing_V_exact,
-    rotated_state_closed_form,
 )
 from .poles import (
     Pole,
     PoleTable,
-    find_pole,
     freq_pert,
-    pole_seed,
     pole_table,
     width_pert,
 )
-from .spectrum import ab_product, coef_a, coef_b, eigenfunction
+from .spectrum import ab_product, coef_a, coef_b
 
 __all__ = [
     "AccuracyError",
@@ -89,25 +83,18 @@ __all__ = [
     "counter_rotate",
     "diagonal_evolution_check",
     "direct_field",
-    "eigenfunction",
     "exponential_field",
     "exponentiation_gap",
-    "find_pole",
     "freq_pert",
-    "integrand_p",
     "matrix_A",
     "matrix_AH",
     "matrix_A_squared_closed",
     "matrix_H",
     "mixing_V_exact",
-    "pole_seed",
     "pole_table",
-    "pole_wavefunction",
     "power_field",
-    "psi_power_asym",
     "psi_power_quad",
     "resonance_exponential_norm",
     "resonance_term_norm",
-    "rotated_state_closed_form",
     "width_pert",
 ]

@@ -16,8 +16,12 @@ parsing in one handler, and a failure leaves --out as it was.  Exit codes are
 stable (the table is in `errors`): 2 input, manifest, --out, overflow, memory
 or pole solver, 3 quadrature, 4 linear algebra, 5 crossing search.
 
-evolve and crossings share one table of norm curves.  `exponential` and
-`pole:<n>` reproduce survival-probability figures in the first-order
+evolve and crossings reach the four routes (direct, exponential, power,
+asymptotic) through one route table of their points x times kernels: a field
+snapshot reads the values of its single time, a norm curve integrates the
+values of all its times over the cavity, and the domain of every selected
+route is checked on the whole grid before any route computes.  `exponential`
+and `pole:<n>` reproduce survival-probability figures in the first-order
 resonance model (order-g mixing weights, order-g^2 widths, unit-normalized
 pole states); `exponential-exact` (evolve --method exponential) gives the
 full residue-sum norm.
@@ -31,26 +35,23 @@ import math
 import os
 import sys
 import tempfile
-import warnings
 
 import numpy as np
 
 from . import __version__
 from .errors import FOREIGN_EXIT_CODES, CrossingNotFoundError, DomainError, WinterError, exit_code
 from .evolution import (
+    ROUTE_PART,
     TimeSeries,
     WaveField,
     _asymptotic_values,
     _cavity_norms,
+    _certify,
     _csv_text,
+    _direct_values,
     _exponential_values,
+    _inputs,
     _power_values,
-    _ray_accuracy_error,
-    asymptotic_field,
-    cavity_norm,
-    direct_field,
-    exponential_field,
-    power_field,
     resonance_exponential_norm,
     resonance_term_norm,
 )
@@ -202,71 +203,67 @@ def cmd_poles(args):
 
 
 # ---------------------------------------------------------------------------
-# evolve, and the one table of norm curves that crossings shares
+# evolve, and the route table and norm curves that crossings shares
 # ---------------------------------------------------------------------------
 
-def _power_norm(l, g, ts, x, tol) -> np.ndarray:
-    """Cavity norms of the power part at times ts, tolerating the single marginal point.
+# route -> the route's points x times values and estimates at times ts (None
+# where the route has no estimate held to --tol: the exponential tail is only
+# recorded and the asymptotic form has none)
+_ROUTES = {
+    "direct": lambda a, x, ts, table: _direct_values(a.l, x, ts, a.g, a.tol)[:2],
+    "exponential": lambda a, x, ts, table: (_exponential_values(a.l, x, ts, a.g, table)[0], None),
+    "power": lambda a, x, ts, table: _power_values(a.l, x, ts, a.g, a.tol),
+    "asymptotic": lambda a, x, ts, table: (_asymptotic_values(a.l, x, ts, a.g), None),
+}
 
-    Only (x, t) = (pi, 0), where the ray integral is marginally divergent,
-    may miss tol; its cutoff-limited value enters the norm with a warning.
+# the curve spec of each route's cavity norm
+_ROUTE_CURVES = {**{route: route for route in _ROUTES}, "exponential": "exponential-exact"}
+
+
+def _route_readers(routes, args, x, t_grid, pole_tol, norm):
+    """For each route, a function from an array of times to its points x times values.
+
+    Every route's domain is checked on the whole grid, and the pole table the
+    routes need is solved, before any route computes (DomainError).  Values
+    are certified at --tol where the route has an estimate: a snapshot is
+    strict, a norm lets the power route's marginal point (pi, 0) through with
+    a warning.
     """
-    values, estimates = _power_values(l, x, ts, g, tol)
-    missed = ~(estimates <= tol)
-    fatal = missed & ((ts != 0)[None, :] | (x < math.pi - 1e-12)[:, None])
-    if fatal.any():
-        i, j = np.unravel_index(np.argmax(np.where(fatal, estimates, -np.inf)), fatal.shape)
-        raise _ray_accuracy_error(l, x[i], ts[j], g, tol, estimates[i, j], complex(values[i, j]))
-    if missed.any():
-        warnings.warn(
-            "ray integral is marginally divergent at (x, t) = (pi, 0); "
-            "using the cutoff-limited value for the norm",
-            stacklevel=2,
-        )
-    return _cavity_norms(x, values)
+    for route in routes:
+        _inputs(route, args.l, x, t_grid, args.g)
+    table = pole_table(args.g, args.n_max, pole_tol) if "exponential" in routes else None
+
+    def read(route, ts):
+        values, estimates = _ROUTES[route](args, x, ts, table)
+        if estimates is not None:
+            _certify(route, args.l, x, ts, args.g, args.tol, estimates, values, norm)
+        return values
+
+    return [lambda ts, route=route: read(route, ts) for route in routes]
 
 
-def _field(method: str, args, x, t: float, table) -> WaveField:
-    """One route's field on x at time t."""
-    if method == "direct":
-        return direct_field(args.l, x, t, args.g, args.tol)
-    if method == "exponential":
-        return exponential_field(args.l, x, t, args.g, table)
-    if method == "power":
-        return power_field(args.l, x, t, args.g, args.tol)
-    return asymptotic_field(args.l, x, t, args.g)
-
-
-def _curves(specs, args, x, table) -> list:
+def _curves(specs, args, x, t_grid, pole_tol) -> list:
     """For each curve spec, a function from an array of times to cavity norms.
 
     `pole:<n>` and `exponential` are the first-order resonance model;
     `exponential-exact`, `power`, `asymptotic` and `direct` integrate that
-    route's field over the cavity.  Every curve but `direct` evaluates all
-    its times at once; `direct` evaluates them latest first, so that its
-    t cap refuses a grid before any quadrature.  Raises DomainError for an
-    unknown spec.
+    route's values over the cavity, every time of a call at once.  Raises
+    DomainError for an unknown spec or a grid outside a route's domain,
+    before any curve computes.
     """
     l, g = args.l, args.g
-    curves = {
-        "exponential": lambda ts: resonance_exponential_norm(l, g, args.n_max, ts),
-        "exponential-exact": lambda ts: _cavity_norms(
-            x, _exponential_values(l, x, ts, g, table)[0]
-        ),
-        "power": lambda ts: _power_norm(l, g, ts, x, args.tol),
-        "asymptotic": lambda ts: _cavity_norms(x, _asymptotic_values(l, x, ts, g)),
-        # the direct route's cells depend on t: one field per time
-        "direct": lambda ts: np.array(
-            [cavity_norm(direct_field(l, x, t, g, args.tol)) for t in ts[::-1]]
-        )[::-1],
-    }
+    curves = {"exponential": lambda ts: resonance_exponential_norm(l, g, args.n_max, ts)}
+    routes = {spec: route for route, spec in _ROUTE_CURVES.items() if spec in specs}
     for spec in specs:
         n = spec.removeprefix("pole:")
         if n != spec and n.isdecimal() and int(n) >= 1:
-            curves[spec] = lambda ts, n=int(n): resonance_term_norm(args.l, n, args.g, ts)
-        if spec not in curves:
+            curves[spec] = lambda ts, n=int(n): resonance_term_norm(l, n, g, ts)
+        elif spec not in curves and spec not in routes:
             raise DomainError(f"unknown curve spec {spec!r}; use pole:<n >= 1>, exponential, "
                               "exponential-exact, power, asymptotic or direct")
+    readers = _route_readers(list(routes.values()), args, x, t_grid, pole_tol, norm=True)
+    for spec, read in zip(routes, readers):
+        curves[spec] = lambda ts, read=read: _cavity_norms(x, read(ts))
     return [curves[spec] for spec in specs]
 
 
@@ -275,8 +272,15 @@ def cmd_evolve(args):
     x = _position_grid(args.x)
     if args.parts == "fig3" and args.l < 2:
         raise DomainError("--parts fig3 sets pole l against pole 1, so it needs --l >= 2")
-    routes = ["direct", "exponential", "power", "asymptotic"]
-    methods = routes if args.method == "all" else [args.method]
+    methods = list(_ROUTES) if args.method == "all" else [args.method]
+    pole_tol = min(args.tol, 1e-10)
+    if args.parts is None and len(t_grid) == 1:
+        readers = _route_readers(methods, args, x, t_grid, pole_tol, norm=False)
+        for m, read in zip(methods, readers):
+            fld = WaveField(x, float(t_grid[0]), read(t_grid)[:, 0], ROUTE_PART[m])
+            yield f"evolve_field_{m}.csv", fld.to_csv()
+        return
+
     # output name -> curve spec; --method exponential is the exact residue sum
     curves = {
         "split": {"evolve_exponential_norm.csv": "exponential", "evolve_power_norm.csv": "power"},
@@ -285,19 +289,9 @@ def cmd_evolve(args):
             "evolve_pole_offdiag_norm.csv": "pole:1",
             "evolve_power_norm.csv": "power",
         },
-        None: {f"evolve_{m}_norm.csv": "exponential-exact" if m == "exponential" else m
-               for m in methods},
+        None: {f"evolve_{m}_norm.csv": _ROUTE_CURVES[m] for m in methods},
     }[args.parts]
-    table = None
-    if "exponential-exact" in curves.values():
-        table = pole_table(args.g, args.n_max, min(args.tol, 1e-10))
-
-    if args.parts is None and len(t_grid) == 1:
-        for m in methods:
-            yield f"evolve_field_{m}.csv", _field(m, args, x, float(t_grid[0]), table).to_csv()
-        return
-
-    norms = _curves(list(curves.values()), args, x, table)
+    norms = _curves(list(curves.values()), args, x, t_grid, pole_tol)
     for name, norm in zip(curves, norms):
         yield name, TimeSeries(t_grid, norm(t_grid)).to_csv()
 
@@ -411,9 +405,7 @@ def cmd_crossings(args):
     if t_grid[0] <= 0:
         raise DomainError("crossing search needs t > 0 (norm curves are compared on a log scale)")
     x = _position_grid(args.x)
-    specs = [args.curve_a, args.curve_b]
-    table = pole_table(args.g, args.n_max, 1e-12) if "exponential-exact" in specs else None
-    fa, fb = _curves(specs, args, x, table)
+    fa, fb = _curves([args.curve_a, args.curve_b], args, x, t_grid, 1e-12)
     found = find_crossings(fa, fb, t_grid)
     if not found:
         raise CrossingNotFoundError(
@@ -502,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, _positive)
     p.add_argument("--l", type=_positive_int, default=1, help="initial box mode")
     p.add_argument("--n-max", type=_positive_int, default=24, help="pole table size")
-    p.add_argument("--t", default="0:50:101", help="time grid spec")
+    p.add_argument("--t", default="0.5:50:100", help="time grid spec")
     p.add_argument("--x", default=f"0:{math.pi!r}:129", help="position grid spec")
     p.add_argument(
         "--method",

@@ -16,6 +16,12 @@ Three independent evaluation routes are provided on purpose: direct panel
 quadrature, the residue sum, and the rotated-ray quadrature.  Their mutual
 agreement (direct = exponential + power) is the strongest internal check the
 package has, so none of them may be implemented in terms of another.
+
+Each route, and the two-term asymptotic form of the power part, is one kernel
+`_<route>_values(l, x, t, g, ...)` that evaluates every (x, t) of a points x
+times grid after `_inputs` has checked the route's domain.  The field
+functions (`direct_field`, ...) are views of one time, and `_certify` raises
+the AccuracyError of every quadrature that misses its tolerance.
 """
 
 from __future__ import annotations
@@ -55,10 +61,62 @@ T_MAX_DIRECT = 50.0
 # sin(k x) block at DIRECT_CHUNK x points doubles whatever the tolerance.
 DIRECT_CHUNK = 4096
 
+# First panel of the t = 0 tail fit: the 1/j tail model does not describe
+# the panels before it, whose misfit would dominate the residual.
+TAIL_FIT_START = 40
 
-def _check_mode(l: int):
+
+def _inputs(route: str, l: int, x, t, g: float):
+    """x and t as 1-d float arrays, checked against the domain of a route.
+
+    Every route needs a positive integer l, positions in the cavity [0, pi]
+    and times t >= 0; direct and power need g > 0, direct needs
+    t <= T_MAX_DIRECT and asymptotic t > 0.  Raises DomainError.
+    """
     if l < 1 or int(l) != l:
         raise DomainError("initial mode index l must be a positive integer")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all((x >= 0.0) & (x <= math.pi)):
+        raise DomainError("cavity position x must lie in [0, pi]")
+    if not np.all(t >= 0):
+        raise DomainError("time must be >= 0")
+    if route in ("direct", "power") and not g > 0:
+        raise DomainError(f"the {route} route requires g > 0")
+    if route == "direct" and t.max(initial=0.0) > T_MAX_DIRECT:
+        raise DomainError(f"t = {t.max()} beyond t_max = {T_MAX_DIRECT}: the chirped integrand "
+                          "defeats panel quadrature; use the exponential + power decomposition")
+    if route == "asymptotic" and not np.all(t > 0):
+        raise DomainError("asymptotic form needs t > 0")
+    return x, t
+
+
+def _certify(route: str, l: int, x, t, g: float, tol: float, estimates, best, norm=False):
+    """Raise AccuracyError unless every (x, t) estimate meets tol.
+
+    The error names the worst (x, t) and carries its estimate and `best`.
+    For a norm, the power route's (x, t) = (pi, 0), where the ray integral is
+    marginally divergent, may miss tol: its cutoff-limited value enters the
+    norm with a warning.
+    """
+    missed = ~(estimates <= tol)
+    if norm and route == "power":
+        marginal = missed & (t == 0)[None, :] & (x >= math.pi - 1e-12)[:, None]
+        if marginal.any():
+            warnings.warn(
+                "ray integral is marginally divergent at (x, t) = (pi, 0); "
+                "using the cutoff-limited value for the norm",
+                stacklevel=3,
+            )
+        missed &= ~marginal
+    if missed.any():
+        i, j = np.unravel_index(np.argmax(np.where(missed, estimates, -np.inf)), missed.shape)
+        raise AccuracyError(
+            f"{route} route reached an error estimate {estimates[i, j]:.2e} > tol {tol:.1e} "
+            f"(l={l}, x={x[i]}, t={t[j]}, g={g})",
+            best=best,
+            estimate=float(estimates[i, j]),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -86,17 +144,6 @@ def _sin_ratio(k: np.ndarray, l: int) -> np.ndarray:
     return out
 
 
-def integrand_p(l: int, k: complex, x: float, g: float):
-    """Spectral integrand p^(l)(k; x, g).  Accepts scalar or array k."""
-    _check_mode(l)
-    k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
-    ab = ab_product(k_arr, g)
-    if np.any(np.abs(ab) < 1e-13):
-        raise DomainError("integrand evaluated on a resonance pole of 1/(ab)")
-    val = (-1) ** l * l * _sin_ratio(k_arr, l) * np.sin(k_arr * x) / (4.0 * ab)
-    return complex(val[0]) if np.isscalar(k) or np.ndim(k) == 0 else val
-
-
 # ---------------------------------------------------------------------------
 # field containers
 # ---------------------------------------------------------------------------
@@ -107,7 +154,10 @@ def _csv_text(header: str, *columns) -> str:
     return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
-WAVE_PARTS = ("total", "exponential", "power", "asymptotic")
+# The WaveField part of each route's field.
+ROUTE_PART = {"direct": "total", "exponential": "exponential", "power": "power",
+              "asymptotic": "asymptotic"}
+WAVE_PARTS = tuple(ROUTE_PART.values())
 
 
 @dataclass(frozen=True)
@@ -134,6 +184,22 @@ class WaveField:
         return _csv_text(
             "x_or_t,re,im", np.asarray(self.x_grid, dtype=float), values.real, values.imag
         )
+
+
+def _certified_field(route: str, l: int, x, t, g: float, tol: float, values, estimates,
+                     **meta) -> WaveField:
+    """The field of the single time t, raising AccuracyError unless every point meets tol.
+
+    meta["error_estimate"] is the largest per-point estimate.  A field that
+    is not finite is never certified and carries no best field.
+    """
+    fld = None
+    if np.all(np.isfinite(values)):
+        worst = float(estimates.max(initial=0.0))
+        fld = WaveField(x, float(t[0]), values[:, 0], ROUTE_PART[route],
+                        {"error_estimate": worst, **meta})
+    _certify(route, l, x, t, g, tol, estimates, fld)
+    return fld
 
 
 @dataclass(frozen=True)
@@ -199,108 +265,82 @@ def cavity_norm(fld: WaveField) -> float:
 # direct spectral quadrature
 # ---------------------------------------------------------------------------
 
-def direct_field(
-    l: int,
-    x_grid,
-    t: float,
-    g: float,
-    tol: float = 1e-6,
-) -> WaveField:
-    """psi^(l) on a grid by panel quadrature of the spectral integral.
+def _direct_values(l: int, x, t, g: float, tol: float):
+    """psi^(l) at every (x, t) by panel quadrature of the spectral integral.
 
     For t = 0 the panel sums converge only algebraically and are extrapolated
     with the two-mode tail model; for t > 0 the chirp makes the panel
     integrals decay like 1/(t j^3) and plain truncation at the tolerance-
-    derived panel count suffices.  Raises AccuracyError (carrying the best
-    field and the estimate) when the target cannot be certified; a field
-    that is not finite is never certified and carries no best field.
+    derived panel count suffices.  The cells of a panel depend on t, so each
+    time sums its own panels; `_inputs` refuses a grid beyond T_MAX_DIRECT
+    before any panel, and the times are evaluated in ascending order.
 
     The panels are summed one at a time as real matrix products over blocks
     of at most DIRECT_CHUNK nodes, so memory stays O(DIRECT_CHUNK * points +
-    panels * points) whatever the tolerance.
+    panels * points) whatever the tolerance.  Returns points x times arrays
+    of the values and of each (x, t)'s error estimate (infinite where a value
+    is not finite), and a times x 2 array of the panel and node counts.
     """
-    _check_mode(l)
-    if g <= 0:
-        raise DomainError("direct evolution requires g > 0")
-    if t < 0:
-        raise DomainError("time must be >= 0")
-    if t > T_MAX_DIRECT:
-        raise DomainError(
-            f"t = {t} beyond t_max = {T_MAX_DIRECT}: the chirped integrand defeats "
-            "panel quadrature; use the exponential + power decomposition"
-        )
-    x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-
-    at_zero = t < 1e-12
-    if at_zero:
-        # points just inside the barrier carry a slow tail mode of frequency
-        # pi - x; the fit window must see it rotate a few turns, and the
-        # shorter verification window too
-        near_pi = np.any((x > math.pi - 0.15) & (x < math.pi - 1e-12))
-        n_panels = 1000 if near_pi else 220
-    else:
-        n_panels = truncation_panels(l, t, tol)
-
-    panels = np.empty((n_panels, len(x)), dtype=complex)
-    n_nodes = 0
-    for j in range(n_panels):
-        nodes, wts = gl_nodes_weights(panel_cell_edges(j, g, t))
-        kern = (
-            (-1) ** l
-            * l
-            * _sin_ratio(nodes, l)
-            / (4.0 * ab_product(nodes.astype(complex), g))
-            * np.exp(-1j * nodes**2 * t)
-            * wts
-        )
-        kern_ri = np.stack([kern.real, kern.imag])
-        acc = np.zeros((2, len(x)))
-        for lo in range(0, len(nodes), DIRECT_CHUNK):
-            c = slice(lo, lo + DIRECT_CHUNK)
-            acc += kern_ri[:, c] @ np.sin(np.multiply.outer(nodes[c], x))
-        panels[j] = acc[0] + 1j * acc[1]
-        n_nodes += len(nodes)
-    partial = np.cumsum(panels, axis=0)
-
-    values = np.empty(len(x), dtype=complex)
-    estimates = np.empty(len(x))
-    if at_zero:
-        j_lo = max(2 * l + 4, 12)
-        n_short = j_lo + int(0.7 * (n_panels - j_lo))
-        for i, xi in enumerate(x):
-            v, rms = tail_mode_fit(partial[:, i], xi, j_lo)
-            # a second fit on a shorter window exposes extrapolation bias the
-            # in-window residual cannot see (slow modes near x = pi)
-            v_short, _ = tail_mode_fit(partial[:n_short, i], xi, j_lo)
-            values[i] = v
-            estimates[i] = 3.0 * rms + abs(v - v_short) + 1e-14
-        # a slow mode cos((pi - x) j) that turns less than once across the
-        # shorter window fools both fits: such a point gets no certificate
-        blind = (x < math.pi - 1e-12) & ((math.pi - x) * (n_short - j_lo) < 2.0 * math.pi)
-        estimates[blind] = math.inf
-    else:
-        values[:] = partial[-1]
-        estimates[:] = 3.0 * np.max(np.abs(panels[-5:, :]), axis=0)
-
+    x, t = _inputs("direct", l, x, t, g)
+    # points just inside the barrier carry a slow tail mode of frequency
+    # pi - x at t = 0; the fit window must see it rotate a few turns, and
+    # the shorter verification window too
+    near_pi = np.any((x > math.pi - 0.15) & (x < math.pi - 1e-12))
+    values = np.empty((len(x), len(t)), dtype=complex)
+    estimates = np.empty((len(x), len(t)))
+    counts = np.zeros((len(t), 2), dtype=int)
+    for c in np.argsort(t, kind="stable"):
+        at_zero = t[c] < 1e-12
+        n_panels = (1000 if near_pi else 220) if at_zero else truncation_panels(l, t[c], tol)
+        panels = np.empty((n_panels, len(x)), dtype=complex)
+        for j in range(n_panels):
+            nodes, wts = gl_nodes_weights(panel_cell_edges(j, g, t[c]))
+            kern = ((-1) ** l * l * _sin_ratio(nodes, l)
+                    / (4.0 * ab_product(nodes.astype(complex), g))
+                    * np.exp(-1j * nodes**2 * t[c]) * wts)
+            kern_ri = np.stack([kern.real, kern.imag])
+            acc = np.zeros((2, len(x)))
+            for lo in range(0, len(nodes), DIRECT_CHUNK):
+                block = slice(lo, lo + DIRECT_CHUNK)
+                acc += kern_ri[:, block] @ np.sin(np.multiply.outer(nodes[block], x))
+            panels[j] = acc[0] + 1j * acc[1]
+            counts[c, 1] += len(nodes)
+        counts[c, 0] = n_panels
+        partial = np.cumsum(panels, axis=0)
+        if at_zero:
+            j_lo = TAIL_FIT_START
+            n_short = j_lo + int(0.7 * (n_panels - j_lo))
+            for i, xi in enumerate(x):
+                v, rms = tail_mode_fit(partial[:, i], xi, j_lo)
+                # a second fit on a shorter window exposes extrapolation bias
+                # the in-window residual cannot see (slow modes near x = pi)
+                v_short, _ = tail_mode_fit(partial[:n_short, i], xi, j_lo)
+                values[i, c] = v
+                estimates[i, c] = 3.0 * rms + abs(v - v_short) + 1e-14
+            # a slow mode cos((pi - x) j) that turns less than once across the
+            # shorter window fools both fits: such a point gets no certificate
+            # (pi - x < 2 pi/672 = 9.35e-3 at 1000 panels)
+            blind = (x < math.pi - 1e-12) & ((math.pi - x) * (n_short - j_lo) < 2.0 * math.pi)
+            estimates[blind, c] = math.inf
+        else:
+            values[:, c] = partial[-1]
+            estimates[:, c] = 3.0 * np.max(np.abs(panels[-5:, :]), axis=0)
     values *= SPECTRAL_PREFACTOR
     estimates *= SPECTRAL_PREFACTOR
-    worst = float(estimates.max())
-    fld = None  # a non-finite field has no certificate and no best value
-    if np.all(np.isfinite(values)):
-        fld = WaveField(
-            x_grid=x,
-            t=float(t),
-            values=values,
-            part="total",
-            meta={"error_estimate": worst, "panels": n_panels, "nodes": n_nodes},
-        )
-    if fld is None or not worst <= tol:
-        raise AccuracyError(
-            f"direct quadrature reached {worst:.2e} > tol {tol:.1e} (l={l}, t={t}, g={g})",
-            best=fld,
-            estimate=worst,
-        )
-    return fld
+    estimates[~np.isfinite(values)] = math.inf
+    return values, estimates, counts
+
+
+def direct_field(l: int, x_grid, t: float, g: float, tol: float = 1e-6) -> WaveField:
+    """psi^(l) on a grid by panel quadrature of the spectral integral.
+
+    Raises AccuracyError (carrying the best field and the estimate) when the
+    target cannot be certified; meta records the panel and node counts.
+    """
+    x, ts = _inputs("direct", l, x_grid, t, g)
+    values, estimates, counts = _direct_values(l, x, ts, g, tol)
+    return _certified_field("direct", l, x, ts, g, tol, values, estimates,
+                            panels=int(counts[0, 0]), nodes=int(counts[0, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +385,9 @@ def _exponential_values(l: int, x, t, g: float, table: PoleTable):
     poles x times matrix of weighted phases.  Returns the points x times
     values and the per-t tails, and warns once when some t is 0.
     """
-    _check_mode(l)
+    x, t = _inputs("exponential", l, x, t, g)
     if abs(table.g - g) > 1e-15:
         raise ValueError(f"pole table was built at g={table.g}, not g={g}")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(t >= 0):
-        raise DomainError("time must be >= 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     ks = table.k_values
     weights = _pole_weights(l, table)[:, None] * np.exp(np.multiply.outer(-1j * ks**2, t))
     values = SQRT_2_OVER_PI * (np.sin(np.outer(x, ks)) @ weights)
@@ -364,42 +400,19 @@ def _exponential_values(l: int, x, t, g: float, table: PoleTable):
     return values, exponential_tail_estimate(l, t, table)
 
 
-def exponential_field(
-    l: int,
-    x_grid,
-    t: float,
-    g: float,
-    table: PoleTable,
-    tol: float | None = None,
-) -> WaveField:
-    """Exponential part of psi^(l): truncated residue sum over the pole table."""
-    x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    values, tails = _exponential_values(l, x, t, g, table)
-    tail = float(tails[0])
-    if tol is not None and tail > tol:
-        raise AccuracyError(
-            f"pole table too short: tail estimate {tail:.2e} > tol {tol:.1e} "
-            f"(N={len(table)}, t={t})",
-            best=None,
-            estimate=tail,
-        )
-    return WaveField(
-        x_grid=x,
-        t=float(t),
-        values=values[:, 0],
-        part="exponential",
-        meta={"tail_estimate": tail, "n_poles": len(table)},
-    )
+def exponential_field(l: int, x_grid, t: float, g: float, table: PoleTable,
+                      tol: float | None = None) -> WaveField:
+    """Exponential part of psi^(l): truncated residue sum over the pole table.
 
-
-def pole_wavefunction(n: int, x, t: float, g: float, table: PoleTable):
-    """Diagonally evolving pole state sqrt(2/pi) sin(k^(n) x) e^{-i eps^(n) t}."""
-    if abs(table.g - g) > 1e-15:
-        raise ValueError(f"pole table was built at g={table.g}, not g={g}")
-    k = table[n].k
-    phase = cmath.exp(-1j * k * k * t)
-    val = SQRT_2_OVER_PI * np.sin(k * np.asarray(x, dtype=complex)) * phase
-    return complex(val) if np.ndim(x) == 0 else val
+    With tol, a tail estimate above it raises AccuracyError (the pole table
+    is too short).
+    """
+    x, ts = _inputs("exponential", l, x_grid, t, g)
+    values, tails = _exponential_values(l, x, ts, g, table)
+    if tol is not None:
+        _certify("exponential", l, x, ts, g, tol, tails[None, :], None)
+    return WaveField(x, float(t), values[:, 0], "exponential",
+                     {"tail_estimate": float(tails[0]), "n_poles": len(table)})
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +488,7 @@ def _power_values(l: int, x, t, g: float, tol: float):
     that ends above tol (such as the marginal point (pi, 0)) keeps its last
     value.
     """
-    _check_mode(l)
-    if g <= 0:
-        raise DomainError("power part requires g > 0")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(t >= 0):
-        raise DomainError("time must be >= 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all((x >= 0.0) & (x <= math.pi)):
-        raise DomainError("cavity position x must lie in [0, pi]")
+    x, t = _inputs("power", l, x, t, g)
 
     # (points, times, cells): every point with each band of t > 0, and at
     # t = 0 each point with its own cells
@@ -515,95 +520,51 @@ def _power_values(l: int, x, t, g: float, tol: float):
     return _ROT * SPECTRAL_PREFACTOR * values, estimates
 
 
-def _ray_accuracy_error(l, x, t, g, tol, estimate, best) -> AccuracyError:
-    return AccuracyError(
-        f"ray quadrature reached {estimate:.2e} > tol {tol:.1e} "
-        f"(l={l}, x={x}, t={t}, g={g})",
-        best=best,
-        estimate=float(estimate),
-    )
-
-
 def psi_power_quad(l: int, x: float, t: float, g: float, tol: float = 1e-8) -> complex:
-    """Power part of psi^(l) by quadrature along the ray arg k = -pi/4.
+    """Power part of psi^(l) at one point by quadrature along the ray arg k = -pi/4.
 
     Convergent for every t >= 0 away from the single marginal point
     (x, t) = (pi, 0), where the tail envelope is 1/k and the measured tail
     estimate cannot drop below the tolerance; that case raises AccuracyError
     with the cutoff-limited value attached.
     """
-    values, estimates = _power_values(l, [x], t, g, tol)
+    xs, ts = _inputs("power", l, x, t, g)
+    values, estimates = _power_values(l, xs, ts, g, tol)
     value = complex(values[0, 0])
-    if not estimates[0, 0] <= tol:
-        raise _ray_accuracy_error(l, x, t, g, tol, estimates[0, 0], value)
+    _certify("power", l, xs, ts, g, tol, estimates, value)
     return value
 
 
 def power_field(l: int, x_grid, t: float, g: float, tol: float = 1e-8) -> WaveField:
     """Power part on a grid by one batched ray quadrature.
 
-    meta["error_estimate"] is the largest per-point estimate.  When it
-    exceeds tol, AccuracyError names the worst point and carries the whole
-    field as `best` (None for a field that is not finite).
+    When some point misses tol, AccuracyError names the worst point and
+    carries the whole field as `best` (None for a field that is not finite).
     """
-    x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    values, estimates = _power_values(l, x, t, g, tol)
-    values, estimates = values[:, 0], estimates[:, 0]
-    worst = float(estimates.max(initial=0.0))
-    fld = None  # a non-finite field has no certificate and no best value
-    if np.all(np.isfinite(values)):
-        fld = WaveField(
-            x_grid=x, t=float(t), values=values, part="power", meta={"error_estimate": worst}
-        )
-    if fld is None or not worst <= tol:
-        i = int(np.argmax(estimates))
-        raise _ray_accuracy_error(l, x[i], t, g, tol, worst, fld)
-    return fld
+    x, ts = _inputs("power", l, x_grid, t, g)
+    values, estimates = _power_values(l, x, ts, g, tol)
+    return _certified_field("power", l, x, ts, g, tol, values, estimates)
 
 
 def _asymptotic_values(l: int, x, t, g: float):
     """Two-term large-time form of the power part at every (x, t).
 
-    Returns a points x times array; amplitude ~ t^(-3/2).
+    Returns a points x times array; amplitude ~ t^(-3/2).  Useful for
+    t >~ 10; better than 1% beyond t ~ 10^3.
     """
-    _check_mode(l)
-    x = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
-    t = np.atleast_1d(np.asarray(t, dtype=float))[None, :]
-    if not np.all(t > 0):
-        raise DomainError("asymptotic form needs t > 0")
+    x, t = _inputs("asymptotic", l, x, t, g)
+    x, t = x[:, None], t[None, :]
     gp = g / (1.0 + g)
-    bracket = (
-        1.0 / l**2
-        + math.pi**2 / 6.0
-        + (2.0 / 3.0) * math.pi**2 * gp
-        - math.pi**2 * gp**2
-        - x**2 / 6.0
-    )
-    lead = (
-        cmath.exp(1j * math.pi / 4.0)
-        / math.sqrt(2.0)
-        * (-1) ** l
-        / l
-        * gp**2
-        * x
-        / t**1.5
-    )
+    bracket = (1.0 / l**2 + math.pi**2 / 6.0 + (2.0 / 3.0) * math.pi**2 * gp - math.pi**2 * gp**2
+               - x**2 / 6.0)
+    lead = cmath.exp(1j * math.pi / 4.0) / math.sqrt(2.0) * (-1) ** l / l * gp**2 * x / t**1.5
     return lead * (1.0 - 1.5j / t * bracket)
 
 
-def psi_power_asym(l: int, x: float, t: float, g: float) -> complex:
-    """Two-term large-time form of the power part, amplitude ~ t^(-3/2).
-
-    The caller is responsible for the regime (useful for t >~ 10; better
-    than 1% beyond t ~ 10^3).
-    """
-    return complex(_asymptotic_values(l, x, t, g)[0, 0])
-
-
 def asymptotic_field(l: int, x_grid, t: float, g: float) -> WaveField:
-    x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    values = _asymptotic_values(l, x, t, g)[:, 0]
-    return WaveField(x_grid=x, t=float(t), values=values, part="asymptotic")
+    """Two-term large-time form of the power part on a grid."""
+    x, ts = _inputs("asymptotic", l, x_grid, t, g)
+    return WaveField(x, float(t), _asymptotic_values(l, x, ts, g)[:, 0], "asymptotic")
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +595,4 @@ def resonance_term_norm(l: int, n: int, g: float, t) -> np.ndarray:
 def resonance_exponential_norm(l: int, g: float, n_poles: int, t) -> np.ndarray:
     """Incoherent sum of the first-order pole-term norms."""
     t = np.asarray(t, dtype=float)
-    total = np.zeros_like(t)
-    for n in range(1, n_poles + 1):
-        total += resonance_term_norm(l, n, g, t)
-    return total
+    return sum((resonance_term_norm(l, n, g, t) for n in range(1, n_poles + 1)), np.zeros_like(t))

@@ -293,17 +293,6 @@ def counter_rotate(
     return RotatedState(l=l, coefficients=inv.entries[l - 1].copy(), order=order)
 
 
-def rotated_state_closed_form(l: int, g: float, x_grid) -> np.ndarray:
-    """Compact form of the order-g counter-rotated state.
-
-    The counter-rotation shifts the wave vector l -> l(1 - g) and rescales by
-    1 - g/2; its sine series has 1/n coefficients, so a finite truncation
-    shows the usual non-uniform convergence at x = pi.
-    """
-    x = np.asarray(x_grid, dtype=float)
-    return SQRT_2_OVER_PI * (1.0 - 0.5 * g) * np.sin(l * (1.0 - g) * x)
-
-
 def exponentiation_gap(g: float, N: int, subtract_ah: bool = True) -> float:
     """Distance of U through order g^2 from exp[g (1 - g/2) A].
 

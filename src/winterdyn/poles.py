@@ -18,7 +18,6 @@ fixes the branch, with no continuation in g.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import warnings
@@ -27,22 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, OctantViolationError, PoleConvergenceError
-from .spectrum import coef_a, coef_b
+from .spectrum import coef_b
 
 DEFAULT_TOL = 1e-12
 MAX_NEWTON_STEPS = 50
-
-
-def pole_seed(n: int, g: float) -> complex:
-    """Fourth-order small-g expansion of the pole with branch k^(n)(0) = n."""
-    if n < 1:
-        raise DomainError("mode index n must be >= 1")
-    return (
-        n
-        - n * g
-        + (n - 1j * math.pi * n**2) * g**2
-        + (4.0 * math.pi**2 * n**3 / 3.0 + 3j * math.pi * n**2 - n) * g**3
-    )
 
 
 def width_pert(n: int, g: float, order: int = 2) -> float:
@@ -158,14 +145,6 @@ def _solve(ns: np.ndarray, g: float, tol: float) -> np.ndarray:
     return k
 
 
-def find_pole(n: int, g: float, tol: float = DEFAULT_TOL) -> Pole:
-    """The pole k^(n)(g), by the same solver pole_table runs on all n at once."""
-    if n < 1:
-        raise DomainError("mode index n must be >= 1")
-    ns = np.array([n])
-    return _make_poles(ns, _solve(ns, g, tol), g)[0]
-
-
 @dataclass(frozen=True)
 class PoleTable:
     """All poles n = 1..N at a fixed coupling, with solver diagnostics."""
@@ -263,22 +242,3 @@ def pole_table(g: float, N: int, tol: float = DEFAULT_TOL) -> PoleTable:
             stacklevel=2,
         )
     return table
-
-
-def conjugate_zero_residual(pole: Pole, g: float) -> float:
-    """|a(conj k, g)|: the mirrored zero of a must match the pole of b."""
-    return abs(complex(coef_a(pole.k.conjugate(), g)))
-
-
-def sqrt_relation_residual(pole: Pole, g: float) -> float:
-    """|exp(i pi k) - (-1)^n sqrt(1 - 2 pi i g k)| with the principal branch."""
-    k = pole.k
-    lhs = cmath.exp(1j * math.pi * k)
-    rhs = (-1) ** pole.n * cmath.sqrt(1.0 - 2j * math.pi * g * k)
-    return abs(lhs - rhs)
-
-
-def exact_relation_residual(pole: Pole, g: float) -> float:
-    """|exp(2 pi i k) - 1 + 2 pi i g k|, zero for any true zero of b."""
-    k = pole.k
-    return abs(cmath.exp(2j * math.pi * k) - 1.0 + 2j * math.pi * g * k)

@@ -21,7 +21,7 @@ which degenerates to plain Richardson in 1/j at x = pi.  The model's design
 matrix is real, so the real and imaginary parts of the partial sums are fitted
 as two right-hand sides of one real least-squares problem.
 
-The caller (evolution.direct_field) builds the nodes of one panel at a time
+The caller (evolution._direct_values) builds the nodes of one panel at a time
 from panel_cell_edges and gl_nodes_weights and sums it as a real matrix
 product over fixed-size node blocks, so no nodes x points array over all
 panels is ever formed and memory does not grow with the tolerance.

@@ -20,11 +20,6 @@ from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
 
-# Below this, a*b is considered to sit on a resonance pole and evaluation of
-# the normalized eigenfunction is refused instead of returning huge numbers
-# that would silently poison downstream quadrature.
-AB_POLE_GUARD = 1e-10
-
 
 def _check_kg(k, g):
     if np.any(np.asarray(g) == 0):
@@ -76,33 +71,3 @@ def ab_product(k, g):
     resonance poles.
     """
     return coef_a(k, g) * coef_b(k, g)
-
-
-def eigenfunction(x: float, k: complex, g: float) -> complex:
-    """Delta-normalized continuum eigenfunction psi(x; k, g) at position x >= 0.
-
-    The common normalization 1/sqrt(2 pi a b) is evaluated with a single
-    principal square root of the product a*b.  Dividing both pieces by the
-    same root keeps the function exactly continuous at x = pi; it may differ
-    from evaluating sqrt(a/b) and sqrt(b/a) separately by a global sign,
-    which no |psi|^2 observable can see.
-    """
-    if x < 0:
-        raise DomainError("position x must be >= 0")
-    ab = complex(ab_product(k, g))
-    if abs(ab) < AB_POLE_GUARD:
-        raise DomainError(
-            f"a*b = {ab:.3e} at k = {k}: evaluation too close to a resonance pole"
-        )
-    k = complex(k)
-    norm = 1.0 / np.sqrt(2.0 * np.pi * ab)
-    if x <= np.pi:
-        value = norm * np.sin(k * x)
-    else:
-        a = complex(coef_a(k, g))
-        b = complex(coef_b(k, g))
-        s = np.sqrt(ab)
-        value = (a * np.exp(1j * k * x) + b * np.exp(-1j * k * x)) / (
-            np.sqrt(2.0 * np.pi) * s
-        )
-    return complex(value)

@@ -10,7 +10,9 @@ import warnings
 
 import numpy as np
 from scipy.integrate import simpson
-from test_mixing import series_identities_check
+from test_evolution import psi_power_asym
+from test_mixing import rotated_state_closed_form, series_identities_check
+from test_poles import exact_relation_residual, find_pole, pole_seed
 
 from winterdyn import (
     Z_exact,
@@ -22,22 +24,17 @@ from winterdyn import (
     direct_field,
     exponential_field,
     exponentiation_gap,
-    find_pole,
     matrix_A,
     matrix_A_squared_closed,
     mixing_V_exact,
-    pole_seed,
     pole_table,
     power_field,
-    psi_power_asym,
     psi_power_quad,
     resonance_exponential_norm,
     resonance_term_norm,
-    rotated_state_closed_form,
     V_order,
 )
 from winterdyn.cli import find_crossings, main
-from winterdyn.poles import exact_relation_residual
 
 PI = math.pi
 

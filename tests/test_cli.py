@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winterdyn import DomainError, WinterError, cli, errors
+from winterdyn import DomainError, WinterError, cli, errors, evolution
 from winterdyn.cli import CROSSING_RTOL, build_parser, find_crossings, main, parse_grid
 
 
@@ -179,6 +179,21 @@ def test_crossings_two_pole_terms(tmp_path):
     blob = json.loads((tmp_path / "crossings.json").read_text())
     t = blob["crossings"][0]["t"]
     assert t == pytest.approx(4.581, abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "g, l, t, bracket",
+    [("0.2", "1", 99.06640625, [99.0625, 99.0703125]),
+     ("0.1", "2", 280.2578125, [280.25, 280.265625])],
+)
+def test_exact_exponential_power_crossovers_pinned(tmp_path, g, l, t, bracket):
+    # the exact residue sum hands over to the power part at t = 99.07
+    # (g = 0.2, l = 1) and 280.26 (g = 0.1, l = 2); the first-order model
+    # puts these crossovers at 31.7 and 164
+    assert main(["crossings", "--g", g, "--l", l, "--curve-a", "exponential-exact",
+                 "--curve-b", "power", "--out", str(tmp_path)]) == 0
+    (found,) = json.loads((tmp_path / "crossings.json").read_text())["crossings"]
+    assert found == {"t": t, "bracket": bracket}
 
 
 def test_crossings_of_underflowing_curves_exit_5(tmp_path):
@@ -473,12 +488,14 @@ def test_bad_input_exits_2_before_manifest(tmp_path, argv):
 @pytest.mark.parametrize(
     "argv, code",
     [
-        # three norms are staged before the asymptotic curve refuses t = 0
+        # the asymptotic route refuses t = 0 before any route computes
         (["evolve", "--g", "0.2", "--method", "all", "--t", "0:1:2", "--tol", "1e-5",
           "--x", X33], 2),
         (["evolve", "--g", "0.2", "--method", "power", "--t", "0"], 3),
+        # mixing_A.csv is staged before expgap overflows
+        (["mixing", "--g", "1e300", "--n", "8", "--emit", "A,expgap"], 2),
     ],
-    ids=["evolve-all-direct-t0", "evolve-power-snapshot-t0"],
+    ids=["evolve-all-direct-t0", "evolve-power-snapshot-t0", "mixing-staged-then-overflow"],
 )
 def test_failure_mid_run_leaves_no_out_dir(tmp_path, argv, code):
     out = tmp_path / "new" / "out"
@@ -517,20 +534,22 @@ def test_outputs_staged_then_manifest_written_last(tmp_path, monkeypatch):
         ["evolve", "--g", "0.2", "--method", "direct", "--t", "40:60:2"],
         ["crossings", "--g", "0.2", "--curve-a", "direct", "--curve-b", "power",
          "--t", "40:60:3"],
+        # every route's domain is checked first: asymptotic refuses t = 0
+        ["evolve", "--g", "0.2", "--method", "all", "--t", "0:50:101"],
     ],
-    ids=["evolve", "crossings"],
+    ids=["evolve", "crossings", "evolve-all-t0"],
 )
 def test_direct_cap_refuses_before_any_quadrature(tmp_path, monkeypatch, argv):
-    times = []
-    direct_field = cli.direct_field
+    panels = []
+    cell_edges = evolution.panel_cell_edges
 
-    def recorder(l, x, t, *rest):
-        times.append(t)
-        return direct_field(l, x, t, *rest)
+    def recorder(j, *rest):
+        panels.append(j)
+        return cell_edges(j, *rest)
 
-    monkeypatch.setattr(cli, "direct_field", recorder)
+    monkeypatch.setattr(evolution, "panel_cell_edges", recorder)
     assert main(argv + ["--out", str(tmp_path)]) == 2
-    assert times == [60.0]  # the latest time, refused before any quadrature
+    assert panels == []  # refused before any direct panel is integrated
     assert not any(tmp_path.iterdir())
 
 

@@ -17,17 +17,16 @@ from winterdyn import (
     cavity_norm,
     direct_field,
     exponential_field,
-    integrand_p,
     pole_table,
-    pole_wavefunction,
     power_field,
-    psi_power_asym,
     psi_power_quad,
 )
 from winterdyn.evolution import (
     _ROT,
     SPECTRAL_PREFACTOR,
+    TAIL_FIT_START,
     _cavity_norms,
+    _direct_values,
     _exponential_values,
     _power_values,
     _sin_ratio,
@@ -42,6 +41,25 @@ from winterdyn.quadrature import (
 from winterdyn.spectrum import ab_product
 
 SQ = math.sqrt(2.0 / math.pi)
+
+
+def integrand_p(l: int, k: complex, x: float, g: float) -> complex:
+    """Spectral integrand p^(l)(k; x, g) at one k."""
+    k = np.array([k], dtype=complex)
+    val = (-1) ** l * l * _sin_ratio(k, l) * np.sin(k * x) / (4.0 * ab_product(k, g))
+    return complex(val[0])
+
+
+def pole_wavefunction(n: int, x, t: float, table):
+    """Diagonally evolving pole state sqrt(2/pi) sin(k^(n) x) e^{-i eps^(n) t}."""
+    k = table[n].k
+    val = SQ * np.sin(k * np.asarray(x, dtype=complex)) * cmath.exp(-1j * k * k * t)
+    return complex(val) if np.ndim(x) == 0 else val
+
+
+def psi_power_asym(l: int, x: float, t: float, g: float) -> complex:
+    """Two-term large-time form of the power part at one point."""
+    return complex(asymptotic_field(l, [x], t, g).values[0])
 
 
 @pytest.fixture(scope="module")
@@ -103,13 +121,22 @@ def test_direct_reports_accuracy_failure():
     assert exc.value.estimate > 1e-14
 
 
-@pytest.mark.parametrize("l, g", [(1, 0.2), (3, 0.4), (2, 0.05)])
+@pytest.mark.parametrize("l, g", [(l, g) for l in (1, 2, 3) for g in (0.05, 0.1, 0.2, 0.4)])
 def test_direct_t0_estimate_covers_true_error(l, g):
-    # t = 0 is the one time with a known answer, sqrt(2/pi) sin(l x): just
-    # inside the barrier a certified value lies within its estimate, and a
-    # refused one carries an estimate no smaller than its true error
+    # t = 0 is the one time with a known answer, sqrt(2/pi) sin(l x): on the
+    # default 129-point grid, whose last points lie within 0.15 of the
+    # barrier, every point is certified and its true error is within its
+    # estimate (at x = pi, where both sit at rounding level, within tol)
     tol = 1e-6
-    for gap in (6e-3, 3e-3, 1e-3, 1e-4, 1e-6):
+    x = np.linspace(0.0, math.pi, 129)
+    values, estimates, _ = _direct_values(l, x, [0.0], g, tol)
+    err = np.abs(values[:, 0] - SQ * np.sin(l * x))
+    assert np.all(estimates <= tol)
+    assert np.all(err[:-1] <= estimates[:-1, 0]) and err[-1] <= tol
+    # just inside the barrier a certified value lies within its estimate,
+    # and a refused one carries an estimate no smaller than its true error
+    slivers = (6e-3, 3e-3, 1e-3, 1e-4, 1e-6) if (l, g) in [(1, 0.2), (3, 0.4), (2, 0.05)] else ()
+    for gap in slivers:
         x = math.pi - gap
         exact = SQ * math.sin(l * x)
         try:
@@ -146,7 +173,7 @@ def direct_field_dense(l, x, t, g, n_panels):
     np.add.at(panels, panel_of, contrib)
     partial = np.cumsum(panels, axis=0)
     if t == 0:
-        j_lo = max(2 * l + 4, 12)
+        j_lo = TAIL_FIT_START
         n_short = j_lo + int(0.7 * (n_panels - j_lo))
         values = np.empty(len(x), dtype=complex)
         estimates = np.empty(len(x))
@@ -212,13 +239,13 @@ def test_decomposition_identity_pointwise(table02):
 def test_time_factor_unity_at_zero(table02):
     # E^(n)(0) = 1: pole wavefunction at t=0 is just the sine profile
     k = table02[1].k
-    v = pole_wavefunction(1, 0.7, 0.0, 0.2, table02)
+    v = pole_wavefunction(1, 0.7, 0.0, table02)
     assert abs(v - SQ * np.sin(k * 0.7)) < 1e-15
 
 
 def test_pole_wavefunction_free_limit():
     t = pole_table(1e-6, 3, tol=1e-8)
-    v = pole_wavefunction(2, 0.9, 1.5, 1e-6, t)
+    v = pole_wavefunction(2, 0.9, 1.5, t)
     expected = SQ * math.sin(2 * 0.9) * np.exp(-1j * 4 * 1.5)
     assert abs(v - expected) < 1e-4
 
@@ -226,7 +253,7 @@ def test_pole_wavefunction_free_limit():
 def test_pole_wavefunction_grows_toward_barrier(table02):
     # Im k < 0 tilts |sin(kx)| upward from the wall to the barrier
     xs = np.linspace(0.3, math.pi, 12)
-    mags = np.abs(pole_wavefunction(1, xs, 2.0, 0.2, table02))
+    mags = np.abs(pole_wavefunction(1, xs, 2.0, table02))
     envelope = mags / np.abs(np.sin(table02[1].k.real * xs))
     assert np.all(np.diff(envelope) > 0)
 
@@ -418,6 +445,19 @@ def test_power_field_marginal_point_raises_with_field():
 def test_power_field_rejects_positions_outside_cavity():
     with pytest.raises(DomainError):
         power_field(1, [0.5, 3.5], 1.0, 0.2)
+
+
+@pytest.mark.parametrize("x", [-1.0, 3.5])
+@pytest.mark.parametrize("route", ["direct", "exponential", "power", "asymptotic"])
+def test_fields_refuse_positions_outside_cavity(table02, route, x):
+    fields = {
+        "direct": lambda: direct_field(1, [x], 5.0, 0.2),
+        "exponential": lambda: exponential_field(1, [x], 5.0, 0.2, table02),
+        "power": lambda: power_field(1, [x], 5.0, 0.2),
+        "asymptotic": lambda: asymptotic_field(1, [x], 5.0, 0.2),
+    }
+    with pytest.raises(DomainError):
+        fields[route]()
 
 
 def psi_power_asym_scalar(l, x, t, g):

