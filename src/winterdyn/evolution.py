@@ -12,10 +12,14 @@ where the quadratic phase turns into Gaussian damping).  The exponential part
 dominates on intermediate times; the power part, falling like t^(-3/2) in
 amplitude, always wins asymptotically.
 
-Three independent evaluation routes are provided on purpose: direct panel
-quadrature, the residue sum, and the rotated-ray quadrature.  Their mutual
-agreement (direct = exponential + power) is the strongest internal check the
-package has, so none of them may be implemented in terms of another.
+Three independent evaluation routes are provided on purpose: direct
+quadrature along the real k axis, the residue sum, and the rotated-ray
+quadrature.  Their mutual agreement (direct = exponential + power) is the
+strongest internal check the package has, so none of them may be implemented
+in terms of another.  The direct route uses no pole and no contour: GL-15
+panels in k with a tail extrapolation at t = 0, and for t > 0 Filon
+quadrature in u = k^2, where the chirp e^{-i k^2 t} is linear, on a node set
+that does not depend on t, so it reaches every t > 0.
 
 Each route, and the two-term asymptotic form of the power part, is one kernel
 `_<route>_values(l, x, t, g, ...)` that evaluates every (x, t) of a points x
@@ -36,6 +40,8 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .poles import PoleTable, width_pert
 from .quadrature import (
+    GL_NODES,
+    filon_moments,
     gl_nodes_weights,
     panel_cell_edges,
     ray_band,
@@ -53,13 +59,16 @@ SPECTRAL_PREFACTOR = (2.0 / math.pi) ** 1.5
 # form; 1e-4 keeps the cancellation error below 1e-10 with four terms.
 RING_WINDOW = 1e-4
 
-# Latest time the direct route accepts; beyond it the chirp needs too many
-# cells per panel and the exponential + power decomposition takes over.
-T_MAX_DIRECT = 50.0
-
-# Nodes per block of the direct route's real matrix product; bounds the
-# sin(k x) block at DIRECT_CHUNK x points doubles whatever the tolerance.
+# Nodes per block of the direct route's real matrix products at t = 0; at
+# t > 0 the sin(k x) and weight arrays of a block hold at most
+# DIRECT_CHUNK x 128 doubles.  Either way memory does not grow with the
+# tolerance.
 DIRECT_CHUNK = 4096
+
+# Panel 0 in u = k^2 also gets the cell edges k = 2^-1 ... 2^-40, graded
+# toward the sqrt(u) branch point at k = 0; the innermost cell contributes
+# ~ 2^-120.
+ORIGIN_GRADING = 2.0 ** -np.arange(1, 41)
 
 # First panel of the t = 0 tail fit: the 1/j tail model does not describe
 # the panels before it, whose misfit would dominate the residual.
@@ -83,9 +92,6 @@ def _inputs(route: str, l: int, x, t, g: float):
         raise DomainError("time must be >= 0")
     if route in ("direct", "power") and not g > 0:
         raise DomainError(f"the {route} route requires g > 0")
-    if route == "direct" and t.max(initial=0.0) > T_MAX_DIRECT:
-        raise DomainError(f"t = {t.max()} beyond t_max = {T_MAX_DIRECT}: the chirped integrand "
-                          "defeats panel quadrature; use the exponential + power decomposition")
     if route == "asymptotic" and not np.all(t > 0):
         raise DomainError("asymptotic form needs t > 0")
     return x, t
@@ -265,66 +271,126 @@ def cavity_norm(fld: WaveField) -> float:
 # direct spectral quadrature
 # ---------------------------------------------------------------------------
 
+def _spectral_kernel(l: int, k: np.ndarray, g: float) -> np.ndarray:
+    """p^(l)(k; x, g) / sin(k x) at real nodes k."""
+    return (-1) ** l * l * _sin_ratio(k, l) / (4.0 * ab_product(k.astype(complex), g))
+
+
+def _direct_t0(l: int, x, g: float):
+    """psi^(l)(x, 0) by GL-15 panels in k, extrapolated with the tail model.
+
+    Returns the values, their estimates and the panel and node counts.
+    """
+    # points just inside the barrier carry a slow tail mode of frequency
+    # pi - x; the fit window must see it rotate a few turns, and the shorter
+    # verification window too
+    near_pi = np.any((x > math.pi - 0.15) & (x < math.pi - 1e-12))
+    n_panels = 1000 if near_pi else 220
+    panels = np.empty((n_panels, len(x)), dtype=complex)
+    n_nodes = 0
+    for j in range(n_panels):
+        nodes, wts = gl_nodes_weights(panel_cell_edges(j, g))
+        kern = _spectral_kernel(l, nodes, g) * wts
+        kern_ri = np.stack([kern.real, kern.imag])
+        acc = np.zeros((2, len(x)))
+        for lo in range(0, len(nodes), DIRECT_CHUNK):
+            block = slice(lo, lo + DIRECT_CHUNK)
+            acc += kern_ri[:, block] @ np.sin(np.multiply.outer(nodes[block], x))
+        panels[j] = acc[0] + 1j * acc[1]
+        n_nodes += len(nodes)
+    partial = np.cumsum(panels, axis=0)
+    j_lo = TAIL_FIT_START
+    n_short = j_lo + int(0.7 * (n_panels - j_lo))
+    values = np.empty(len(x), dtype=complex)
+    estimates = np.empty(len(x))
+    for i, xi in enumerate(x):
+        v, rms = tail_mode_fit(partial[:, i], xi, j_lo)
+        # a second fit on a shorter window exposes extrapolation bias the
+        # in-window residual cannot see (slow modes near x = pi)
+        v_short, _ = tail_mode_fit(partial[:n_short, i], xi, j_lo)
+        values[i] = v
+        estimates[i] = 3.0 * rms + abs(v - v_short) + 1e-14
+    # a slow mode cos((pi - x) j) that turns less than once across the shorter
+    # window fools both fits: such a point gets no certificate
+    # (pi - x < 2 pi/672 = 9.35e-3 at 1000 panels)
+    blind = (x < math.pi - 1e-12) & ((math.pi - x) * (n_short - j_lo) < 2.0 * math.pi)
+    estimates[blind] = math.inf
+    return values, estimates, (n_panels, n_nodes)
+
+
+def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray) -> np.ndarray:
+    """Filon sums in u = k^2 of the spectral integrand over cells, points x times.
+
+    With u = k^2 the integral over a cell [u_c - H, u_c + H] reads
+    Int F(u) e^{-i u t} du, F = p^(l)(sqrt(u))/(2 sqrt(u)), and Filon weights
+    its GL-15 nodes by H e^{-i u_c t} Phi_m(H t).  The cells go in blocks whose
+    sin(k x) and weight arrays hold at most DIRECT_CHUNK x 128 doubles; per
+    block sin(k x) is formed once and every (x, t) follows from one real
+    product with the interleaved (re, im) nodes x times weights, so no complex
+    nodes x points array is formed.
+    """
+    centre, half = 0.5 * (u_edges[1:] + u_edges[:-1]), 0.5 * (u_edges[1:] - u_edges[:-1])
+    per_block = max(1, DIRECT_CHUNK * 128 // (len(GL_NODES) * max(len(x), 2 * len(t))))
+    acc = np.zeros((len(x), 2 * len(t)))
+    for lo in range(0, len(centre), per_block):
+        c, h = centre[lo : lo + per_block, None], half[lo : lo + per_block, None]
+        k = np.sqrt(c + h * GL_NODES).ravel()
+        # cells x times x nodes Filon weights, then nodes x times
+        wts = (h * np.exp(-1j * c * t))[:, :, None] * filon_moments(h * t)
+        wts = np.ascontiguousarray(wts.transpose(0, 2, 1)).reshape(len(k), len(t))
+        wts *= (_spectral_kernel(l, k, g) / (2.0 * k))[:, None]
+        acc += np.sin(np.multiply.outer(x, k)) @ wts.view(np.float64)
+    return acc.view(complex)
+
+
+def _direct_filon(l: int, x, t, g: float, tol: float):
+    """psi^(l) at every (x, t > 0) by Filon quadrature in u = k^2, truncated.
+
+    Every t shares the panel count J = truncation_panels of the earliest t and
+    one node set: the t = 0 cells of panels 0..J-1 in u, panel 0 graded by
+    ORIGIN_GRADING.  The rule runs on those cells and on the cells halved;
+    the halved sum is returned with the estimate |fine - coarse| plus three
+    times the largest of its last five panel sums.  Returns the values, their
+    estimates and the panel and node counts (nodes of both levels).
+    """
+    n_panels = truncation_panels(l, float(t.min()), tol)
+    k_edges = np.unique(np.concatenate(
+        [ORIGIN_GRADING, *(panel_cell_edges(j, g) for j in range(n_panels))]))
+    coarse = k_edges**2
+    fine = refine_edges(coarse, 2)
+    # the halved cells split at the edges (J - 5)^2 .. J^2 of the last five panels
+    cuts = np.searchsorted(fine, np.arange(n_panels - 5.0, n_panels + 1.0) ** 2)
+    head = _filon_sums(l, x, t, g, fine[: cuts[0] + 1])
+    last = [_filon_sums(l, x, t, g, fine[a : b + 1]) for a, b in zip(cuts[:-1], cuts[1:])]
+    values = head + sum(last)
+    estimates = (np.abs(values - _filon_sums(l, x, t, g, coarse))
+                 + 3.0 * np.max(np.abs(last), axis=0))
+    return values, estimates, (n_panels, len(GL_NODES) * (len(coarse) + len(fine) - 2))
+
+
 def _direct_values(l: int, x, t, g: float, tol: float):
-    """psi^(l) at every (x, t) by panel quadrature of the spectral integral.
+    """psi^(l) at every (x, t) by quadrature of the spectral integral on the real axis.
 
     For t = 0 the panel sums converge only algebraically and are extrapolated
-    with the two-mode tail model; for t > 0 the chirp makes the panel
-    integrals decay like 1/(t j^3) and plain truncation at the tolerance-
-    derived panel count suffices.  The cells of a panel depend on t, so each
-    time sums its own panels; `_inputs` refuses a grid beyond T_MAX_DIRECT
-    before any panel, and the times are evaluated in ascending order.
+    with the two-mode tail model (_direct_t0).  For t > 0 the panel integrals
+    decay like 1/(t j^3), and the times are integrated together by Filon
+    quadrature in u = k^2 on one node set that does not depend on t
+    (_direct_filon), so there is no upper limit on t.
 
-    The panels are summed one at a time as real matrix products over blocks
-    of at most DIRECT_CHUNK nodes, so memory stays O(DIRECT_CHUNK * points +
-    panels * points) whatever the tolerance.  Returns points x times arrays
-    of the values and of each (x, t)'s error estimate (infinite where a value
-    is not finite), and a times x 2 array of the panel and node counts.
+    Returns points x times arrays of the values and of each (x, t)'s error
+    estimate (infinite where a value is not finite), and a times x 2 array of
+    the panel and node counts.
     """
     x, t = _inputs("direct", l, x, t, g)
-    # points just inside the barrier carry a slow tail mode of frequency
-    # pi - x at t = 0; the fit window must see it rotate a few turns, and
-    # the shorter verification window too
-    near_pi = np.any((x > math.pi - 0.15) & (x < math.pi - 1e-12))
     values = np.empty((len(x), len(t)), dtype=complex)
     estimates = np.empty((len(x), len(t)))
     counts = np.zeros((len(t), 2), dtype=int)
-    for c in np.argsort(t, kind="stable"):
-        at_zero = t[c] < 1e-12
-        n_panels = (1000 if near_pi else 220) if at_zero else truncation_panels(l, t[c], tol)
-        panels = np.empty((n_panels, len(x)), dtype=complex)
-        for j in range(n_panels):
-            nodes, wts = gl_nodes_weights(panel_cell_edges(j, g, t[c]))
-            kern = ((-1) ** l * l * _sin_ratio(nodes, l)
-                    / (4.0 * ab_product(nodes.astype(complex), g))
-                    * np.exp(-1j * nodes**2 * t[c]) * wts)
-            kern_ri = np.stack([kern.real, kern.imag])
-            acc = np.zeros((2, len(x)))
-            for lo in range(0, len(nodes), DIRECT_CHUNK):
-                block = slice(lo, lo + DIRECT_CHUNK)
-                acc += kern_ri[:, block] @ np.sin(np.multiply.outer(nodes[block], x))
-            panels[j] = acc[0] + 1j * acc[1]
-            counts[c, 1] += len(nodes)
-        counts[c, 0] = n_panels
-        partial = np.cumsum(panels, axis=0)
-        if at_zero:
-            j_lo = TAIL_FIT_START
-            n_short = j_lo + int(0.7 * (n_panels - j_lo))
-            for i, xi in enumerate(x):
-                v, rms = tail_mode_fit(partial[:, i], xi, j_lo)
-                # a second fit on a shorter window exposes extrapolation bias
-                # the in-window residual cannot see (slow modes near x = pi)
-                v_short, _ = tail_mode_fit(partial[:n_short, i], xi, j_lo)
-                values[i, c] = v
-                estimates[i, c] = 3.0 * rms + abs(v - v_short) + 1e-14
-            # a slow mode cos((pi - x) j) that turns less than once across the
-            # shorter window fools both fits: such a point gets no certificate
-            # (pi - x < 2 pi/672 = 9.35e-3 at 1000 panels)
-            blind = (x < math.pi - 1e-12) & ((math.pi - x) * (n_short - j_lo) < 2.0 * math.pi)
-            estimates[blind, c] = math.inf
-        else:
-            values[:, c] = partial[-1]
-            estimates[:, c] = 3.0 * np.max(np.abs(panels[-5:, :]), axis=0)
+    at_zero, later = t < 1e-12, t >= 1e-12
+    if at_zero.any():
+        v, e, counts[at_zero] = _direct_t0(l, x, g)
+        values[:, at_zero], estimates[:, at_zero] = v[:, None], e[:, None]
+    if later.any():
+        values[:, later], estimates[:, later], counts[later] = _direct_filon(l, x, t[later], g, tol)
     values *= SPECTRAL_PREFACTOR
     estimates *= SPECTRAL_PREFACTOR
     estimates[~np.isfinite(values)] = math.inf

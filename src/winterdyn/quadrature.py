@@ -1,19 +1,16 @@
 """Panel quadrature machinery for the spectral and ray integrals.
 
 The direct spectral integral runs over [0, inf) split at the zeros of
-sin(k pi), i.e. unit panels [j, j+1].  Three features of the integrand decide
+sin(k pi), i.e. unit panels [j, j+1].  Two features of the integrand decide
 the subdivision inside a panel:
 
 * a resonance spike near k = n(1 - g + g^2) of width ~ pi n^2 g^2 (the dip of
   |a b|), resolved by geometrically graded cells around the spike;
 * period-one wiggles of 1/(4ab) whose amplitude grows like 1/(4 pi g k)
-  toward small k, resolved by a baseline subdivision tied to that amplitude;
-* the phase chirp exp(-i k^2 t), resolved by ~1.5 cells per cycle.
+  toward small k, resolved by a baseline subdivision tied to that amplitude.
 
-Gauss-Legendre 15 is applied on every cell.  The infinite panel sum is then
-either truncated (t > 0, where the chirp makes panel integrals decay like
-1/(t j^3) with effectively random phases) or extrapolated (t = 0) with a
-windowed least-squares fit of the known tail model
+At t = 0 Gauss-Legendre 15 is applied on every cell and the infinite panel
+sum is extrapolated with a windowed least-squares fit of the known tail model
 
     S_j = S + (-1)^j [cos(x j) A(j) + sin(x j) B(j)],  A, B ~ poly(1/j),
 
@@ -21,10 +18,19 @@ which degenerates to plain Richardson in 1/j at x = pi.  The model's design
 matrix is real, so the real and imaginary parts of the partial sums are fitted
 as two right-hand sides of one real least-squares problem.
 
-The caller (evolution._direct_values) builds the nodes of one panel at a time
-from panel_cell_edges and gl_nodes_weights and sums it as a real matrix
-product over fixed-size node blocks, so no nodes x points array over all
-panels is ever formed and memory does not grow with the tolerance.
+For t > 0 the phase exp(-i k^2 t) is linear in u = k^2, so the same cells are
+mapped to u and integrated by Filon quadrature (Iserles & Norsett, Proc. R.
+Soc. A 461, 1383 (2005)): the non-oscillatory factor is interpolated at the
+GL-15 nodes of each cell and the interpolant is integrated against e^{-iut}
+exactly.  A cell of centre u_c and half-width H weights node m by
+H e^{-i u_c t} filon_moments(H t)[m], so the node set does not depend on t.
+The panel sum is truncated where the panel integrals, decaying like
+1/(t j^3), drop below the tolerance.
+
+The caller (evolution._direct_values) builds the cells from panel_cell_edges
+and sums them as real matrix products over blocks of nodes, so no nodes x
+points array over all panels is ever formed and memory does not grow with the
+tolerance.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 # Most panels a t > 0 direct evaluation truncates at.
 TRUNCATION_PANEL_CAP = 800
+
+# Spherical Bessel orders j_0 .. j_14 of the Filon moments (the GL-15 degree),
+# and the order their downward recurrence starts from.
+BESSEL_ORDERS = len(GL_NODES)
+MILLER_START = 60
 
 # Highest power of 1/j in the t = 0 tail model, and the lstsq cutoff of its fit.
 TAIL_MAX_POWER = 6
@@ -58,12 +69,10 @@ def baseline_subpanels(j: int, g: float) -> int:
     return 16
 
 
-def panel_cell_edges(j: int, g: float, t: float) -> np.ndarray:
-    """Subdivision of the unit panel [j, j+1] adapted to spike, wiggle, chirp."""
+def panel_cell_edges(j: int, g: float) -> np.ndarray:
+    """Subdivision of the unit panel [j, j+1] adapted to spike and wiggle."""
     lo, hi = float(j), float(j + 1)
-    cycles = (2 * j + 1) * abs(t) / (2.0 * math.pi)
-    ns = max(baseline_subpanels(j, g), int(math.ceil(cycles * 1.5)))
-    edges = set(np.linspace(lo, hi, ns + 1))
+    edges = set(np.linspace(lo, hi, baseline_subpanels(j, g) + 1))
     n = j + 1
     kr = n * (1.0 - g + g * g)
     if lo - 0.5 < kr < hi + 0.5:
@@ -85,6 +94,77 @@ def gl_nodes_weights(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nodes = (mid[:, None] + half[:, None] * GL_NODES[None, :]).ravel()
     weights = (half[:, None] * GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
+
+
+def _bessel_series(w: np.ndarray) -> np.ndarray:
+    """j_n(w) = w^n/(2n+1)!! sum_m (-w^2/2)^m / (m! (2n+3)...(2n+2m+1)), for w < 1."""
+    n, w = np.arange(BESSEL_ORDERS), w[:, None]
+    term = total = np.ones((len(w), BESSEL_ORDERS))
+    for m in range(1, 12):  # the first term left out is below 1e-19 of the sum
+        term = term * (-0.5 * w**2) / (m * (2.0 * n + 2 * m + 1))
+        total = total + term
+    return w**n / np.cumprod(2.0 * n + 1.0) * total
+
+
+def _bessel_j01(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    j0 = np.sin(w) / w
+    return j0, j0 / w - np.cos(w) / w
+
+
+def _bessel_miller(w: np.ndarray) -> np.ndarray:
+    """Miller's downward recurrence from order MILLER_START, for 1 <= w < 15.
+
+    The recurrence gives j_n up to one factor, fitted by least squares to the
+    closed forms of j_0 and j_1, which never vanish together.
+    """
+    f = np.zeros((len(w), MILLER_START + 2))
+    f[:, MILLER_START] = 1.0  # f_0 stays below 1e101 for w >= 1
+    for k in range(MILLER_START, 0, -1):
+        f[:, k - 1] = (2 * k + 1) / w * f[:, k] - f[:, k + 1]
+    j0, j1 = _bessel_j01(w)
+    scale = (f[:, 0] * j0 + f[:, 1] * j1) / (f[:, 0] ** 2 + f[:, 1] ** 2)
+    return f[:, :BESSEL_ORDERS] * scale[:, None]
+
+
+def _bessel_upward(w: np.ndarray) -> np.ndarray:
+    """Upward recurrence from the closed forms of j_0 and j_1, for w >= 15 > every order."""
+    out = np.empty((len(w), BESSEL_ORDERS))
+    out[:, 0], out[:, 1] = _bessel_j01(w)
+    for k in range(1, BESSEL_ORDERS - 1):
+        out[:, k + 1] = (2 * k + 1) / w * out[:, k] - out[:, k - 1]
+    return out
+
+
+def spherical_bessel_j(omega) -> np.ndarray:
+    """j_0 .. j_14 at every omega >= 0, as an array of shape omega.shape + (15,).
+
+    Each regime uses the form that is stable there: the power series below 1,
+    Miller's downward recurrence up to 15 and the upward recurrence beyond.
+    """
+    w = np.asarray(omega, dtype=float)
+    out = np.full(w.shape + (BESSEL_ORDERS,), np.nan)  # nan stays nan
+    for part, regime in ((w < 1.0, _bessel_series), ((w >= 1.0) & (w < 15.0), _bessel_miller),
+                         (w >= 15.0, _bessel_upward)):
+        if part.any():
+            out[part] = regime(w[part])
+    return out
+
+
+# Phi_m(omega) = sum_n FILON_BASIS[n, m] j_n(omega): the Legendre series of
+# the GL-15 Lagrange basis, l_m(s) = w_m sum_n (n + 1/2) P_n(s_m) P_n(s),
+# exact because GL-15 integrates l_m P_n exactly, with Rayleigh's
+# int_{-1}^{1} P_n(s) e^{-i omega s} ds = 2 (-i)^n j_n(omega).
+_N = np.arange(BESSEL_ORDERS)
+FILON_BASIS = (GL_WEIGHTS[:, None] * (2 * _N + 1) * np.array([1, -1j, -1, 1j])[_N % 4]
+               * np.polynomial.legendre.legvander(GL_NODES, BESSEL_ORDERS - 1)).T
+
+
+def filon_moments(omega) -> np.ndarray:
+    """Phi_m(omega) = int_{-1}^{1} l_m(s) e^{-i omega s} ds for the GL-15 Lagrange basis.
+
+    Shape omega.shape + (15,); at omega = 0 these are the GL-15 weights.
+    """
+    return spherical_bessel_j(omega) @ FILON_BASIS
 
 
 def truncation_panels(l: int, t: float, tol: float) -> int:

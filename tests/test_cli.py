@@ -196,6 +196,21 @@ def test_exact_exponential_power_crossovers_pinned(tmp_path, g, l, t, bracket):
     assert found == {"t": t, "bracket": bracket}
 
 
+@pytest.mark.parametrize("g, l", [("0.2", "1"), ("0.1", "2")])
+def test_exact_crossovers_stable_in_n_max(tmp_path, g, l):
+    # 24 poles already fix the exact crossovers: 200 poles move them by less
+    # than 1e-3 relative
+    found = {}
+    for n_max in ("24", "200"):
+        out = tmp_path / n_max
+        assert main(["crossings", "--g", g, "--l", l, "--curve-a", "exponential-exact",
+                     "--curve-b", "power", "--n-max", n_max, "--out", str(out)]) == 0
+        blob = json.loads((out / "crossings.json").read_text())
+        found[n_max] = [c["t"] for c in blob["crossings"]]
+    assert len(found["24"]) == len(found["200"]) == 1
+    assert found["200"][0] == pytest.approx(found["24"][0], rel=1e-3)
+
+
 def test_crossings_of_underflowing_curves_exit_5(tmp_path):
     # pole 5 decays as exp(-4 pi 125 g^2 t) and both norms reach 0 on the grid:
     # log 0 = -inf, and the nan gap of two zero norms is no sign change
@@ -448,10 +463,6 @@ def test_power_norms_match_per_time_kernel_literals(tmp_path):
         ["mixing", "--g", "0.1", "--n", "8", "--contamination", "1", "--t", "0:abc:3"],
         ["mixing", "--g", "0", "--n", "8", "--contamination", "1"],
         ["evolve", "--g", "0.1", "--l", "1", "--parts", "fig3", "--t", "1:10:3"],
-        ["evolve", "--g", "0.2", "--method", "direct", "--t", "40:60:2"],
-        ["evolve", "--g", "0.2", "--method", "all", "--t", "60"],
-        ["crossings", "--g", "0.2", "--curve-a", "direct", "--curve-b", "power",
-         "--t", "40:60:3"],
         ["mixing", "--g", "0.1", "--n", "4", "--rotate", "9"],
         ["mixing", "--g", "0.1", "--n", "4", "--contamination", "9"],
         ["mixing", "--g", "0", "--n", "4", "--rotate", "0"],
@@ -471,8 +482,7 @@ def test_power_norms_match_per_time_kernel_literals(tmp_path):
     + [["crossings", "--g", "0.1", "--l", "2", "--curve-a", spec, "--curve-b", "pole:2",
         "--t", "1:20:39"] for spec in ("pole:abc", "pole:0", "pole:", "bogus", "exponential:2")],
     ids=["crossings-decreasing-t", "mixing-decreasing-t", "mixing-malformed-t",
-         "mixing-zero-coupling", "evolve-fig3-l1", "evolve-direct-beyond-t-max",
-         "evolve-all-snapshot-beyond-t-max", "crossings-direct-beyond-t-max", "mixing-rotate-9",
+         "mixing-zero-coupling", "evolve-fig3-l1", "mixing-rotate-9",
          "mixing-contamination-9", "mixing-rotate-0", "mixing-n-1", "mixing-V-contamination-5",
          "evolve-power-short-x", "crossings-power-short-x", "evolve-asymptotic-t0",
          "evolve-exponential-x-below-0", "evolve-exponential-x-beyond-pi",
@@ -528,18 +538,8 @@ def test_outputs_staged_then_manifest_written_last(tmp_path, monkeypatch):
     assert sorted(os.path.basename(p) for p in staged) == ["poles.csv", "poles.json"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["evolve", "--g", "0.2", "--method", "direct", "--t", "40:60:2"],
-        ["crossings", "--g", "0.2", "--curve-a", "direct", "--curve-b", "power",
-         "--t", "40:60:3"],
-        # every route's domain is checked first: asymptotic refuses t = 0
-        ["evolve", "--g", "0.2", "--method", "all", "--t", "0:50:101"],
-    ],
-    ids=["evolve", "crossings", "evolve-all-t0"],
-)
-def test_direct_cap_refuses_before_any_quadrature(tmp_path, monkeypatch, argv):
+def record_direct_panels(monkeypatch) -> list:
+    """The panel index of every panel_cell_edges call the direct route makes."""
     panels = []
     cell_edges = evolution.panel_cell_edges
 
@@ -548,9 +548,49 @@ def test_direct_cap_refuses_before_any_quadrature(tmp_path, monkeypatch, argv):
         return cell_edges(j, *rest)
 
     monkeypatch.setattr(evolution, "panel_cell_edges", recorder)
+    return panels
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # every route's domain is checked first: asymptotic refuses t = 0
+        ["evolve", "--g", "0.2", "--method", "all", "--t", "0:50:101"],
+    ],
+    ids=["evolve-all-t0"],
+)
+def test_direct_cap_refuses_before_any_quadrature(tmp_path, monkeypatch, argv):
+    panels = record_direct_panels(monkeypatch)
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert panels == []  # refused before any direct panel is integrated
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (["evolve", "--g", "0.2", "--method", "direct", "--t", "40:60:2"],
+         ["evolve_direct_norm.csv"]),
+        (["evolve", "--g", "0.2", "--method", "all", "--t", "60"],
+         [f"evolve_field_{m}.csv" for m in ("direct", "exponential", "power", "asymptotic")]),
+        # direct and power first cross at t = 99.34, next to the exact
+        # exponential/power crossover 99.07
+        (["crossings", "--g", "0.2", "--curve-a", "direct", "--curve-b", "power",
+          "--t", "40:120:5"], ["crossings.json"]),
+    ],
+    ids=["evolve-direct", "evolve-all-snapshot", "crossings-direct"],
+)
+def test_direct_past_t50_exits_0_certified(tmp_path, monkeypatch, argv, outputs):
+    # the direct route has no time cap: runs past t = 50 integrate its panels
+    # and certify every value at --tol (a miss would exit 3)
+    panels = record_direct_panels(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert panels
+    for name in outputs:
+        assert (tmp_path / name).stat().st_size > 0
+    if argv[0] == "crossings":
+        found = json.loads((tmp_path / "crossings.json").read_text())["crossings"]
+        assert found[0]["t"] == pytest.approx(99.34, abs=0.01)
 
 
 @pytest.mark.parametrize("flag", [["--l", "0"], ["--n-max", "0"], ["--l", "-1"]])

@@ -16,6 +16,7 @@ from winterdyn import (
     asymptotic_field,
     cavity_norm,
     direct_field,
+    evolution,
     exponential_field,
     pole_table,
     power_field,
@@ -28,10 +29,12 @@ from winterdyn.evolution import (
     _cavity_norms,
     _direct_values,
     _exponential_values,
+    _filon_sums,
     _power_values,
     _sin_ratio,
 )
 from winterdyn.quadrature import (
+    baseline_subpanels,
     gl_nodes_weights,
     panel_cell_edges,
     ray_cell_edges,
@@ -108,9 +111,12 @@ def test_psi_direct_initial_condition():
     assert abs(v2 - SQ) < 1e-6
 
 
-def test_direct_caps_time():
-    with pytest.raises(DomainError):
-        direct_field(1, [1.0], 51.0, 0.2)
+@pytest.mark.parametrize("t", [51.0, 1e3, 1e5])
+def test_direct_certified_past_t50(t):
+    # the node set does not depend on t, so no time is out of reach
+    fld = direct_field(1, [1.0], t, 0.2)
+    assert fld.meta["error_estimate"] <= 1e-6
+    assert fld.meta["panels"] == truncation_panels(1, t, 1e-6)
 
 
 def test_direct_reports_accuracy_failure():
@@ -147,15 +153,23 @@ def test_direct_t0_estimate_covers_true_error(l, g):
             assert abs(fld.values[0] - exact) <= fld.meta["error_estimate"] <= tol
 
 
+def chirp_cell_edges(j, g, t):
+    """The cells of panel [j, j+1] refined to ~1.5 cells per cycle of exp(-i k^2 t)."""
+    cycles = (2 * j + 1) * t / (2.0 * math.pi)
+    ns = max(baseline_subpanels(j, g), math.ceil(1.5 * cycles))
+    return np.union1d(np.linspace(j, j + 1, ns + 1), panel_cell_edges(j, g))
+
+
 def direct_field_dense(l, x, t, g, n_panels):
-    """Reference form: every node of every panel in one nodes x points array,
-    scattered into panel sums with np.add.at; complex-lstsq tail fit at t = 0.
+    """Reference form: GL-15 in k on chirp-resolving cells, every node of every
+    panel in one nodes x points array, scattered into panel sums with
+    np.add.at; complex-lstsq tail fit at t = 0.
 
     Returns (values, error estimate, node count).
     """
     nodes, wts, panel_of = [], [], []
     for j in range(n_panels):
-        nd, w = gl_nodes_weights(panel_cell_edges(j, g, t))
+        nd, w = gl_nodes_weights(chirp_cell_edges(j, g, t))
         nodes.append(nd)
         wts.append(w)
         panel_of.append(np.full(len(nd), j, dtype=np.intp))
@@ -191,8 +205,10 @@ def direct_field_dense(l, x, t, g, n_panels):
 @pytest.mark.parametrize("l", [1, 2])
 @pytest.mark.parametrize("g", [0.1, 0.2])
 def test_direct_field_matches_dense_reference(l, g):
-    # streamed panels and the real tail fit give the dense route's values,
-    # estimates, verdicts, panel and node counts
+    # t = 0: the streamed panels and the real tail fit give the dense route's
+    # values, estimates, verdicts, panel and node counts.  t > 0: Filon in
+    # u = k^2 on the t-free node set agrees with GL in k on chirp cells at the
+    # same truncation, with far fewer nodes
     x = np.linspace(0.0, math.pi, 33)
     tol = 1e-6
     for t in (0.0, 0.5, 5.0, 50.0):
@@ -204,12 +220,38 @@ def test_direct_field_matches_dense_reference(l, g):
         n_panels = 1000 if t == 0 else truncation_panels(l, t, tol)
         assert fld.meta["panels"] == n_panels
         values, estimate, n_nodes = direct_field_dense(l, x, t, g, n_panels)
-        np.testing.assert_allclose(
-            fld.values, values, rtol=0, atol=1e-13 * np.max(np.abs(values))
-        )
-        assert fld.meta["error_estimate"] == pytest.approx(estimate, rel=1e-9)
-        assert failed == (estimate > tol)
-        assert fld.meta["nodes"] == n_nodes
+        if t == 0:
+            np.testing.assert_allclose(
+                fld.values, values, rtol=0, atol=1e-13 * np.max(np.abs(values))
+            )
+            assert fld.meta["error_estimate"] == pytest.approx(estimate, rel=1e-9)
+            assert failed == (estimate > tol)
+            assert fld.meta["nodes"] == n_nodes
+        else:
+            np.testing.assert_allclose(fld.values, values, rtol=0, atol=1e-9)
+            assert not failed and estimate <= tol
+            assert fld.meta["nodes"] < n_nodes
+
+
+@pytest.mark.parametrize("chunk", [evolution.DIRECT_CHUNK, 2], ids=["one-block", "3-cell-blocks"])
+def test_filon_sums_match_gl_in_k(monkeypatch, chunk):
+    # Filon in u = k^2 against GL-15 in k on cells of at most ~1 radian of
+    # chirp, on one cell and on the cells of panels 1..5 (52 cells: with
+    # 3-cell blocks the last block holds one cell)
+    monkeypatch.setattr(evolution, "DIRECT_CHUNK", chunk)
+    x = np.linspace(0.0, math.pi, 5)
+    l, g = 2, 0.2
+    for k_edges in (np.array([3.0, 3.25]),
+                    np.unique(np.concatenate([panel_cell_edges(j, g) for j in range(1, 6)]))):
+        for t in (0.5, 50.0, 1e3):
+            cells = [np.linspace(a, b, max(64, math.ceil((b * b - a * a) * t)) + 1)[:-1]
+                     for a, b in zip(k_edges[:-1], k_edges[1:])]
+            nodes, wts = gl_nodes_weights(np.append(np.concatenate(cells), k_edges[-1]))
+            kern = ((-1) ** l * l * _sin_ratio(nodes, l)
+                    / (4.0 * ab_product(nodes.astype(complex), g)))
+            ref = (kern * np.exp(-1j * nodes**2 * t) * wts) @ np.sin(np.outer(nodes, x))
+            got = _filon_sums(l, x, np.array([t, 2 * t]), g, k_edges**2)[:, 0]
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 def test_direct_field_memory_is_bounded():
@@ -222,6 +264,27 @@ def test_direct_field_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize(
+    "l, g, t",
+    [(1, 0.2, 99.07), (2, 0.1, 280.26), (1, 0.2, 164.0), (1, 0.2, 1000.0),
+     (1, 0.1, 326.0), (1, 0.05, 1283.0), (1, 0.025, 5550.0)],
+)
+def test_decomposition_identity_past_t50(l, g, t):
+    # at the exact exponential/power crossovers (99.07, 280.26 and the l = 1
+    # g-scan's 326, 1283, 5550) and at 164 and 1000: direct = exponential +
+    # power within tol, and each point's direct estimate covers its gap
+    x = np.linspace(0.0, math.pi, 65)
+    tol = 1e-6
+    values, estimates, _ = _direct_values(l, x, [t], g, tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = pole_table(g, 24, tol=1e-12)
+    gap = np.abs(values[:, 0] - exponential_field(l, x, t, g, table).values
+                 - power_field(l, x, t, g, 1e-10).values)
+    assert np.all(estimates <= tol)
+    assert np.all(gap <= estimates[:, 0])
 
 
 def test_decomposition_identity_pointwise(table02):

@@ -3,7 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from winterdyn.quadrature import ray_band, ray_cell_edges, refine_edges, tail_mode_fit
+from numpy.polynomial import legendre
+from scipy.special import spherical_jn
+
+from winterdyn.quadrature import (
+    GL_NODES,
+    GL_WEIGHTS,
+    filon_moments,
+    ray_band,
+    ray_cell_edges,
+    refine_edges,
+    spherical_bessel_j,
+    tail_mode_fit,
+)
+
+MOMENT_OMEGAS = [0.0, 1e-8, 1e-3, 0.5, 14.9, 15.0, 15.1, 100.0, 1e4, 1e7]
 
 
 def refine_edges_per_cell(edges, factor):
@@ -90,3 +104,64 @@ def test_ray_cells_shared_by_band_and_cover_cutoff(t):
     assert np.array_equal(edges, ray_cell_edges(ray_band(t), math.pi))
     assert ray_band(t) <= t < 4.0 * ray_band(t)
     assert edges[-1] ** 2 * t >= 36.0
+
+
+def lagrange_basis(m):
+    """The GL-15 Lagrange polynomial l_m, interpolated in the Legendre basis."""
+    return legendre.Legendre.fit(GL_NODES, np.eye(len(GL_NODES))[m], len(GL_NODES) - 1,
+                                 domain=[-1, 1], window=[-1, 1])
+
+
+def moments_oversampled_gl(omega):
+    """Reference form: composite GL-30 on 2^p dyadic cells, a cell or more per radian.
+
+    The cell midpoints are dyadic, so omega * midpoint is exact for the
+    omegas tested and the phase e^{-i omega s} carries no rounding of size
+    eps * omega.
+    """
+    cells = 2 ** max(2, math.ceil(math.log2(max(omega, 1.0))))
+    mid = -1.0 + (2 * np.arange(cells) + 1.0) / cells
+    nodes, weights = legendre.leggauss(30)
+    s = mid[:, None] + nodes / cells
+    phase = np.exp(-1j * omega * mid)[:, None] * np.exp(-1j * omega * nodes / cells)
+    return np.array([np.sum(lagrange_basis(m)(s) * phase * weights) / cells
+                     for m in range(len(GL_NODES))])
+
+
+def moments_by_parts(omega):
+    """Reference form for large omega: integration by parts, exact for a polynomial.
+
+    int p e^{-i w s} ds = -sum_k [p^(k)(s) e^{-i w s}]_{-1}^{1} / (i w)^(k+1).
+    """
+    out = []
+    for m in range(len(GL_NODES)):
+        p, total = lagrange_basis(m), 0j
+        for k in range(len(GL_NODES)):
+            jump = p(1.0) * np.exp(-1j * omega) - p(-1.0) * np.exp(1j * omega)
+            total -= jump / (1j * omega) ** (k + 1)
+            p = p.deriv()
+        out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("omega", MOMENT_OMEGAS)
+def test_filon_moments_match_reference(omega):
+    # the closed form sum_n (2n+1)(-i)^n P_n(s_m) j_n(omega) w_m against an
+    # oversampled GL rule (integration by parts at 1e7, where GL would need
+    # ~1e8 nodes), relative to the largest moment
+    phi = filon_moments(omega)
+    ref = moments_by_parts(omega) if omega > 1e4 else moments_oversampled_gl(omega)
+    assert np.max(np.abs(phi - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_filon_moments_at_zero_are_gl_weights():
+    assert np.array_equal(filon_moments(0.0), GL_WEIGHTS.astype(complex))
+    assert filon_moments(np.zeros((2, 3))).shape == (2, 3, len(GL_NODES))
+
+
+def test_spherical_bessel_matches_scipy_across_regimes():
+    # series below 1, Miller's recurrence up to 15, upward recurrence beyond
+    w = np.concatenate([MOMENT_OMEGAS, np.linspace(0.9, 16.0, 711), [3.3e6]])
+    ref = np.stack([spherical_jn(n, w) for n in range(len(GL_NODES))], axis=-1)
+    err = np.abs(spherical_bessel_j(w) - ref)
+    assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=-1, keepdims=True))
