@@ -539,13 +539,13 @@ def test_outputs_staged_then_manifest_written_last(tmp_path, monkeypatch):
 
 
 def record_direct_panels(monkeypatch) -> list:
-    """The panel index of every panel_cell_edges call the direct route makes."""
+    """The arguments (j, g) of every panel_cell_edges call the direct route makes."""
     panels = []
     cell_edges = evolution.panel_cell_edges
 
-    def recorder(j, *rest):
-        panels.append(j)
-        return cell_edges(j, *rest)
+    def recorder(*args):
+        panels.append(args)
+        return cell_edges(*args)
 
     monkeypatch.setattr(evolution, "panel_cell_edges", recorder)
     return panels
@@ -591,6 +591,28 @@ def test_direct_past_t50_exits_0_certified(tmp_path, monkeypatch, argv, outputs)
     if argv[0] == "crossings":
         found = json.loads((tmp_path / "crossings.json").read_text())["crossings"]
         assert found[0]["t"] == pytest.approx(99.34, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--g", "0.2", "--method", "direct", "--t", "40:60:2"],
+        ["crossings", "--g", "0.2", "--curve-a", "direct", "--curve-b", "power",
+         "--t", "40:120:5"],
+    ],
+    ids=["evolve", "crossings"],
+)
+def test_direct_past_t50_integrates_t_free_cells(tmp_path, monkeypatch, argv):
+    # past the old cap every direct call builds panels 0..J-1 once, from the
+    # t = 0 cells panel_cell_edges(j, g): no per-time panels, no chirp cells
+    panels = record_direct_panels(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert panels and all(g == 0.2 for _, g in panels)
+    js = [j for j, _ in panels]
+    assert js[0] == 0
+    assert all(b == 0 or b == a + 1 for a, b in zip(js, js[1:]))
+    if argv[0] == "evolve":
+        assert js.count(0) == 1  # t = 40 and t = 60 share one node set
 
 
 @pytest.mark.parametrize("flag", [["--l", "0"], ["--n-max", "0"], ["--l", "-1"]])
