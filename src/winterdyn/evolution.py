@@ -59,10 +59,9 @@ SPECTRAL_PREFACTOR = (2.0 / math.pi) ** 1.5
 # form; 1e-4 keeps the cancellation error below 1e-10 with four terms.
 RING_WINDOW = 1e-4
 
-# Nodes per block of the direct route's real matrix products at t = 0; at
-# t > 0 the sin(k x) and weight arrays of a block hold at most
-# DIRECT_CHUNK x 128 doubles.  Either way memory does not grow with the
-# tolerance.
+# At t > 0 the sin(k x) and weight arrays of one block of the direct route's
+# real matrix products hold at most DIRECT_CHUNK x 128 doubles, so memory
+# does not grow with the tolerance.
 DIRECT_CHUNK = 4096
 
 # Panel 0 in u = k^2 also gets the cell edges k = 2^-1 ... 2^-40, graded
@@ -79,8 +78,8 @@ def _inputs(route: str, l: int, x, t, g: float):
     """x and t as 1-d float arrays, checked against the domain of a route.
 
     Every route needs a positive integer l, positions in the cavity [0, pi]
-    and times t >= 0; direct and power need g > 0, direct needs
-    t <= T_MAX_DIRECT and asymptotic t > 0.  Raises DomainError.
+    and times t >= 0; direct and power need g > 0 and asymptotic t > 0.
+    Raises DomainError.
     """
     if l < 1 or int(l) != l:
         raise DomainError("initial mode index l must be a positive integer")
@@ -276,46 +275,52 @@ def _spectral_kernel(l: int, k: np.ndarray, g: float) -> np.ndarray:
     return (-1) ** l * l * _sin_ratio(k, l) / (4.0 * ab_product(k.astype(complex), g))
 
 
+def _panel_edges(g: float, n_panels: int, *extra) -> np.ndarray:
+    """Sorted cell edges in k of panels 0..n_panels-1 and of any extra edge arrays."""
+    return np.unique(np.concatenate([*extra, *(panel_cell_edges(j, g) for j in range(n_panels))]))
+
+
 def _direct_t0(l: int, x, g: float):
     """psi^(l)(x, 0) by GL-15 panels in k, extrapolated with the tail model.
 
-    Returns the values, their estimates and the panel and node counts.
+    The kernel is evaluated once on all nodes, and each panel sum is one real
+    product [Re w; Im w] @ sin(k x) over its slice of them.  Returns the
+    values, their estimates and the panel and node counts.
     """
     # points just inside the barrier carry a slow tail mode of frequency
     # pi - x; the fit window must see it rotate a few turns, and the shorter
     # verification window too
     near_pi = np.any((x > math.pi - 0.15) & (x < math.pi - 1e-12))
     n_panels = 1000 if near_pi else 220
+    edges = _panel_edges(g, n_panels)
+    nodes, wts = gl_nodes_weights(edges)
+    kern = _spectral_kernel(l, nodes, g) * wts
+    ends = len(GL_NODES) * np.searchsorted(edges, np.arange(n_panels + 1.0))
     panels = np.empty((n_panels, len(x)), dtype=complex)
-    n_nodes = 0
-    for j in range(n_panels):
-        nodes, wts = gl_nodes_weights(panel_cell_edges(j, g))
-        kern = _spectral_kernel(l, nodes, g) * wts
-        kern_ri = np.stack([kern.real, kern.imag])
-        acc = np.zeros((2, len(x)))
-        for lo in range(0, len(nodes), DIRECT_CHUNK):
-            block = slice(lo, lo + DIRECT_CHUNK)
-            acc += kern_ri[:, block] @ np.sin(np.multiply.outer(nodes[block], x))
-        panels[j] = acc[0] + 1j * acc[1]
-        n_nodes += len(nodes)
+    for j, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+        w = kern[lo:hi]
+        s = np.stack([w.real, w.imag]) @ np.sin(np.multiply.outer(nodes[lo:hi], x))
+        panels[j] = s[0] + 1j * s[1]
     partial = np.cumsum(panels, axis=0)
     j_lo = TAIL_FIT_START
     n_short = j_lo + int(0.7 * (n_panels - j_lo))
     values = np.empty(len(x), dtype=complex)
-    estimates = np.empty(len(x))
+    # rounding floor: each of the n_panels additions can lose eps of the
+    # largest partial sum, which the fits alone miss at x = pi (value 0)
+    estimates = 3.0 * n_panels * np.finfo(float).eps * np.abs(partial).max(axis=0)
     for i, xi in enumerate(x):
         v, rms = tail_mode_fit(partial[:, i], xi, j_lo)
         # a second fit on a shorter window exposes extrapolation bias the
         # in-window residual cannot see (slow modes near x = pi)
         v_short, _ = tail_mode_fit(partial[:n_short, i], xi, j_lo)
         values[i] = v
-        estimates[i] = 3.0 * rms + abs(v - v_short) + 1e-14
+        estimates[i] += 3.0 * rms + abs(v - v_short)
     # a slow mode cos((pi - x) j) that turns less than once across the shorter
     # window fools both fits: such a point gets no certificate
     # (pi - x < 2 pi/672 = 9.35e-3 at 1000 panels)
     blind = (x < math.pi - 1e-12) & ((math.pi - x) * (n_short - j_lo) < 2.0 * math.pi)
     estimates[blind] = math.inf
-    return values, estimates, (n_panels, n_nodes)
+    return values, estimates, (n_panels, len(nodes))
 
 
 def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray) -> np.ndarray:
@@ -354,9 +359,7 @@ def _direct_filon(l: int, x, t, g: float, tol: float):
     estimates and the panel and node counts (nodes of both levels).
     """
     n_panels = truncation_panels(l, float(t.min()), tol)
-    k_edges = np.unique(np.concatenate(
-        [ORIGIN_GRADING, *(panel_cell_edges(j, g) for j in range(n_panels))]))
-    coarse = k_edges**2
+    coarse = _panel_edges(g, n_panels, ORIGIN_GRADING) ** 2
     fine = refine_edges(coarse, 2)
     # the halved cells split at the edges (J - 5)^2 .. J^2 of the last five panels
     cuts = np.searchsorted(fine, np.arange(n_panels - 5.0, n_panels + 1.0) ** 2)
@@ -424,10 +427,20 @@ def mixing_weight(l: int, k, g: float):
     return g * 2.0 * l * k * root / ((l**2 - k**2) * (1.0 + (1.0 - 2j * math.pi * k) * g))
 
 
-def _pole_weights(l: int, table: PoleTable) -> np.ndarray:
-    ks = table.k_values
-    signs = np.array([(-1) ** (l + p.n) for p in table.poles])
-    return signs * mixing_weight(l, ks, table.g)
+def _pole_weights(l, table: PoleTable) -> np.ndarray:
+    """Signed residue weights of every pole; a column of l gives one row per l."""
+    signs = (-1) ** (l + np.array([p.n for p in table.poles]))
+    return signs * mixing_weight(l, table.k_values, table.g)
+
+
+def _pole_sum(x, ks, coeff, t) -> np.ndarray:
+    """sqrt(2/pi) sum_n coeff_n sin(k_n x) e^{-i k_n^2 t} as a points x times array.
+
+    sin(k x) is formed once; every t follows from one product with the
+    poles x times matrix of weighted phases.
+    """
+    phases = coeff[:, None] * np.exp(np.multiply.outer(-1j * ks**2, t))
+    return SQRT_2_OVER_PI * (np.sin(np.outer(x, ks)) @ phases)
 
 
 def exponential_tail_estimate(l: int, t, table: PoleTable):
@@ -447,16 +460,13 @@ def exponential_tail_estimate(l: int, t, table: PoleTable):
 def _exponential_values(l: int, x, t, g: float, table: PoleTable):
     """Residue sum at every (x, t), and the tail estimate of each t.
 
-    sin(k x) is formed once; every t follows from one product with the
-    poles x times matrix of weighted phases.  Returns the points x times
-    values and the per-t tails, and warns once when some t is 0.
+    Returns the points x times values and the per-t tails, and warns once
+    when some t is 0.
     """
     x, t = _inputs("exponential", l, x, t, g)
     if abs(table.g - g) > 1e-15:
         raise ValueError(f"pole table was built at g={table.g}, not g={g}")
-    ks = table.k_values
-    weights = _pole_weights(l, table)[:, None] * np.exp(np.multiply.outer(-1j * ks**2, t))
-    values = SQRT_2_OVER_PI * (np.sin(np.outer(x, ks)) @ weights)
+    values = _pole_sum(x, table.k_values, _pole_weights(l, table), t)
     if np.any(t == 0):
         warnings.warn(
             "exponential part alone does not reproduce the t=0 state: the "
@@ -546,37 +556,28 @@ def _power_values(l: int, x, t, g: float, tol: float):
     t is a time or an array of times.  Returns points x times arrays of the
     values and of each (x, t)'s error estimate |cur - prev| + tail.  The
     times t > 0 of one band 4^b <= t < 4^(b+1) share one cell set, so a band
-    is one _ray_sums call per ladder level; at t = 0 the cutoff scales with
-    1/(pi - x), so each point gets its own cells.  Every (x, t) climbs the
-    cell ladder base -> x2 -> x4 -> x8 and leaves it at the first level whose
-    estimate meets tol; the next level evaluates only the points and times
-    that still hold an (x, t) above tol, and updates only those.  An (x, t)
-    that ends above tol (such as the marginal point (pi, 0)) keeps its last
-    value.
+    is one _ray_sums call per ladder level; t = 0 is one more band, on the
+    cells of the point nearest the barrier, whose cutoff (scaling with
+    1/(pi - x)) is the farthest.  Every (x, t) climbs the cell ladder
+    base -> x2 -> x4 -> x8 and leaves it at the first level whose estimate
+    meets tol; the next level evaluates only the points and times that still
+    hold an (x, t) above tol, and updates only those.  An (x, t) that ends
+    above tol (such as the marginal point (pi, 0)) keeps its last value.
     """
     x, t = _inputs("power", l, x, t, g)
-
-    # (points, times, cells): every point with each band of t > 0, and at
-    # t = 0 each point with its own cells
-    bands: dict[float, list[int]] = {}
-    for j in np.flatnonzero(t > 0):
-        bands.setdefault(ray_band(t[j]), []).append(j)
-    every_x = np.arange(len(x))
-    groups = [(every_x, np.array(js), ray_cell_edges(b, math.pi)) for b, js in bands.items()]
-    zeros = np.flatnonzero(t == 0)
-    if zeros.size:
-        groups += [(np.array([i]), zeros, ray_cell_edges(0.0, xi)) for i, xi in enumerate(x)]
-
+    bands = np.array([ray_band(tj) if tj > 0 else 0.0 for tj in t])
     values = np.empty((len(x), len(t)), dtype=complex)
     estimates = np.empty((len(x), len(t)))
-    for rows, cols, edges in groups:
-        values[np.ix_(rows, cols)], _ = _ray_sums(l, x[rows], t[cols], g, edges)
-        active = np.ones((len(rows), len(cols)), dtype=bool)
+    for band in np.unique(bands):
+        cols = np.flatnonzero(bands == band)
+        edges = ray_cell_edges(band, x.max(initial=0.0))
+        values[:, cols], _ = _ray_sums(l, x, t[cols], g, edges)
+        active = np.ones((len(x), len(cols)), dtype=bool)
         for factor in (2, 4, 8):
             r, c = active.any(axis=1), active.any(axis=0)
-            block = np.ix_(rows[r], cols[c])
+            block = np.ix_(r, cols[c])
             live = active[np.ix_(r, c)]
-            cur, tails = _ray_sums(l, x[rows[r]], t[cols[c]], g, refine_edges(edges, factor))
+            cur, tails = _ray_sums(l, x[r], t[cols[c]], g, refine_edges(edges, factor))
             est = np.abs(cur - values[block]) + tails
             values[block] = np.where(live, cur, values[block])
             estimates[block] = np.where(live, est, estimates[block])

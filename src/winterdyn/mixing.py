@@ -10,6 +10,8 @@ U = V Z, which to low orders in g is built from two fixed infinite matrices:
 
 U(g) = Id + g A + g^2 (A^2/2 - A/2 + i pi A H) + O(g^3); applying U^(-1) to
 the initial mode vector yields states that evolve purely exponentially.
+One table (_expansion) holds the g^0, g^1 and g^2 coefficients of V, Z, U
+and the Neumann series of U^(-1), and every perturbative matrix reads it.
 Everything here acts on the truncated index space n = 1..N.
 """
 
@@ -21,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IllConditionedError
-from .evolution import SQRT_2_OVER_PI, TimeSeries, _cavity_norms, _csv_text, _pole_weights
+from .evolution import (SQRT_2_OVER_PI, TimeSeries, _cavity_norms, _csv_text, _pole_sum,
+                        _pole_weights)
 from .poles import PoleTable
 
 MATRIX_LABELS = (
@@ -139,43 +142,51 @@ def mixing_V_exact(g: float, table: PoleTable) -> IndexMatrix:
     degenerate = np.any(np.abs(ls[:, None] ** 2 - table.k_values**2) < 1e-14, axis=1)
     if degenerate.any():
         raise DomainError(f"degenerate l^2 = k^2 for l={int(ls[degenerate][0])}")
-    return IndexMatrix(N, np.array([_pole_weights(l, table) for l in range(1, N + 1)]), "V_exact")
+    return IndexMatrix(N, _pole_weights(ls[:, None], table), "V_exact")
+
+
+def _expansion(name: str, N: int, a2: np.ndarray | None = None) -> tuple:
+    """Coefficient matrices of g^0, g^1 and g^2 in the expansion of V, Z, U or Uinv.
+
+    U = V Z and "Uinv" is its Neumann series Id - g U_1 + g^2 (U_1^2 - U_2),
+    with the closed-form A^2 standing in for U_1^2 = A^2 unless a2 is given.
+    Only the series asked for is built.
+    """
+    _indices(N)
+    h = np.arange(1.0, N + 1.0)
+    eye = np.eye(N, dtype=complex)
+    if name == "Z":
+        return eye, 0.5 * eye, -0.125 * eye + 1.5j * math.pi * np.diag(h)
+    a = matrix_A(N).entries
+    a2 = matrix_A_squared_closed(N).entries if a2 is None else a2
+    ah = a * h[None, :]
+    if name == "V":
+        v2 = 0.5 * a2 - a + 0.375 * np.eye(N) + 1j * math.pi * ah - 1.5j * math.pi * np.diag(h)
+        return eye, a.astype(complex) - 0.5 * np.eye(N), v2.astype(complex)
+    if name == "U":
+        return eye, a, 0.5 * a2 - 0.5 * a + 1j * math.pi * ah
+    return eye, -a, 0.5 * a2 + 0.5 * a - 1j * math.pi * ah  # "Uinv"
+
+
+def _truncated(name: str, g: float, N: int, order: int, a2: np.ndarray | None = None):
+    """The expansion of U or Uinv summed through g^order (1 or 2)."""
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    c0, c1, c2 = _expansion(name, N, a2)
+    ent = c0 + g * c1
+    if order == 2:
+        ent += g * g * c2
+    return ent
 
 
 def V_order(order: int, N: int) -> IndexMatrix:
-    """Coefficient matrices of the g-expansion of V."""
-    if order == 0:
-        _indices(N)
-        return IndexMatrix(N, np.eye(N, dtype=complex), "V_order_0")
-    if order == 1:
-        ent = matrix_A(N).entries.astype(complex) - 0.5 * np.eye(N)
-        return IndexMatrix(N, ent, "V_order_1")
-    if order == 2:
-        a = matrix_A(N).entries
-        a2 = matrix_A_squared_closed(N).entries
-        ah = matrix_AH(N).entries
-        h = np.arange(1.0, N + 1.0)
-        ent = (
-            0.5 * a2
-            - a
-            + 0.375 * np.eye(N)
-            + 1j * math.pi * ah
-            - 1.5j * math.pi * np.diag(h)
-        ).astype(complex)
-        return IndexMatrix(N, ent, "V_order_2")
-    raise ValueError("order must be 0, 1 or 2")
+    """Coefficient matrix of g^order (0, 1 or 2) in the expansion of V."""
+    return IndexMatrix(N, _expansion("V", N)[order], f"V_order_{order}")
 
 
 def Z_order(order: int, N: int) -> IndexMatrix:
-    """Renormalization coefficient matrices (diagonal by construction)."""
-    _indices(N)
-    if order == 1:
-        return IndexMatrix(N, 0.5 * np.eye(N, dtype=complex), "Z_order_1")
-    if order == 2:
-        h = np.arange(1.0, N + 1.0)
-        ent = -0.125 * np.eye(N, dtype=complex) + 1.5j * math.pi * np.diag(h)
-        return IndexMatrix(N, ent, "Z_order_2")
-    raise ValueError("order must be 1 or 2")
+    """Renormalization coefficient matrix of g^order (1 or 2); diagonal by construction."""
+    return IndexMatrix(N, _expansion("Z", N)[order], f"Z_order_{order}")
 
 
 def Z_exact(n: int, g: float, table: PoleTable) -> complex:
@@ -198,43 +209,24 @@ def Z_exact(n: int, g: float, table: PoleTable) -> complex:
     return complex(math.sqrt((sinh_term - sin_term) / math.pi))
 
 
-def _u_entries(g: float, N: int, order: int) -> np.ndarray:
-    a = matrix_A(N).entries
-    ent = np.eye(N, dtype=complex) + g * a
-    if order == 2:
-        a2 = matrix_A_squared_closed(N).entries
-        ah = matrix_AH(N).entries
-        ent += g * g * (0.5 * a2 - 0.5 * a + 1j * math.pi * ah)
-    elif order != 1:
-        raise ValueError("order must be 1 or 2")
-    return ent
-
-
 def U_truncated(g: float, N: int, order: int = 2) -> IndexMatrix:
-    """Renormalized mixing matrix through the requested order in g."""
-    return IndexMatrix(N, _u_entries(g, N, order), "U", meta={"g": g, "order": order})
+    """Renormalized mixing matrix U = V Z through the requested order in g."""
+    return IndexMatrix(N, _truncated("U", g, N, order), "U", meta={"g": g, "order": order})
 
 
 def U_inverse(g: float, N: int, order: int = 2, mode: str = "numeric") -> IndexMatrix:
     """Inverse of the truncated U, by Neumann series or dense solve.
 
-    Series mode: Id - g A at order 1; adds g^2 (A^2/2 + A/2 - i pi A H) at
-    order 2.  Numeric mode inverts U_truncated exactly within the truncation
+    Series mode sums the Neumann series of the expansion table through the
+    order.  Numeric mode inverts U_truncated exactly within the truncation
     and records the residual ||U U^(-1) - Id||_inf; it refuses condition
     estimates above 1e8.
     """
     if mode == "series":
-        a = matrix_A(N).entries
-        ent = np.eye(N, dtype=complex) - g * a
-        if order == 2:
-            a2 = matrix_A_squared_closed(N).entries
-            ah = matrix_AH(N).entries
-            ent += g * g * (0.5 * a2 + 0.5 * a - 1j * math.pi * ah)
-        elif order != 1:
-            raise ValueError("order must be 1 or 2")
-        return IndexMatrix(N, ent, "U_inverse", meta={"g": g, "order": order, "mode": mode})
+        return IndexMatrix(N, _truncated("Uinv", g, N, order), "U_inverse",
+                           meta={"g": g, "order": order, "mode": mode})
     if mode == "numeric":
-        u = _u_entries(g, N, order)
+        u = _truncated("U", g, N, order)
         # an overflowed U has no condition number (LAPACK refuses inf and nan)
         cond = float(np.linalg.cond(u)) if np.all(np.isfinite(u)) else math.inf
         if not cond <= COND_LIMIT:
@@ -310,17 +302,14 @@ def exponentiation_gap(g: float, N: int, subtract_ah: bool = True) -> float:
     SIAM Rev. 45, 3 (2003), the method for normal matrices).
     """
     a = matrix_A(N).entries
-    ah = matrix_AH(N).entries
-    u2 = np.eye(N, dtype=complex) + g * a + g * g * (
-        0.5 * (a @ a) - 0.5 * a + 1j * math.pi * ah
-    )
+    u2 = _truncated("U", g, N, 2, a2=a @ a)
     # |M| is below the g^2 A_N^2 / 2 term of U, so a finite U has a finite M
     if not np.all(np.isfinite(u2)):
         raise DomainError(f"U at N={N}, g={g} is beyond floating-point range")
     w, v = np.linalg.eigh(1j * (g * (1.0 - 0.5 * g) * a))
     gap = u2 - (v * np.exp(-1j * w)) @ v.conj().T
     if subtract_ah:
-        gap = gap - 1j * math.pi * g * g * ah
+        gap = gap - 1j * math.pi * g * g * matrix_AH(N).entries
     return float(np.abs(gap).sum(axis=1).max())
 
 
@@ -361,8 +350,6 @@ def diagonal_evolution_check(
     coeff = (inv @ v)[l - 1].copy()
     coeff[l - 1] -= 1.0 / Z_exact(l, g, table)
 
-    ks = table.k_values
     x = np.linspace(0.0, math.pi, CONTAMINATION_POINTS)
-    phases = coeff[:, None] * np.exp(np.multiply.outer(-1j * ks**2, t_arr))
-    delta = SQRT_2_OVER_PI * (np.sin(np.outer(x, ks)) @ phases)
+    delta = _pole_sum(x, table.k_values, coeff, t_arr)
     return TimeSeries(t_grid=t_arr, norms=_cavity_norms(x, delta))

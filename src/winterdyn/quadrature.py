@@ -27,10 +27,10 @@ H e^{-i u_c t} filon_moments(H t)[m], so the node set does not depend on t.
 The panel sum is truncated where the panel integrals, decaying like
 1/(t j^3), drop below the tolerance.
 
-The caller (evolution._direct_values) builds the cells from panel_cell_edges
-and sums them as real matrix products over blocks of nodes, so no nodes x
-points array over all panels is ever formed and memory does not grow with the
-tolerance.
+The caller (evolution._direct_values) builds one node set from the
+panel_cell_edges of every panel.  At t = 0 it sums each panel as one real
+matrix product over that panel's nodes; at t > 0 over blocks of nodes, so no
+nodes x points array over all panels is ever formed.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from winterdyn import (
     pole_table,
 )
 from winterdyn.evolution import SQRT_2_OVER_PI
-from winterdyn.mixing import CONTAMINATION_POINTS, _indices
+from winterdyn.mixing import CONTAMINATION_POINTS, _expansion, _indices
 
 PI = math.pi
 
@@ -157,6 +157,25 @@ def test_Z_orders():
     z2 = Z_order(2, 4)
     assert z2[2, 2] == pytest.approx(-0.125 + 3j * PI)
     assert np.count_nonzero(z2.entries - np.diag(np.diag(z2.entries))) == 0
+
+
+@pytest.mark.parametrize("N", [4, 64])
+def test_expansion_table_is_U_equals_VZ(N):
+    # coefficient by coefficient: U = V Z through g^2, and "Uinv" is the
+    # Neumann series I - g U_1 + g^2 (U_1^2 - U_2) with the closed-form A^2
+    # standing in for U_1^2
+    v, z, u, uinv = (_expansion(name, N) for name in ("V", "Z", "U", "Uinv"))
+    a2 = matrix_A_squared_closed(N).entries
+    expected = [
+        (u[0], v[0] @ z[0]),
+        (u[1], v[1] + z[1]),
+        (u[2], v[2] + v[1] @ z[1] + z[2]),
+        (uinv[0], np.eye(N)),
+        (uinv[1], -u[1]),
+        (uinv[2], a2 - u[2]),
+    ]
+    for got, want in expected:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 @pytest.fixture(scope="module")
