@@ -48,7 +48,6 @@ from .mixing import (
     mixing_V_exact,
 )
 from .poles import (
-    Pole,
     PoleTable,
     freq_pert,
     pole_table,
@@ -63,7 +62,6 @@ __all__ = [
     "IllConditionedError",
     "IndexMatrix",
     "OctantViolationError",
-    "Pole",
     "PoleConvergenceError",
     "PoleTable",
     "RotatedState",

@@ -41,7 +41,6 @@ import numpy as np
 from . import __version__
 from .errors import FOREIGN_EXIT_CODES, CrossingNotFoundError, DomainError, WinterError, exit_code
 from .evolution import (
-    ROUTE_PART,
     TimeSeries,
     WaveField,
     _asymptotic_values,
@@ -186,19 +185,18 @@ def publish(args) -> int:
 def cmd_poles(args):
     table = pole_table(args.g, args.n_max, args.tol)
     yield "poles.json", table.to_json() + "\n"
-    ns = [p.n for p in table.poles]
     yield "poles.csv", _csv_text(
         "n,re_k,im_k,omega,gamma,residual,omega_pert1,omega_pert2,gamma_pert2,gamma_pert3",
-        ns,
+        table.n,
         table.k_values.real,
         table.k_values.imag,
-        [p.omega for p in table.poles],
-        [p.gamma for p in table.poles],
-        [p.residual for p in table.poles],
-        [freq_pert(n, args.g, 1) for n in ns],
-        [freq_pert(n, args.g, 2) for n in ns],
-        [width_pert(n, args.g, 2) for n in ns],
-        [width_pert(n, args.g, 3) for n in ns],
+        table.omega,
+        table.gamma,
+        table.residual,
+        freq_pert(table.n, args.g, 1),
+        freq_pert(table.n, args.g, 2),
+        width_pert(table.n, args.g, 2),
+        width_pert(table.n, args.g, 3),
     )
 
 
@@ -277,7 +275,7 @@ def cmd_evolve(args):
     if args.parts is None and len(t_grid) == 1:
         readers = _route_readers(methods, args, x, t_grid, pole_tol, norm=False)
         for m, read in zip(methods, readers):
-            fld = WaveField(x, float(t_grid[0]), read(t_grid)[:, 0], ROUTE_PART[m])
+            fld = WaveField(x, float(t_grid[0]), read(t_grid)[:, 0])
             yield f"evolve_field_{m}.csv", fld.to_csv()
         return
 

@@ -159,12 +159,6 @@ def _csv_text(header: str, *columns) -> str:
     return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
-# The WaveField part of each route's field.
-ROUTE_PART = {"direct": "total", "exponential": "exponential", "power": "power",
-              "asymptotic": "asymptotic"}
-WAVE_PARTS = tuple(ROUTE_PART.values())
-
-
 @dataclass(frozen=True)
 class WaveField:
     """Complex amplitudes of one state on an x-grid at a single time."""
@@ -172,12 +166,9 @@ class WaveField:
     x_grid: np.ndarray
     t: float
     values: np.ndarray
-    part: str
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.part not in WAVE_PARTS:
-            raise ValueError(f"part must be one of {WAVE_PARTS}")
         x = np.asarray(self.x_grid, dtype=float)
         if np.any(np.diff(x) <= 0):
             raise ValueError("x_grid must be strictly increasing")
@@ -201,8 +192,7 @@ def _certified_field(route: str, l: int, x, t, g: float, tol: float, values, est
     fld = None
     if np.all(np.isfinite(values)):
         worst = float(estimates.max(initial=0.0))
-        fld = WaveField(x, float(t[0]), values[:, 0], ROUTE_PART[route],
-                        {"error_estimate": worst, **meta})
+        fld = WaveField(x, float(t[0]), values[:, 0], {"error_estimate": worst, **meta})
     _certify(route, l, x, t, g, tol, estimates, fld)
     return fld
 
@@ -289,8 +279,9 @@ def _direct_t0(l: int, x, g: float):
     """
     # points just inside the barrier carry a slow tail mode of frequency
     # pi - x; the fit window must see it rotate a few turns, and the shorter
-    # verification window too
-    near_pi = np.any((x > math.pi - 0.15) & (x < math.pi - 1e-12))
+    # verification window too; x = pi itself counts, since at 220 panels its
+    # estimate falls short of its error (l = 1, 2, 3 at g = 0.025)
+    near_pi = np.any(x > math.pi - 0.15)
     n_panels = 1000 if near_pi else 220
     edges = _panel_edges(g, n_panels)
     nodes, wts = gl_nodes_weights(edges)
@@ -429,7 +420,7 @@ def mixing_weight(l: int, k, g: float):
 
 def _pole_weights(l, table: PoleTable) -> np.ndarray:
     """Signed residue weights of every pole; a column of l gives one row per l."""
-    signs = (-1) ** (l + np.array([p.n for p in table.poles]))
+    signs = (-1) ** (l + table.n)
     return signs * mixing_weight(l, table.k_values, table.g)
 
 
@@ -449,11 +440,10 @@ def exponential_tail_estimate(l: int, t, table: PoleTable):
     The weights fall off like 1/n, so |V_(l,N+1)| ~ |V_(l,N)| N/(N+1); the
     width of the next pole is extrapolated with the n^3 law.
     """
-    last = table.poles[-1]
-    n = last.n
+    n = len(table)
     v_last = abs(complex(_pole_weights(l, table)[-1]))
-    gamma_next = last.gamma * ((n + 1) / n) ** 3
-    sin_growth = math.cosh(abs(last.k.imag) * math.pi)
+    gamma_next = table.gamma[-1] * ((n + 1) / n) ** 3
+    sin_growth = math.cosh(abs(table[n].imag) * math.pi)
     return v_last * (n / (n + 1)) * sin_growth * np.exp(-0.5 * gamma_next * np.asarray(t))
 
 
@@ -487,7 +477,7 @@ def exponential_field(l: int, x_grid, t: float, g: float, table: PoleTable,
     values, tails = _exponential_values(l, x, ts, g, table)
     if tol is not None:
         _certify("exponential", l, x, ts, g, tol, tails[None, :], None)
-    return WaveField(x, float(t), values[:, 0], "exponential",
+    return WaveField(x, float(t), values[:, 0],
                      {"tail_estimate": float(tails[0]), "n_poles": len(table)})
 
 
@@ -631,7 +621,7 @@ def _asymptotic_values(l: int, x, t, g: float):
 def asymptotic_field(l: int, x_grid, t: float, g: float) -> WaveField:
     """Two-term large-time form of the power part on a grid."""
     x, ts = _inputs("asymptotic", l, x_grid, t, g)
-    return WaveField(x, float(t), _asymptotic_values(l, x, ts, g)[:, 0], "asymptotic")
+    return WaveField(x, float(t), _asymptotic_values(l, x, ts, g)[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ def Z_exact(n: int, g: float, table: PoleTable) -> complex:
     """
     if abs(table.g - g) > 1e-15:
         raise ValueError(f"pole table was built at g={table.g}, not g={g}")
-    k = table[n].k
+    k = table[n]
     alpha, beta = k.real, k.imag
     y = 2.0 * beta * math.pi
     if abs(y) < 1e-8:

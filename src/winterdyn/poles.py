@@ -14,6 +14,9 @@ is the Lambert-W closed form k_n = (1 - g W_{-n}(e^{1/g}/g)) / (2 pi i g)
 forms e^{1/g}, so it holds down to g -> 0, and since 1 - 2 pi i g k lies in
 the lower half-plane the principal log puts Re k in (n - 1/2, n): n alone
 fixes the branch, with no continuation in g.
+
+`pole_table(g, N)` solves n = 1..N at once and keeps them as arrays indexed
+by n - 1, the format every consumer reads: `table[n]` is the complex k^(n).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +35,12 @@ DEFAULT_TOL = 1e-12
 MAX_NEWTON_STEPS = 50
 
 
-def width_pert(n: int, g: float, order: int = 2) -> float:
-    """Perturbative decay width: 4 pi n^3 g^2 at order 2, times (1 - 4g) at order 3."""
-    if n < 1:
+def width_pert(n: int | np.ndarray, g: float, order: int = 2):
+    """Perturbative decay width: 4 pi n^3 g^2 at order 2, times (1 - 4g) at order 3.
+
+    n is an int or an int array; an array gives the width of every entry.
+    """
+    if np.min(n) < 1:
         raise DomainError("mode index n must be >= 1")
     if order == 2:
         return 4.0 * math.pi * n**3 * g**2
@@ -43,49 +49,18 @@ def width_pert(n: int, g: float, order: int = 2) -> float:
     raise ValueError(f"order must be 2 or 3, got {order}")
 
 
-def freq_pert(n: int, g: float, order: int = 1) -> float:
-    """Perturbative frequency: n^2 (1 - 2g) at order 1, n^2 (1 - 2g + 3g^2) at order 2."""
-    if n < 1:
+def freq_pert(n: int | np.ndarray, g: float, order: int = 1):
+    """Perturbative frequency: n^2 (1 - 2g) at order 1, n^2 (1 - 2g + 3g^2) at order 2.
+
+    n is an int or an int array; an array gives the frequency of every entry.
+    """
+    if np.min(n) < 1:
         raise DomainError("mode index n must be >= 1")
     if order == 1:
         return n**2 * (1.0 - 2.0 * g)
     if order == 2:
         return n**2 * (1.0 - 2.0 * g + 3.0 * g**2)
     raise ValueError(f"order must be 1 or 2, got {order}")
-
-
-@dataclass(frozen=True)
-class Pole:
-    """One resonance pole with its derived spectral data."""
-
-    n: int
-    k: complex
-    energy: complex
-    omega: float
-    gamma: float
-    residual: float
-
-    def __post_init__(self):
-        if not (self.k.imag < 0 and self.k.real > abs(self.k.imag)):
-            raise OctantViolationError(
-                f"pole n={self.n} at k={self.k} violates Im k < 0 < |Im k| < Re k",
-                n=self.n,
-            )
-
-
-def _make_poles(ns, ks: np.ndarray, g: float) -> tuple[Pole, ...]:
-    residuals = np.abs(coef_b(ks, g))
-    return tuple(
-        Pole(
-            n=int(n),
-            k=complex(k),
-            energy=complex(k * k),
-            omega=float(k.real**2 - k.imag**2),
-            gamma=float(-4.0 * k.real * k.imag),
-            residual=float(r),
-        )
-        for n, k, r in zip(ns, ks, residuals)
-    )
 
 
 def _solve(ns: np.ndarray, g: float, tol: float) -> np.ndarray:
@@ -145,69 +120,68 @@ def _solve(ns: np.ndarray, g: float, tol: float) -> np.ndarray:
     return k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoleTable:
-    """All poles n = 1..N at a fixed coupling, with solver diagnostics."""
+    """The poles n = 1..N at one coupling as arrays indexed by n - 1.
+
+    k_values holds k^(n) and residual holds |b(k^(n))|; n, omega and gamma
+    follow from k_values.  warnings names every n whose resonance picture is
+    marginal.
+    """
 
     g: float
     tol: float
-    poles: tuple[Pole, ...]
-    warnings: tuple[str, ...] = field(default=())
+    k_values: np.ndarray
+    residual: np.ndarray
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        re = [p.k.real for p in self.poles]
-        if any(b <= a for a, b in zip(re, re[1:])):
+        k = self.k_values
+        outside = ~((k.imag < 0) & (k.real > np.abs(k.imag)))
+        if outside.any():
+            n = int(np.argmax(outside)) + 1
+            raise OctantViolationError(
+                f"pole n={n} at k={self[n]} violates Im k < 0 < |Im k| < Re k", n=n
+            )
+        if np.any(np.diff(k.real) <= 0):
             raise PoleConvergenceError("Re k^(n) not strictly increasing in n")
-        ns = [p.n for p in self.poles]
-        if ns != sorted(set(ns)):
-            raise ValueError("pole indices must be strictly increasing")
 
     def __len__(self):
-        return len(self.poles)
+        return len(self.k_values)
 
-    def __getitem__(self, n: int) -> Pole:
-        """Pole by physical index n (1-based)."""
-        p = self.poles[n - 1]
-        if p.n != n:
-            raise KeyError(f"table does not hold contiguous indices; wanted n={n}")
-        return p
+    def __getitem__(self, n: int) -> complex:
+        """The pole k^(n) by physical index n = 1..N."""
+        if not 1 <= n <= len(self):
+            raise IndexError(f"pole index n={n} outside 1..{len(self)}")
+        return complex(self.k_values[n - 1])
 
     @property
-    def k_values(self) -> np.ndarray:
-        return np.array([p.k for p in self.poles])
+    def n(self) -> np.ndarray:
+        """Pole indices 1..N."""
+        return np.arange(1, len(self) + 1)
+
+    @property
+    def omega(self) -> np.ndarray:
+        """Resonance frequency (Re k)^2 - (Im k)^2 of every pole."""
+        return self.k_values.real**2 - self.k_values.imag**2
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """Decay width -4 Re k Im k of every pole."""
+        return -4.0 * self.k_values.real * self.k_values.imag
 
     def to_json(self) -> str:
+        keys = ("n", "re_k", "im_k", "omega", "gamma", "residual")
+        columns = (self.n, self.k_values.real, self.k_values.imag, self.omega, self.gamma,
+                   self.residual)
         return json.dumps(
             {
                 "g": self.g,
                 "tol": self.tol,
                 "warnings": list(self.warnings),
-                "poles": [
-                    {
-                        "n": p.n,
-                        "re_k": p.k.real,
-                        "im_k": p.k.imag,
-                        "omega": p.omega,
-                        "gamma": p.gamma,
-                        "residual": p.residual,
-                    }
-                    for p in self.poles
-                ],
+                "poles": [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))],
             },
             indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PoleTable":
-        """Read a table; unknown fields, such as those older files carry, are ignored."""
-        obj = json.loads(text)
-        rows = obj["poles"]
-        ks = np.array([complex(row["re_k"], row["im_k"]) for row in rows])
-        return cls(
-            g=obj["g"],
-            tol=obj["tol"],
-            poles=_make_poles([row["n"] for row in rows], ks, obj["g"]),
-            warnings=tuple(obj.get("warnings", ())),
         )
 
 
@@ -221,18 +195,17 @@ def pole_table(g: float, N: int, tol: float = DEFAULT_TOL) -> PoleTable:
     if N < 1:
         raise DomainError("table size N must be >= 1")
     ns = np.arange(1, N + 1)
-    poles = _make_poles(ns, _solve(ns, g, tol), g)
+    ks = _solve(ns, g, tol)
 
-    warn_rows = []
-    for p in poles:
-        w2 = width_pert(p.n, g, order=2)
-        f1 = freq_pert(p.n, g, order=1)
-        if w2 > 0.1 * abs(f1):
-            warn_rows.append(
-                f"n={p.n}: perturbative width {w2:.3g} exceeds 0.1*omega {0.1*abs(f1):.3g}; "
-                "resonance picture marginal"
-            )
-    table = PoleTable(g=g, tol=tol, poles=poles, warnings=tuple(warn_rows))
+    w2 = width_pert(ns, g, order=2)
+    bound = 0.1 * abs(freq_pert(ns, g, order=1))
+    marginal = w2 > bound
+    warn_rows = tuple(
+        f"n={n}: perturbative width {w:.3g} exceeds 0.1*omega {b:.3g}; "
+        "resonance picture marginal"
+        for n, w, b in zip(ns[marginal].tolist(), w2[marginal].tolist(), bound[marginal].tolist())
+    )
+    table = PoleTable(g, tol, ks, np.abs(coef_b(ks, g)), warn_rows)
     if warn_rows:
         first = warn_rows[0].split(":")[0]
         warnings.warn(

@@ -405,6 +405,31 @@ def test_artifact_bytes_pinned(tmp_path):
     assert (tmp_path / "mixing_rotated_l1.csv").read_text() == "n,re,im\n1,1.0,0.0\n2,0.0,0.0\n"
 
 
+def test_pole_artifact_bytes_pinned(tmp_path):
+    with pytest.warns(UserWarning, match="2 of 2 poles"):
+        assert main(["poles", "--g", "0.2", "--n-max", "2", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "poles.json").read_text() == (
+        '{\n  "g": 0.2,\n  "tol": 1e-12,\n  "warnings": [\n'
+        '    "n=1: perturbative width 0.503 exceeds 0.1*omega 0.06; resonance picture marginal",\n'
+        '    "n=2: perturbative width 4.02 exceeds 0.1*omega 0.24; resonance picture marginal"\n'
+        '  ],\n  "poles": [\n'
+        '    {\n      "n": 1,\n      "re_k": 0.8627413005714853,\n'
+        '      "im_k": -0.05665891602548523,\n      "omega": 0.741112318946595,\n'
+        '      "gamma": 0.1955279476031908,\n      "residual": 1.465052919388339e-16\n    },\n'
+        '    {\n      "n": 2,\n      "re_k": 1.8054317931391886,\n'
+        '      "im_k": -0.1402407635633841,\n      "omega": 3.2399164879129447,\n'
+        '      "gamma": 1.0127805329257982,\n      "residual": 2.454329063158811e-16\n    }\n'
+        "  ]\n}\n"
+    )
+    assert (tmp_path / "poles.csv").read_text() == (
+        "n,re_k,im_k,omega,gamma,residual,omega_pert1,omega_pert2,gamma_pert2,gamma_pert3\n"
+        "1,0.8627413005714853,-0.05665891602548523,0.741112318946595,0.1955279476031908,"
+        "1.465052919388339e-16,0.6,0.72,0.5026548245743669,0.10053096491487337\n"
+        "2,1.8054317931391886,-0.1402407635633841,3.2399164879129447,1.0127805329257982,"
+        "2.454329063158811e-16,2.4,2.88,4.0212385965949355,0.804247719318987\n"
+    )
+
+
 X33 = f"0:{math.pi!r}:33"
 
 

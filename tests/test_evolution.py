@@ -55,7 +55,7 @@ def integrand_p(l: int, k: complex, x: float, g: float) -> complex:
 
 def pole_wavefunction(n: int, x, t: float, table):
     """Diagonally evolving pole state sqrt(2/pi) sin(k^(n) x) e^{-i eps^(n) t}."""
-    k = table[n].k
+    k = table[n]
     val = SQ * np.sin(k * np.asarray(x, dtype=complex)) * cmath.exp(-1j * k * k * t)
     return complex(val) if np.ndim(x) == 0 else val
 
@@ -153,11 +153,15 @@ def test_direct_t0_estimate_covers_true_error(l, g):
             assert abs(fld.values[0] - exact) <= fld.meta["error_estimate"] <= tol
 
 
-@pytest.mark.parametrize("l, g", [(1, 0.4), (2, 0.4), (1, 0.05), (3, 0.2)])
+@pytest.mark.parametrize(
+    "l, g", [(1, 0.4), (2, 0.4), (1, 0.05), (3, 0.2), (1, 0.025), (2, 0.025), (3, 0.025)]
+)
 def test_direct_t0_estimate_covers_rounding_at_barrier(l, g):
     # at x = pi the value is 0 and the tail model is Richardson in 1/j: what
     # is left is rounding in the panel sums, which the estimate's floor
-    # (scaled with the largest partial sum) must cover
+    # (scaled with the largest partial sum) must cover.  At g = 0.025 the
+    # extrapolation error dominates, and a lone x = pi is covered only by
+    # the 1000-panel fit, with a margin of about 6 %
     fld = direct_field(l, [math.pi], 0.0, g, 1e-6)
     assert abs(fld.values[0]) <= fld.meta["error_estimate"]
 
@@ -311,7 +315,7 @@ def test_decomposition_identity_pointwise(table02):
 
 def test_time_factor_unity_at_zero(table02):
     # E^(n)(0) = 1: pole wavefunction at t=0 is just the sine profile
-    k = table02[1].k
+    k = table02[1]
     v = pole_wavefunction(1, 0.7, 0.0, table02)
     assert abs(v - SQ * np.sin(k * 0.7)) < 1e-15
 
@@ -327,7 +331,7 @@ def test_pole_wavefunction_grows_toward_barrier(table02):
     # Im k < 0 tilts |sin(kx)| upward from the wall to the barrier
     xs = np.linspace(0.3, math.pi, 12)
     mags = np.abs(pole_wavefunction(1, xs, 2.0, table02))
-    envelope = mags / np.abs(np.sin(table02[1].k.real * xs))
+    envelope = mags / np.abs(np.sin(table02[1].real * xs))
     assert np.all(np.diff(envelope) > 0)
 
 
@@ -339,7 +343,7 @@ def test_exponential_decay_rate(table02):
         cavity_norm(exponential_field(1, x, t, 0.2, table02)) for t in ts
     ]
     slope = np.polyfit(ts, np.log(norms), 1)[0]
-    assert abs(-slope - table02[1].gamma) / table02[1].gamma < 0.03
+    assert abs(-slope - table02.gamma[0]) / table02.gamma[0] < 0.03
 
 
 def test_l2_dominated_by_first_pole(table01):
@@ -354,7 +358,7 @@ def test_l2_dominated_by_first_pole(table01):
 
     x = np.linspace(0, math.pi, 129)
     full = exponential_field(2, x, 50.0, 0.1, table01).values
-    k1 = table01[1].k
+    k1 = table01[1]
     first = w[0] * SQ * np.sin(k1 * x) * np.exp(-1j * k1 * k1 * 50.0)
     # residue: the n=2 term still carries e^{-Gamma_2 t/2} ~ 5e-6 at t=50
     assert np.max(np.abs(full - first)) / np.max(np.abs(full)) < 1e-3
@@ -507,7 +511,7 @@ def test_power_field_marginal_point_raises_with_field():
         power_field(1, x, 0.0, 0.2, tol=1e-8)
     best = exc.value.best
     assert isinstance(best, WaveField)
-    assert best.part == "power" and len(best.values) == len(x)
+    assert len(best.values) == len(x)
     assert best.meta["error_estimate"] == exc.value.estimate > 1e-8
     # the interior points still converged; only x = pi misses the tolerance
     np.testing.assert_allclose(
@@ -563,7 +567,7 @@ def test_cavity_norms_of_columns_equal_cavity_norm():
         values = rng.normal(size=(n, 7)) + 1j * rng.normal(size=(n, 7))
         norms = _cavity_norms(x, values)
         for j in range(7):
-            fld = WaveField(x_grid=x, t=float(j), values=values[:, j], part="power")
+            fld = WaveField(x_grid=x, t=float(j), values=values[:, j])
             assert norms[j] == cavity_norm(fld)
 
 
@@ -578,7 +582,7 @@ def test_cavity_norms_equal_scipy_simpson(n):
         values = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
         ref = simpson(np.abs(np.ascontiguousarray(values.T)) ** 2, x=x, axis=-1)
         assert np.array_equal(_cavity_norms(x, values), ref)
-        fld = WaveField(x_grid=x, t=0.0, values=values[:, 0], part="total")
+        fld = WaveField(x_grid=x, t=0.0, values=values[:, 0])
         assert cavity_norm(fld) == float(simpson(np.abs(values[:, 0]) ** 2, x=x))
 
 
@@ -610,17 +614,17 @@ def test_cavity_norm_initial_unity():
 
 def test_cavity_norm_zero_field():
     x = np.linspace(0, math.pi, 65)
-    fld = WaveField(x_grid=x, t=0.0, values=np.zeros(65, dtype=complex), part="total")
+    fld = WaveField(x_grid=x, t=0.0, values=np.zeros(65, dtype=complex))
     assert cavity_norm(fld) == 0.0
 
 
 def test_cavity_norm_grid_guards():
     x = np.linspace(0, math.pi, 21)
-    fld = WaveField(x_grid=x, t=0.0, values=np.zeros(21, dtype=complex), part="total")
+    fld = WaveField(x_grid=x, t=0.0, values=np.zeros(21, dtype=complex))
     with pytest.raises(DomainError):
         cavity_norm(fld)
     x2 = np.linspace(0, 3.0, 65)
-    fld2 = WaveField(x_grid=x2, t=0.0, values=np.zeros(65, dtype=complex), part="total")
+    fld2 = WaveField(x_grid=x2, t=0.0, values=np.zeros(65, dtype=complex))
     with pytest.raises(DomainError):
         cavity_norm(fld2)
 
@@ -631,14 +635,6 @@ def test_wavefield_validation():
             x_grid=np.array([0.0, 0.0, 1.0]),
             t=0.0,
             values=np.zeros(3, dtype=complex),
-            part="total",
-        )
-    with pytest.raises(ValueError):
-        WaveField(
-            x_grid=np.array([0.0, 1.0]),
-            t=0.0,
-            values=np.zeros(2, dtype=complex),
-            part="bogus",
         )
 
 
@@ -654,7 +650,6 @@ def test_wavefield_csv_shape():
         x_grid=np.array([0.0, 1.0]),
         t=0.0,
         values=np.array([0j, 1 + 2j]),
-        part="power",
     )
     lines = fld.to_csv().strip().split("\n")
     assert lines[0] == "x_or_t,re,im"
@@ -667,7 +662,7 @@ def test_csv_matches_per_entry_loop():
     x = np.array([0.0, 1e-8, 0.1, 1.0 / 3.0, math.pi, 123456.789])
     vals = (rng.normal(size=6) + 1j * rng.normal(size=6)) * 10.0 ** rng.integers(-300, 300, 6)
     vals[1] = complex(-0.0, -0.0)
-    fld = WaveField(x_grid=x, t=1.0, values=vals, part="total")
+    fld = WaveField(x_grid=x, t=1.0, values=vals)
     lines = ["x_or_t,re,im"]
     for xi, v in zip(fld.x_grid, fld.values):
         v = complex(v)
@@ -703,7 +698,7 @@ def test_non_finite_values_are_domain_errors():
     x = np.linspace(0.0, math.pi, 33)
     values = np.full(33, np.nan, dtype=complex)
     with pytest.raises(DomainError):
-        WaveField(x_grid=x, t=0.0, values=values, part="total")
+        WaveField(x_grid=x, t=0.0, values=values)
     with pytest.raises(DomainError):
         TimeSeries(np.array([0.0, 1.0]), np.array([1.0, np.inf]))
     with pytest.raises(DomainError):

@@ -396,7 +396,7 @@ def test_diagonal_evolution_contamination_grows_relatively():
     t = pole_table(g, 10, tol=1e-13)
     series = diagonal_evolution_check(2, g, t, [1.0, 40.0], order=1, mode="series")
     # signal xi^(2) decays like Gamma_2; the pole-1 leak decays like Gamma_1
-    signal = np.exp(-t[2].gamma * np.array([1.0, 40.0]))
+    signal = np.exp(-t.gamma[1] * np.array([1.0, 40.0]))
     rel = np.sqrt(series.norms) / signal
     assert rel[1] > 10 * rel[0]
 

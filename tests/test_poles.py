@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 import warnings
 
@@ -8,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winterdyn import DomainError, Pole, PoleTable, coef_a, freq_pert, pole_table, width_pert
+from winterdyn import (
+    DomainError,
+    OctantViolationError,
+    PoleConvergenceError,
+    PoleTable,
+    coef_a,
+    freq_pert,
+    pole_table,
+    width_pert,
+)
 
 
 def pole_seed(n: int, g: float) -> complex:
@@ -21,27 +29,25 @@ def pole_seed(n: int, g: float) -> complex:
     )
 
 
-def find_pole(n: int, g: float, tol: float = 1e-12) -> Pole:
+def find_pole(n: int, g: float, tol: float = 1e-12) -> complex:
     """The pole k^(n)(g), as the last pole of a table of n."""
     return pole_table(g, n, tol)[n]
 
 
-def conjugate_zero_residual(pole: Pole, g: float) -> float:
+def conjugate_zero_residual(k: complex, g: float) -> float:
     """|a(conj k, g)|: the mirrored zero of a must match the pole of b."""
-    return abs(complex(coef_a(pole.k.conjugate(), g)))
+    return abs(complex(coef_a(k.conjugate(), g)))
 
 
-def sqrt_relation_residual(pole: Pole, g: float) -> float:
+def sqrt_relation_residual(n: int, k: complex, g: float) -> float:
     """|exp(i pi k) - (-1)^n sqrt(1 - 2 pi i g k)| with the principal branch."""
-    k = pole.k
     lhs = cmath.exp(1j * math.pi * k)
-    rhs = (-1) ** pole.n * cmath.sqrt(1.0 - 2j * math.pi * g * k)
+    rhs = (-1) ** n * cmath.sqrt(1.0 - 2j * math.pi * g * k)
     return abs(lhs - rhs)
 
 
-def exact_relation_residual(pole: Pole, g: float) -> float:
+def exact_relation_residual(k: complex, g: float) -> float:
     """|exp(2 pi i k) - 1 + 2 pi i g k|, zero for any true zero of b."""
-    k = pole.k
     return abs(cmath.exp(2j * math.pi * k) - 1.0 + 2j * math.pi * g * k)
 
 
@@ -74,36 +80,49 @@ def test_freq_pert_values():
     assert freq_pert(1, 0.05, 1) == pytest.approx(0.9)
 
 
+def test_pert_arrays_match_scalars():
+    # an int array gives, bit for bit, the scalar value of every entry
+    n = np.arange(1, 30)
+    for g in (0.013, 0.2):
+        for order in (2, 3):
+            assert width_pert(n, g, order).tolist() == [width_pert(int(m), g, order) for m in n]
+        for order in (1, 2):
+            assert freq_pert(n, g, order).tolist() == [freq_pert(int(m), g, order) for m in n]
+    with pytest.raises(DomainError):
+        width_pert(np.arange(0, 3), 0.1)
+
+
 def test_find_pole_free_limit():
     for g in (1e-4, 1e-5):
-        k = find_pole(1, g).k
+        k = find_pole(1, g)
         assert abs(k - 1.0) < 3 * g
     # below, the root falls between representable doubles; loosen tol
-    k = find_pole(1, 1e-7, tol=1e-8).k
+    k = find_pole(1, 1e-7, tol=1e-8)
     assert abs(k - 1.0) < 3e-7
 
 
 def test_find_pole_residual_and_octant():
-    p = find_pole(1, 0.1, tol=1e-12)
-    assert p.residual < 1e-12
-    assert p.k.imag < 0 and p.k.real > abs(p.k.imag)
-    assert abs(p.k - pole_seed(1, 0.1)) < 0.01  # O(g^4) away (coefficient ~ 60)
+    table = pole_table(0.1, 1, tol=1e-12)
+    k = table[1]
+    assert table.residual[0] < 1e-12
+    assert k.imag < 0 and k.real > abs(k.imag)
+    assert abs(k - pole_seed(1, 0.1)) < 0.01  # O(g^4) away (coefficient ~ 60)
 
 
 def test_exact_relation_at_pole():
-    p = find_pole(3, 0.1, tol=1e-12)
-    assert exact_relation_residual(p, 0.1) < 1e-10
+    k = find_pole(3, 0.1, tol=1e-12)
+    assert exact_relation_residual(k, 0.1) < 1e-10
 
 
 def test_sqrt_relation_and_conjugate_zero():
     for (n, g) in [(1, 0.1), (2, 0.2), (4, 0.05)]:
-        p = find_pole(n, g, tol=1e-12)
-        assert sqrt_relation_residual(p, g) < 1e-11
-        assert conjugate_zero_residual(p, g) < 1e-11
+        k = find_pole(n, g, tol=1e-12)
+        assert sqrt_relation_residual(n, k, g) < 1e-11
+        assert conjugate_zero_residual(k, g) < 1e-11
 
 
 def test_seed_gap_scales_as_g4():
-    gaps = [abs(find_pole(1, g).k - pole_seed(1, g)) for g in (0.04, 0.02, 0.01)]
+    gaps = [abs(find_pole(1, g) - pole_seed(1, g)) for g in (0.04, 0.02, 0.01)]
     r1, r2 = gaps[0] / gaps[1], gaps[1] / gaps[2]
     assert 12.0 < r1 < 20.0
     assert 12.0 < r2 < 20.0
@@ -115,9 +134,9 @@ def test_width_freq_extraction_matches_pert_orders():
     om_gap = []
     ga_gap = []
     for g in (0.04, 0.02):
-        p = find_pole(n, g)
-        om_gap.append(abs(p.omega - freq_pert(n, g, 1)))
-        ga_gap.append(abs(p.gamma - width_pert(n, g, 2)))
+        table = pole_table(g, n)
+        om_gap.append(abs(table.omega[-1] - freq_pert(n, g, 1)))
+        ga_gap.append(abs(table.gamma[-1] - width_pert(n, g, 2)))
     assert 3.0 < om_gap[0] / om_gap[1] < 5.0
     assert 6.0 < ga_gap[0] / ga_gap[1] < 10.0
 
@@ -135,25 +154,25 @@ def test_invalid_inputs():
 
 def test_pole_table_monotone_and_residuals():
     t = pole_table(0.1, 5, tol=1e-12)
-    re = [p.k.real for p in t.poles]
+    re = t.k_values.real
     assert all(b > a for a, b in zip(re, re[1:]))
-    assert all(p.residual < 1e-12 for p in t.poles)
+    assert np.all(t.residual < 1e-12)
 
 
 def test_pole_table_small_g_first_order():
     t = pole_table(0.01, 10)
     assert not t.warnings  # width bound only bites for n > ~78 at g = 0.01
-    for p in t.poles:
+    for n, k in zip(t.n, t.k_values):
         # third-order term (4 pi^2 n^3/3) g^3 grows past 2e-3 around n = 6
-        gap = abs(p.k.real - p.n * (1 - 0.01))
-        assert gap < 2e-3 if p.n <= 5 else gap / p.k.real < 2e-3
+        gap = abs(k.real - n * (1 - 0.01))
+        assert gap < 2e-3 if n <= 5 else gap / k.real < 2e-3
 
 
 def test_pole_table_octant_at_moderate_g():
     with pytest.warns(UserWarning):
         t = pole_table(0.2, 3)
-    for p in t.poles:
-        assert p.k.imag < 0 and p.k.real > abs(p.k.imag)
+    for k in t.k_values:
+        assert k.imag < 0 and k.real > abs(k.imag)
 
 
 def test_pole_table_deterministic():
@@ -161,26 +180,8 @@ def test_pole_table_deterministic():
         a = pole_table(0.15, 9)
     with pytest.warns(UserWarning):
         b = pole_table(0.15, 9)
-    assert a == b
-
-
-def test_json_round_trip():
-    t = pole_table(0.1, 4)
-    back = PoleTable.from_json(t.to_json())
-    assert back.g == t.g
-    for p, q in zip(t.poles, back.poles):
-        assert abs(p.k - q.k) < 1e-15
-        assert p.omega == pytest.approx(q.omega)
-
-
-def test_json_reads_older_files_with_continuation_steps():
-    with pytest.warns(UserWarning):
-        t = pole_table(0.1, 4)
-    obj = json.loads(t.to_json())
-    assert "continuation_steps" not in obj
-    obj["continuation_steps"] = 1
-    back = PoleTable.from_json(json.dumps(obj))
-    assert back == t
+    assert np.array_equal(a.k_values, b.k_values)
+    assert a.warnings == b.warnings
 
 
 # k^(n)(g) from the Newton continuation in g that preceded the log-branch
@@ -198,8 +199,8 @@ def test_poles_match_continuation_literals(g, n, k_ref):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         table = pole_table(g, 200)
-    assert abs(table[n].k - k_ref) < 1e-13
-    assert abs(find_pole(n, g).k - k_ref) < 1e-13
+    assert abs(table[n] - k_ref) < 1e-13
+    assert abs(find_pole(n, g) - k_ref) < 1e-13
 
 
 @given(
@@ -212,14 +213,14 @@ def test_pole_table_properties(g, N, data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         table = pole_table(g, N)
-    assert [p.n for p in table.poles] == list(range(1, N + 1))
-    for p in table.poles:
-        assert p.residual <= table.tol
-        assert p.k.imag < 0 and p.k.real > abs(p.k.imag)
+    assert list(table.n) == list(range(1, N + 1))
+    for k, r in zip(table.k_values, table.residual):
+        assert r <= table.tol
+        assert k.imag < 0 and k.real > abs(k.imag)
     re = np.real(table.k_values)
     assert np.all(np.diff(re) > 0)
     n = data.draw(st.integers(min_value=1, max_value=N))
-    assert find_pole(n, g).k == table[n].k
+    assert find_pole(n, g) == table[n]
 
 
 @pytest.mark.parametrize("g", [1e-5, 1e-7])
@@ -227,7 +228,7 @@ def test_pole_table_tiny_coupling_is_finite(g):
     table = pole_table(g, 200, tol=1e-8)
     ks = table.k_values
     assert np.all(np.isfinite(ks))
-    assert all(p.residual < 1e-8 for p in table.poles)
+    assert np.all(table.residual < 1e-8)
     n = np.arange(1, 201)
     assert np.max(np.abs(ks - n * (1 - g)) / n) < 3 * g
 
@@ -235,12 +236,36 @@ def test_pole_table_tiny_coupling_is_finite(g):
 def test_branch_holds_at_g_half():
     # the log branch fixed by n holds all the way to g = 0.5
     for n in (1, 10):
-        p = find_pole(n, 0.5, tol=1e-12)
-        assert p.residual < 1e-12
-        assert p.k.imag < 0 and p.k.real > abs(p.k.imag)
+        table = pole_table(0.5, n, tol=1e-12)
+        k = table[n]
+        assert table.residual[-1] < 1e-12
+        assert k.imag < 0 and k.real > abs(k.imag)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
 def test_non_positive_tol_is_a_domain_error(tol):
     with pytest.raises(DomainError):
         pole_table(0.2, 3, tol)
+
+
+def test_table_index_is_one_based():
+    table = pole_table(0.1, 3)
+    assert table[1] == complex(table.k_values[0]) and table[3] == complex(table.k_values[2])
+    for n in (0, 4, -1):
+        with pytest.raises(IndexError):
+            table[n]
+
+
+def test_table_rejects_pole_outside_octant():
+    # n = 2 has Re k < |Im k|
+    ks = np.array([0.9 - 0.05j, 1.1 - 1.5j, 2.9 - 0.2j])
+    with pytest.raises(OctantViolationError) as exc:
+        PoleTable(0.1, 1e-12, ks, np.zeros(3))
+    assert exc.value.n == 2
+
+
+def test_table_rejects_non_increasing_re_k():
+    ks = np.array([0.9 - 0.05j, 2.1 - 0.1j, 2.0 - 0.2j])
+    with pytest.raises(PoleConvergenceError) as exc:
+        PoleTable(0.1, 1e-12, ks, np.zeros(3))
+    assert not isinstance(exc.value, OctantViolationError)

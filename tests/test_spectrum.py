@@ -136,7 +136,7 @@ def test_eigenfunction_integer_k_normalization():
 
 
 def test_eigenfunction_near_pole_guard():
-    k = pole_table(0.1, 1)[1].k
+    k = pole_table(0.1, 1)[1]
     with pytest.raises(DomainError):
         eigenfunction(1.0, k, 0.1)
 
