@@ -51,6 +51,7 @@ from .evolution import (
     _exponential_values,
     _inputs,
     _power_values,
+    _reprs,
     resonance_exponential_norm,
     resonance_term_norm,
 )
@@ -187,16 +188,18 @@ def cmd_poles(args):
     yield "poles.json", table.to_json() + "\n"
     yield "poles.csv", _csv_text(
         "n,re_k,im_k,omega,gamma,residual,omega_pert1,omega_pert2,gamma_pert2,gamma_pert3",
-        table.n,
-        table.k_values.real,
-        table.k_values.imag,
-        table.omega,
-        table.gamma,
-        table.residual,
-        freq_pert(table.n, args.g, 1),
-        freq_pert(table.n, args.g, 2),
-        width_pert(table.n, args.g, 2),
-        width_pert(table.n, args.g, 3),
+        *map(_reprs, (
+            table.n,
+            table.k_values.real,
+            table.k_values.imag,
+            table.omega,
+            table.gamma,
+            table.residual,
+            freq_pert(table.n, args.g, 1),
+            freq_pert(table.n, args.g, 2),
+            width_pert(table.n, args.g, 2),
+            width_pert(table.n, args.g, 3),
+        )),
     )
 
 
@@ -334,9 +337,9 @@ def cmd_mixing(args):
             ) + "\n"
             continue
         mat: IndexMatrix = _MATRIX_MAKERS[tok](args, table)
-        yield f"mixing_{tok}.csv", mat.to_csv()
-        if args.format == "json":
-            yield f"mixing_{tok}.json", json.dumps(mat.to_json_block(), indent=2) + "\n"
+        for ext, text in mat.texts(args.format):
+            yield f"mixing_{tok}.{ext}", text
+            del text  # free the CSV before texts builds the JSON
 
     if args.rotate is not None:
         state = counter_rotate(args.rotate, args.g, args.n, args.order, args.mode)

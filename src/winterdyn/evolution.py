@@ -153,10 +153,14 @@ def _sin_ratio(k: np.ndarray, l: int) -> np.ndarray:
 # field containers
 # ---------------------------------------------------------------------------
 
+def _reprs(column) -> list[str]:
+    """The repr of every value of an array, as the CSV and JSON texts write it."""
+    return list(map(repr, np.asarray(column).tolist()))
+
+
 def _csv_text(header: str, *columns) -> str:
-    """CSV text: the header, then one row per entry with every value as repr."""
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+    """CSV text: the header, then one row per entry of the columns of value strings."""
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -177,9 +181,8 @@ class WaveField:
 
     def to_csv(self) -> str:
         values = np.asarray(self.values, dtype=complex)
-        return _csv_text(
-            "x_or_t,re,im", np.asarray(self.x_grid, dtype=float), values.real, values.imag
-        )
+        return _csv_text("x_or_t,re,im", *map(_reprs, (np.asarray(self.x_grid, dtype=float),
+                                                       values.real, values.imag)))
 
 
 def _certified_field(route: str, l: int, x, t, g: float, tol: float, values, estimates,
@@ -212,9 +215,8 @@ class TimeSeries:
             raise DomainError("norms must be finite")
 
     def to_csv(self) -> str:
-        return _csv_text(
-            "t,norm", np.asarray(self.t_grid, dtype=float), np.asarray(self.norms, dtype=float)
-        )
+        return _csv_text("t,norm", _reprs(np.asarray(self.t_grid, dtype=float)),
+                         _reprs(np.asarray(self.norms, dtype=float)))
 
 
 def _cavity_norms(x_grid, values) -> np.ndarray:
@@ -314,7 +316,7 @@ def _direct_t0(l: int, x, g: float):
     return values, estimates, (n_panels, len(nodes))
 
 
-def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray) -> np.ndarray:
+def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Filon sums in u = k^2 of the spectral integrand over cells, points x times.
 
     With u = k^2 the integral over a cell [u_c - H, u_c + H] reads
@@ -324,10 +326,15 @@ def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray) -> np.ndarray:
     block sin(k x) is formed once and every (x, t) follows from one real
     product with the interleaved (re, im) nodes x times weights, so no complex
     nodes x points array is formed.
+
+    Also returns, per t, the sum over the terms of |weight| (1 + u t): each
+    term carries a rounding error of about eps (1 + u t), u t being the phase
+    that e^{-i u t} and the moments Phi_m(H t) are evaluated at.
     """
     centre, half = 0.5 * (u_edges[1:] + u_edges[:-1]), 0.5 * (u_edges[1:] - u_edges[:-1])
     per_block = max(1, DIRECT_CHUNK * 128 // (len(GL_NODES) * max(len(x), 2 * len(t))))
     acc = np.zeros((len(x), 2 * len(t)))
+    floor = np.zeros(len(t))
     for lo in range(0, len(centre), per_block):
         c, h = centre[lo : lo + per_block, None], half[lo : lo + per_block, None]
         k = np.sqrt(c + h * GL_NODES).ravel()
@@ -336,7 +343,9 @@ def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray) -> np.ndarray:
         wts = np.ascontiguousarray(wts.transpose(0, 2, 1)).reshape(len(k), len(t))
         wts *= (_spectral_kernel(l, k, g) / (2.0 * k))[:, None]
         acc += np.sin(np.multiply.outer(x, k)) @ wts.view(np.float64)
-    return acc.view(complex)
+        size = np.abs(wts)
+        floor += size.sum(axis=0) + t * (k * k @ size)
+    return acc.view(complex), floor
 
 
 def _direct_filon(l: int, x, t, g: float, tol: float):
@@ -346,19 +355,21 @@ def _direct_filon(l: int, x, t, g: float, tol: float):
     one node set: the t = 0 cells of panels 0..J-1 in u, panel 0 graded by
     ORIGIN_GRADING.  The rule runs on those cells and on the cells halved;
     the halved sum is returned with the estimate |fine - coarse| plus three
-    times the largest of its last five panel sums.  Returns the values, their
-    estimates and the panel and node counts (nodes of both levels).
+    times the largest of its last five panel sums plus the halved sum's
+    rounding floor (_filon_sums).  Returns the values, their estimates and the
+    panel and node counts (nodes of both levels).
     """
     n_panels = truncation_panels(l, float(t.min()), tol)
     coarse = _panel_edges(g, n_panels, ORIGIN_GRADING) ** 2
     fine = refine_edges(coarse, 2)
     # the halved cells split at the edges (J - 5)^2 .. J^2 of the last five panels
     cuts = np.searchsorted(fine, np.arange(n_panels - 5.0, n_panels + 1.0) ** 2)
-    head = _filon_sums(l, x, t, g, fine[: cuts[0] + 1])
-    last = [_filon_sums(l, x, t, g, fine[a : b + 1]) for a, b in zip(cuts[:-1], cuts[1:])]
+    sums, floors = zip(*(_filon_sums(l, x, t, g, fine[a : b + 1])
+                         for a, b in zip([0, *cuts[:-1]], cuts)))
+    head, last = sums[0], sums[1:]
     values = head + sum(last)
-    estimates = (np.abs(values - _filon_sums(l, x, t, g, coarse))
-                 + 3.0 * np.max(np.abs(last), axis=0))
+    estimates = (np.abs(values - _filon_sums(l, x, t, g, coarse)[0])
+                 + 3.0 * np.max(np.abs(last), axis=0) + np.finfo(float).eps * sum(floors))
     return values, estimates, (n_panels, len(GL_NODES) * (len(coarse) + len(fine) - 2))
 
 

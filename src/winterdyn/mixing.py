@@ -17,14 +17,16 @@ Everything here acts on the truncated index space n = 1..N.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .errors import DomainError, IllConditionedError
 from .evolution import (SQRT_2_OVER_PI, TimeSeries, _cavity_norms, _csv_text, _pole_sum,
-                        _pole_weights)
+                        _pole_weights, _reprs)
 from .poles import PoleTable
 
 MATRIX_LABELS = (
@@ -70,21 +72,32 @@ class IndexMatrix:
         l, n = ln
         return complex(self.entries[l - 1, n - 1])
 
-    def to_csv(self) -> str:
-        idx = np.arange(1, self.dim + 1)
-        ent = np.asarray(self.entries, dtype=complex).ravel()
-        return _csv_text(
-            "row,col,re,im", np.repeat(idx, self.dim), np.tile(idx, self.dim), ent.real, ent.imag
-        )
+    def texts(self, fmt: str):
+        """Yield ("csv", text), then for fmt "json" also ("json", text).
 
-    def to_json_block(self) -> dict:
-        ent = np.asarray(self.entries, dtype=complex)
-        return {
-            "label": self.label,
-            "dim": self.dim,
-            "entries": np.stack([ent.real, ent.imag], -1).tolist(),
-            "meta": {k: v for k, v in self.meta.items() if isinstance(v, (int, float, str))},
-        }
+        Each entry is turned into text once, by repr, and both texts are
+        assembled from those strings.  The JSON is the text of
+        json.dumps(block, indent=2) + "\n" for the block {label, dim, entries,
+        meta}, entries being rows of [re, im] pairs and meta its int, float
+        and str items: the entries are finite, so repr is json's float text,
+        and they are spliced into the dump of the rest row by row (an empty
+        matrix keeps the dump's []).
+        """
+        ent = np.asarray(self.entries, dtype=complex).ravel()
+        re_s, im_s = _reprs(ent.real), _reprs(ent.imag)
+        idx = [str(i) for i in range(1, self.dim + 1)]
+        yield "csv", _csv_text("row,col,re,im", (r for r in idx for _ in idx),
+                               (c for _ in idx for c in idx), re_s, im_s)
+        if fmt != "json":
+            return
+        meta = {k: v for k, v in self.meta.items() if isinstance(v, (int, float, str))}
+        head = json.dumps({"label": self.label, "dim": self.dim, "entries": [], "meta": meta},
+                          indent=2)
+        before, after = head.split('"entries": []', 1)
+        pairs = map("[\n        %s,\n        %s\n      ]".__mod__, zip(re_s, im_s))
+        rows = ("[\n      %s\n    ]" % ",\n      ".join(islice(pairs, self.dim)) for _ in idx)
+        yield "json", "".join([before, '"entries": [\n    ', ",\n    ".join(rows), "\n  ]",
+                               after, "\n"] if idx else [head, "\n"])
 
 
 def _indices(N: int):
@@ -268,7 +281,7 @@ class RotatedState:
 
     def to_csv(self) -> str:
         c = np.asarray(self.coefficients, dtype=complex)
-        return _csv_text("n,re,im", np.arange(1, len(c) + 1), c.real, c.imag)
+        return _csv_text("n,re,im", *map(_reprs, (np.arange(1, len(c) + 1), c.real, c.imag)))
 
 
 def counter_rotate(

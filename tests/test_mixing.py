@@ -315,17 +315,38 @@ def test_rotated_state_csv():
 
 
 def test_csv_and_json_match_per_entry_loops():
-    # reference: the per-entry formatting the shared encoder replaced
-    mats = (matrix_A(5), U_inverse(0.1, 5, 2, "numeric"), IndexMatrix(2, -np.zeros((2, 2)), "H"))
+    # references: the CSV written entry by entry, and json.dumps of the block
+    # built entry by entry; the hand-built matrix holds signed zeros, the
+    # smallest subnormal, a value repr writes in exponent form and both
+    # extremes of the float range, and a meta item that is not written; the
+    # empty matrix has no rows to splice
+    big = 1.7976931348623157e308
+    edge = np.empty((2, 2), dtype=complex)
+    edge.real = [[-0.0, 5e-324], [1e-05, 1e16]]
+    edge.imag = [[big, -0.0], [-5e-324, -big]]
+    numeric = U_inverse(0.13, 37, 2, "numeric")
+    assert isinstance(numeric.meta["residual"], float) and isinstance(numeric.meta["cond"], float)
+    assert numeric.meta["mode"] == "numeric"
+    mats = (matrix_A(5), U_inverse(0.1, 5, 2, "numeric"), IndexMatrix(2, -np.zeros((2, 2)), "H"),
+            numeric, U_inverse(0.13, 37, 2, "series"),
+            IndexMatrix(2, edge, "U", meta={"g": 0.5, "order": 2, "tag": "edge", "rows": (1, 2)}),
+            IndexMatrix(0, np.zeros((0, 0)), "H"))
     for mat in mats:
         lines = ["row,col,re,im"]
         for i in range(mat.dim):
             for j in range(mat.dim):
                 v = complex(mat.entries[i, j])
                 lines.append(f"{i + 1},{j + 1},{v.real!r},{v.imag!r}")
-        assert mat.to_csv() == "\n".join(lines) + "\n"
-        entries = [[[complex(v).real, complex(v).imag] for v in row] for row in mat.entries]
-        assert json.dumps(mat.to_json_block()["entries"]) == json.dumps(entries)
+        csv = "\n".join(lines) + "\n"
+        block = {
+            "label": mat.label,
+            "dim": mat.dim,
+            "entries": [[[complex(v).real, complex(v).imag] for v in row] for row in mat.entries],
+            "meta": {k: v for k, v in mat.meta.items() if k != "rows"},
+        }
+        assert list(mat.texts("csv")) == [("csv", csv)]
+        assert list(mat.texts("json")) == [("csv", csv),
+                                            ("json", json.dumps(block, indent=2) + "\n")]
 
     st = counter_rotate(2, 0.1, 6, order=2, mode="numeric")
     lines = ["n,re,im"]
