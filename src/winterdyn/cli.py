@@ -366,39 +366,36 @@ def _bisection_tree(lo: float, hi: float, depth: int) -> list[float]:
 def find_crossings(fa, fb, t_grid):
     """Sign changes of log fa - log fb on the grid, bisected to CROSSING_RTOL.
 
-    fa and fb map an array of times to an array of norms.  A norm of 0 has
-    log -inf, so a gap between two zero norms is nan and never a sign change.
-    Plain bisection, except that a probe not yet known evaluates the next
-    _BISECTION_DEPTH levels of the bisection tree in one curve call.
+    fa and fb map an array of times to an array of norms.  A grid point with a
+    gap of exactly 0, the last one included, is a crossing of zero width; two
+    neighbouring ones mean the curves coincide there (DomainError).  A norm of
+    0 has log -inf, so a gap between two zero norms is nan and never a sign
+    change.  All brackets are bisected in lock-step: each curve call holds the
+    next _BISECTION_DEPTH levels of the bisection tree of every open bracket
+    (7 probes each), and each bracket then descends as far as they reach.
     """
 
     def gap(ts):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(fa(ts)) - np.log(fb(ts))
 
-    diffs = gap(t_grid)
-    out = []
-    for i in range(len(t_grid) - 1):
-        d0, d1 = diffs[i], diffs[i + 1]
-        if d0 == 0.0:
-            out.append((float(t_grid[i]), (float(t_grid[i]), float(t_grid[i]))))
-            continue
-        if d0 * d1 < 0:
-            lo, hi = float(t_grid[i]), float(t_grid[i + 1])
-            flo = d0
-            known = {}
-            while (hi - lo) > CROSSING_RTOL * hi:
-                mid = 0.5 * (lo + hi)
-                if mid not in known:
-                    probes = _bisection_tree(lo, hi, _BISECTION_DEPTH)
-                    known = dict(zip(probes, gap(np.array(probes))))
-                fm = known[mid]
-                if flo * fm <= 0:
-                    hi = mid
+    t, d = t_grid.tolist(), [*gap(t_grid), np.nan]
+    brackets = []  # [lo, hi, gap at lo], in grid order
+    for i, (d0, d1) in enumerate(zip(d, d[1:])):
+        if d0 == 0.0 == d1:
+            raise DomainError(f"curves coincide on [{t[i]:g}, {t[i + 1]:g}]: no crossing to find")
+        if d0 == 0.0 or d0 * d1 < 0:
+            brackets.append([t[i], t[i] if d0 == 0.0 else t[i + 1], d0])
+    while live := [b for b in brackets if b[1] - b[0] > CROSSING_RTOL * b[1]]:
+        probes = [p for lo, hi, _ in live for p in _bisection_tree(lo, hi, _BISECTION_DEPTH)]
+        known = dict(zip(probes, gap(np.array(probes))))
+        for b in live:
+            while b[1] - b[0] > CROSSING_RTOL * b[1] and (mid := 0.5 * (b[0] + b[1])) in known:
+                if b[2] * known[mid] <= 0:
+                    b[1] = mid
                 else:
-                    lo, flo = mid, fm
-            out.append((0.5 * (lo + hi), (lo, hi)))
-    return out
+                    b[0], b[2] = mid, known[mid]
+    return [(0.5 * (lo + hi), (lo, hi)) for lo, hi, _ in brackets]
 
 
 def cmd_crossings(args):

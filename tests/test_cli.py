@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from winterdyn import DomainError, WinterError, cli, errors, evolution
@@ -232,6 +232,8 @@ def find_crossings_one_probe(fa, fb, t_grid):
     out = []
     for i in range(len(t_grid) - 1):
         d0, d1 = diffs[i], diffs[i + 1]
+        if d0 == 0.0 and d1 == 0.0:
+            raise DomainError("curves coincide")
         if d0 == 0.0:
             out.append((float(t_grid[i]), (float(t_grid[i]), float(t_grid[i]))))
             continue
@@ -246,7 +248,27 @@ def find_crossings_one_probe(fa, fb, t_grid):
                 else:
                     lo, flo = mid, fm
             out.append((0.5 * (lo + hi), (lo, hi)))
+    if diffs[-1] == 0.0:
+        out.append((float(t_grid[-1]), (float(t_grid[-1]), float(t_grid[-1]))))
     return out
+
+
+def lock_step_calls(fa, fb, t_grid):
+    """The probe count of each curve call that lock-step bisection makes.
+
+    Counted from the reference: a bracket of s one-probe steps takes ceil(s/3)
+    rounds, and each round makes 7 probes for every bracket still open.
+    """
+    times = []
+
+    def recorded(ts):
+        times.append(ts)
+        return fa(ts)
+
+    find_crossings_one_probe(recorded, fb, t_grid)
+    cells = np.searchsorted(t_grid, [t for ts in times[1:] for t in ts])
+    rounds = -(-np.bincount(cells) // 3)
+    return [len(t_grid)] + [7 * int(np.sum(rounds > k)) for k in range(max(rounds, default=0))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,6 +281,8 @@ def find_crossings_one_probe(fa, fb, t_grid):
     span=st.floats(0.1, 100.0),
     count=st.integers(2, 40),
 )
+# nine crossings, open together for the first rounds
+@example(rates=(0.5, 0.5), weight=1.0, wiggle=0.5, freq=1.0, lo=0.5, span=30.0, count=31)
 def test_batched_bisection_equals_one_probe_bisection(rates, weight, wiggle, freq, lo, span,
                                                       count):
     # two exponentials, one with a wiggle so that several crossings can occur
@@ -272,10 +296,51 @@ def test_batched_bisection_equals_one_probe_bisection(rates, weight, wiggle, fre
         return weight * np.exp(-rates[1] * ts)
 
     t_grid = np.linspace(lo, lo + span, count)
-    found = find_crossings(fa, fb, t_grid)
-    # one grid call, then at most 7 probes a call
-    assert calls[0] == count and all(n <= 7 for n in calls[1:])
+    try:
+        found, batched = find_crossings(fa, fb, t_grid), list(calls)
+    except DomainError:  # equal curves
+        with pytest.raises(DomainError):
+            find_crossings_one_probe(fa, fb, t_grid)
+        return
+    # one grid call, then one call a round with 7 probes for each open bracket,
+    # for as many rounds as the deepest bracket needs
+    assert batched == lock_step_calls(fa, fb, t_grid)
     assert found == find_crossings_one_probe(fa, fb, t_grid)
+
+
+def test_lock_step_bisects_every_bracket_in_one_call_a_round():
+    # log(2 + sin t) - log 2 changes sign at pi, 2 pi, ..., 7 pi; the bracket
+    # at 7 pi needs 9 bisection steps, the others 10 to 12
+    calls = []
+
+    def fa(ts):
+        calls.append(len(ts))
+        return 2.0 + np.sin(ts)
+
+    def fb(ts):
+        return np.full(len(ts), 2.0)
+
+    t_grid = np.linspace(0.5, 22.5, 23)
+    found = find_crossings(fa, fb, t_grid)
+    assert calls == [23, 49, 49, 49, 42]
+    assert lock_step_calls(fa, fb, t_grid) == [23, 49, 49, 49, 42]
+    assert found == find_crossings_one_probe(fa, fb, t_grid)
+    assert [round(t / math.pi, 3) for t, _ in found] == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_exact_zero_gap_at_any_grid_point_is_a_crossing():
+    # the gap is exactly 0 at t = 1, 3 and 5, the first, an interior and the
+    # last grid point, and has no sign change in between
+    def fa(ts):
+        return np.ones(len(ts))
+
+    def fb(ts):
+        return 1.0 + 0.01 * (ts - 1.0) * (ts - 3.0) * (ts - 5.0)
+
+    t_grid = np.linspace(1.0, 5.0, 5)
+    expected = [(t, (t, t)) for t in (1.0, 3.0, 5.0)]
+    assert find_crossings(fa, fb, t_grid) == expected
+    assert find_crossings_one_probe(fa, fb, t_grid) == expected
 
 
 def test_crossings_disjoint_exit_5(tmp_path):
@@ -503,6 +568,12 @@ def test_power_norms_match_per_time_kernel_literals(tmp_path):
         ["evolve", "--g", "0.2", "--method", "asymptotic", "--t", "1", "--x=-0.5:3:33"],
         ["crossings", "--g", "0.1", "--l", "2", "--curve-a", "pole:1", "--curve-b", "asymptotic",
          "--t", "1:20:39", "--x", "0:3.2:129"],
+        CROSSINGS + ["--t", "0:5:3"],
+        ["mixing", "--g", "0.1", "--n", "4", "--emit", "A,bogus"],
+        # equal norms: the gap is exactly 0 at neighbouring grid points
+        ["crossings", "--g", "0.2", "--curve-a", "power", "--curve-b", "power", "--t", "5:80:6"],
+        ["crossings", "--g", "0.2", "--curve-a", "exponential", "--curve-b", "pole:1",
+         "--n-max", "1"],
     ]
     + [["crossings", "--g", "0.1", "--l", "2", "--curve-a", spec, "--curve-b", "pole:2",
         "--t", "1:20:39"] for spec in ("pole:abc", "pole:0", "pole:", "bogus", "exponential:2")],
@@ -512,7 +583,8 @@ def test_power_norms_match_per_time_kernel_literals(tmp_path):
          "evolve-power-short-x", "crossings-power-short-x", "evolve-asymptotic-t0",
          "evolve-exponential-x-below-0", "evolve-exponential-x-beyond-pi",
          "evolve-direct-x-beyond-pi", "evolve-asymptotic-x-below-0", "crossings-x-beyond-pi",
-         "pole-abc",
+         "crossings-t0", "mixing-emit-bogus", "crossings-power-power",
+         "crossings-exponential-pole1-n-max-1", "pole-abc",
          "pole-0", "pole-empty", "bogus", "exponential-suffix"],
 )
 def test_bad_input_exits_2_before_manifest(tmp_path, argv):
@@ -545,6 +617,20 @@ def test_failed_run_keeps_earlier_outputs(tmp_path):
     assert main(argv + ["--t", "0:10:3"]) == 2
     # iterdir lists hidden names, so a .staging-* directory left behind shows here
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("\udc80", UnicodeEncodeError), (b"bytes", TypeError)],
+    ids=["unencodable", "not-str"],
+)
+def test_failed_atomic_write_leaves_no_tmp_and_reraises(tmp_path, text, error):
+    target = tmp_path / "out.csv"
+    target.write_text("before\n")
+    with pytest.raises(error):
+        cli.atomic_write(str(target), text)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert target.read_text() == "before\n"
 
 
 def test_outputs_staged_then_manifest_written_last(tmp_path, monkeypatch):

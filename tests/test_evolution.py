@@ -539,6 +539,18 @@ def test_fields_refuse_positions_outside_cavity(table02, route, x):
         fields[route]()
 
 
+@pytest.mark.parametrize(
+    "l, t, g, message",
+    [(1.5, 5.0, 0.2, "positive integer"), (1, -1.0, 0.2, "time must be >= 0"),
+     (1, 5.0, 0.0, "requires g > 0")],
+    ids=["l-not-integer", "t-negative", "g-zero"],
+)
+@pytest.mark.parametrize("field", [direct_field, power_field], ids=["direct", "power"])
+def test_quadrature_fields_refuse_inputs_outside_domain(field, l, t, g, message):
+    with pytest.raises(DomainError, match=message):
+        field(l, [0.5], t, g)
+
+
 def psi_power_asym_scalar(l, x, t, g):
     """Reference form: the two-term closed form in scalar math/cmath."""
     gp = g / (1.0 + g)
