@@ -9,10 +9,10 @@ crossings  bisection for crossing times between two norm curves
 rerun      re-execute a run from its manifest (byte-identical outputs)
 
 Every command is a generator of (file name, text) pairs; `publish` runs it,
-staging each text in a temporary directory inside --out, moves the staged
-files into place once the command has finished, and writes
-`<command>_manifest.json` last.  `main` maps every failure after argument
-parsing in one handler, and a failure leaves --out as it was.  Exit codes are
+staging each text and then `<command>_manifest.json` in a temporary directory
+inside --out, and moves the staged files into place, the manifest last, once
+all are staged.  `main` maps every failure after argument parsing in one
+handler, and a failure leaves --out as it was.  Exit codes are
 stable (the table is in `errors`): 2 input, manifest, --out, overflow, memory
 or pole solver, 3 quadrature, 4 linear algebra, 5 crossing search.
 
@@ -46,6 +46,7 @@ from .evolution import (
     _asymptotic_values,
     _cavity_norms,
     _certify,
+    _check_norm_grid,
     _csv_text,
     _direct_values,
     _exponential_values,
@@ -80,7 +81,7 @@ _BISECTION_DEPTH = 3
 
 
 # ---------------------------------------------------------------------------
-# grid specs and atomic IO
+# grid specs and publishing
 # ---------------------------------------------------------------------------
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -124,27 +125,15 @@ def _time_grid(spec: str) -> np.ndarray:
     return t
 
 
-def atomic_write(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def publish(args) -> int:
     """Run the command args.func, then publish its outputs and manifest in --out.
 
-    Each output is staged as soon as the command yields it; the staged files
-    replace those in --out only after the command has finished, and the
-    manifest, written last, records them.  A run that raises leaves --out as
-    it found it, down to the directories it had to create for it.
+    Every file of the run is written to a private staging directory inside
+    --out: each output as soon as the command yields it, then the manifest,
+    which records them.  Only once every file is staged and no destination in
+    --out is a directory are they moved into place, the manifest last.  A run
+    that raises leaves --out as it found it, down to the directories it had
+    to create for it.  Files follow the umask.
     """
     out = args.out
     made = []  # the directories makedirs creates, innermost first
@@ -156,10 +145,24 @@ def publish(args) -> int:
     try:
         os.makedirs(out, exist_ok=True)
         with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as staging:
-            for name, text in args.func(args):
-                atomic_write(os.path.join(staging, name), text)
-                del text  # free it before the command computes the next output
+            def stage(name, text):
+                with open(os.path.join(staging, name), "w") as fh:
+                    fh.write(text)
                 names.append(name)
+
+            for name, text in args.func(args):
+                stage(name, text)
+                del text  # free it before the command computes the next output
+            manifest = {
+                "command": args.command,
+                "params": {k: v for k, v in vars(args).items()
+                           if k not in ("command", "func", "out")},
+                "outputs": names[:],
+                "version": __version__,
+            }
+            stage(f"{args.command}_manifest.json", json.dumps(manifest, indent=2) + "\n")
+            if clash := [n for n in names if os.path.isdir(os.path.join(out, n))]:
+                raise IsADirectoryError(f"{os.path.join(out, clash[0])!r} is a directory")
             for name in names:
                 os.replace(os.path.join(staging, name), os.path.join(out, name))
     except BaseException:
@@ -167,15 +170,6 @@ def publish(args) -> int:
             if os.path.isdir(d):  # makedirs may have failed before making it
                 os.rmdir(d)
         raise
-    manifest = {
-        "command": args.command,
-        "params": {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")},
-        "outputs": names,
-        "version": __version__,
-    }
-    atomic_write(
-        os.path.join(out, f"{args.command}_manifest.json"), json.dumps(manifest, indent=2) + "\n"
-    )
     return 0
 
 
@@ -208,8 +202,8 @@ def cmd_poles(args):
 # ---------------------------------------------------------------------------
 
 # route -> the route's points x times values and estimates at times ts (None
-# where the route has no estimate held to --tol: the exponential tail is only
-# recorded and the asymptotic form has none)
+# where the route has no estimate held to --tol: the asymptotic form has none,
+# and a CLI run drops the exponential route's tail estimate)
 _ROUTES = {
     "direct": lambda a, x, ts, table: _direct_values(a.l, x, ts, a.g, a.tol)[:2],
     "exponential": lambda a, x, ts, table: (_exponential_values(a.l, x, ts, a.g, table)[0], None),
@@ -262,6 +256,8 @@ def _curves(specs, args, x, t_grid, pole_tol) -> list:
         elif spec not in curves and spec not in routes:
             raise DomainError(f"unknown curve spec {spec!r}; use pole:<n >= 1>, exponential, "
                               "exponential-exact, power, asymptotic or direct")
+    if routes:
+        _check_norm_grid(x)
     readers = _route_readers(list(routes.values()), args, x, t_grid, pole_tol, norm=True)
     for spec, read in zip(routes, readers):
         curves[spec] = lambda ts, read=read: _cavity_norms(x, read(ts))
@@ -322,6 +318,8 @@ def cmd_mixing(args):
     for tok in tokens:
         if tok not in _MATRIX_MAKERS and tok != "expgap":
             raise DomainError(f"unknown --emit token {tok!r}")
+    if any(l is not None and not 1 <= l <= args.n for l in (args.rotate, args.contamination)):
+        raise DomainError(f"--rotate and --contamination need 1 <= l <= N = {args.n}")
     t_grid = _time_grid(args.t) if args.contamination is not None else None
     table = None
     if "V" in tokens or args.contamination is not None:
@@ -329,8 +327,7 @@ def cmd_mixing(args):
 
     for tok in tokens:
         if tok == "expgap":
-            gap = exponentiation_gap(args.g, args.n)
-            gap_with_ah = exponentiation_gap(args.g, args.n, subtract_ah=False)
+            gap, gap_with_ah = exponentiation_gap(args.g, args.n)
             yield "mixing_expgap.json", json.dumps(
                 {"g": args.g, "n": args.n, "gap": gap, "gap_without_ah_subtraction": gap_with_ah},
                 indent=2,

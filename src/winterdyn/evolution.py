@@ -219,6 +219,12 @@ class TimeSeries:
                          _reprs(np.asarray(self.norms, dtype=float)))
 
 
+def _check_norm_grid(x) -> None:
+    """Refuse a position grid that _cavity_norms cannot integrate over (DomainError)."""
+    if len(x) < 33 or x[0] > 1e-12 or x[-1] < math.pi - 1e-12:
+        raise DomainError("cavity norms need a grid of at least 33 points covering [0, pi]")
+
+
 def _cavity_norms(x_grid, values) -> np.ndarray:
     """Integral of |psi|^2 over the cavity for each column of points x times values.
 
@@ -229,10 +235,7 @@ def _cavity_norms(x_grid, values) -> np.ndarray:
     count adds Cartwright's correction for the last interval.
     """
     x = np.asarray(x_grid, dtype=float)
-    if len(x) < 33:
-        raise DomainError("cavity_norm needs at least 33 grid points")
-    if x[0] > 1e-12 or x[-1] < math.pi - 1e-12:
-        raise DomainError("grid must cover [0, pi]")
+    _check_norm_grid(x)
     if not np.all(np.isfinite(values)):
         raise DomainError("field values must be finite")
     y = np.abs(np.ascontiguousarray(values.T)) ** 2

@@ -298,12 +298,12 @@ def counter_rotate(
     return RotatedState(l=l, coefficients=inv.entries[l - 1].copy(), order=order)
 
 
-def exponentiation_gap(g: float, N: int, subtract_ah: bool = True) -> float:
-    """Distance of U through order g^2 from exp[g (1 - g/2) A].
+def exponentiation_gap(g: float, N: int) -> tuple[float, float]:
+    """Distances of U through order g^2 from exp[g (1 - g/2) A], with and without AH.
 
-    With the i pi g^2 A H term subtracted the gap is O(g^3); without it the
-    gap is O(g^2), showing that no diagonal renormalization choice absorbs
-    the A H term into the exponential.
+    With the i pi g^2 A H term subtracted (the first value) the gap is O(g^3);
+    without it (the second) it is O(g^2), showing that no diagonal
+    renormalization choice absorbs the A H term into the exponential.
 
     Both sides are built on the same truncated space: the g^2/2 A^2 term
     uses the truncated square A_N^2, matching what the matrix exponential of
@@ -321,9 +321,8 @@ def exponentiation_gap(g: float, N: int, subtract_ah: bool = True) -> float:
         raise DomainError(f"U at N={N}, g={g} is beyond floating-point range")
     w, v = np.linalg.eigh(1j * (g * (1.0 - 0.5 * g) * a))
     gap = u2 - (v * np.exp(-1j * w)) @ v.conj().T
-    if subtract_ah:
-        gap = gap - 1j * math.pi * g * g * matrix_AH(N).entries
-    return float(np.abs(gap).sum(axis=1).max())
+    ah_subtracted = gap - 1j * math.pi * g * g * matrix_AH(N).entries
+    return tuple(float(np.abs(d).sum(axis=1).max()) for d in (ah_subtracted, gap))
 
 
 # ---------------------------------------------------------------------------

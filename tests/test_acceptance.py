@@ -217,7 +217,7 @@ def test_criterion_09_perturbative_scalings():
     p_z = _fitted_power(gs, zgaps)
     assert 1.5 <= p_z <= 2.5
     # (d) exponentiation gap (AH subtracted) O(g^3)
-    egaps = [exponentiation_gap(g, 8) for g in gs]
+    egaps = [exponentiation_gap(g, 8)[0] for g in gs]
     p_e = _fitted_power(gs, egaps)
     assert 2.25 <= p_e <= 3.75
     report(

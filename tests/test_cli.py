@@ -624,29 +624,60 @@ def test_failed_run_keeps_earlier_outputs(tmp_path):
     [("\udc80", UnicodeEncodeError), (b"bytes", TypeError)],
     ids=["unencodable", "not-str"],
 )
-def test_failed_atomic_write_leaves_no_tmp_and_reraises(tmp_path, text, error):
-    target = tmp_path / "out.csv"
-    target.write_text("before\n")
+def test_failed_write_reraises_and_leaves_out_unchanged(tmp_path, text, error):
+    def command(args):
+        yield "poles.json", "good output\n"
+        yield "poles.csv", text
+
+    (tmp_path / "poles.json").write_text("before\n")
+    args = argparse.Namespace(command="poles", func=command, out=str(tmp_path))
     with pytest.raises(error):
-        cli.atomic_write(str(target), text)
-    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-    assert target.read_text() == "before\n"
+        cli.publish(args)
+    # iterdir lists hidden names, so a .staging-* directory left behind shows here
+    assert [p.name for p in tmp_path.iterdir()] == ["poles.json"]
+    assert (tmp_path / "poles.json").read_text() == "before\n"
 
 
 def test_outputs_staged_then_manifest_written_last(tmp_path, monkeypatch):
-    paths = []
-    write = cli.atomic_write
+    moves, staged = [], []
+    replace = os.replace
 
-    def recorder(path, text):
-        paths.append(os.path.relpath(path, tmp_path))
-        write(path, text)
+    def recorder(src, dst):
+        if not moves:  # what the staging directory holds when the first file moves
+            staged.extend(sorted(os.listdir(os.path.dirname(src))))
+        moves.append((os.path.relpath(src, tmp_path), os.path.relpath(dst, tmp_path)))
+        replace(src, dst)
 
-    monkeypatch.setattr(cli, "atomic_write", recorder)
+    monkeypatch.setattr(os, "replace", recorder)
     assert main(["poles", "--g", "0.2", "--n-max", "3", "--out", str(tmp_path)]) == 0
-    *staged, manifest = paths
-    assert manifest == "poles_manifest.json"
-    assert [os.path.dirname(p).startswith(".staging-") for p in staged] == [True, True]
-    assert sorted(os.path.basename(p) for p in staged) == ["poles.csv", "poles.json"]
+    names = ["poles.json", "poles.csv", "poles_manifest.json"]
+    assert staged == sorted(names)
+    assert [dst for _, dst in moves] == names
+    for src, dst in moves:
+        assert os.path.dirname(src).startswith(".staging-") and os.path.basename(src) == dst
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".staging-")]
+
+
+@pytest.mark.parametrize("directory", ["poles.csv", "poles_manifest.json"])
+def test_destination_directory_exits_2_and_leaves_out_unchanged(tmp_path, directory):
+    (tmp_path / "poles.json").write_text("earlier output\n")
+    (tmp_path / directory).mkdir()
+    (tmp_path / directory / "kept").write_text("kept\n")
+    before = tree(tmp_path), {p: p.stat().st_mode for p in tmp_path.rglob("*")}
+    assert main(["poles", "--g", "0.2", "--n-max", "3", "--out", str(tmp_path)]) == 2
+    assert (tree(tmp_path), {p: p.stat().st_mode for p in tmp_path.rglob("*")}) == before
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=["022", "002"])
+def test_published_files_follow_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        assert main(["poles", "--g", "0.2", "--n-max", "3", "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["poles.json", "poles.csv", "poles_manifest.json"],
+                                  0o666 & ~umask)
 
 
 def record_direct_panels(monkeypatch) -> list:
@@ -675,6 +706,49 @@ def test_direct_cap_refuses_before_any_quadrature(tmp_path, monkeypatch, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert panels == []  # refused before any direct panel is integrated
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--g", "0.2", "--method", "all", "--x", "0:3:129"],
+        ["evolve", "--g", "0.2", "--method", "power", "--t", "1:2:2", "--x", "0:3.1:40"],
+        ["evolve", "--g", "0.2", "--method", "exponential", "--t", "1:2:2",
+         "--x", f"0:{math.pi!r}:32"],
+        ["crossings", "--g", "0.2", "--curve-a", "direct", "--curve-b", "pole:1",
+         "--t", "40:120:5", "--x", f"0.5:{math.pi!r}:129"],
+    ],
+    ids=["evolve-all-short-x", "evolve-power-short-x", "evolve-exponential-32-points",
+         "crossings-direct-x-from-0.5"],
+)
+def test_norm_grid_refused_before_any_route_computes(tmp_path, monkeypatch, argv):
+    calls = []
+    for route, kernel in cli._ROUTES.items():
+        monkeypatch.setitem(cli._ROUTES, route,
+                            lambda *a, route=route, kernel=kernel: calls.append(route) or kernel(*a))
+    (tmp_path / "poles.csv").write_text("earlier output\n")
+    before = tree(tmp_path)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert calls == []
+    assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("flag", ["--rotate", "--contamination"])
+def test_mixing_l_beyond_n_refused_before_any_matrix(tmp_path, monkeypatch, flag):
+    calls = []
+    for tok, make in cli._MATRIX_MAKERS.items():
+        monkeypatch.setitem(cli._MATRIX_MAKERS, tok,
+                            lambda *a, tok=tok, make=make: calls.append(tok) or make(*a))
+    for name in ("exponentiation_gap", "pole_table"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))
+    (tmp_path / "mixing_A.json").write_text("earlier output\n")
+    before = tree(tmp_path)
+    argv = ["mixing", "--g", "0.17", "--n", "8", "--emit", "A,A2,U,Uinv,expgap", "--format",
+            "json", flag, "9", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert calls == []
+    assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize(
