@@ -61,7 +61,8 @@ RING_WINDOW = 1e-4
 
 # At t > 0 the sin(k x) and weight arrays of one block of the direct route's
 # real matrix products hold at most DIRECT_CHUNK x 128 doubles, so memory
-# does not grow with the tolerance.
+# does not grow with the tolerance; at t = 0 so do the tail fits of one
+# block of points.
 DIRECT_CHUNK = 4096
 
 # Panel 0 in u = k^2 also gets the cell edges k = 2^-1 ... 2^-40, graded
@@ -278,45 +279,52 @@ def _panel_edges(g: float, n_panels: int, *extra) -> np.ndarray:
 def _direct_t0(l: int, x, g: float):
     """psi^(l)(x, 0) by GL-15 panels in k, extrapolated with the tail model.
 
-    The kernel is evaluated once on all nodes, and each panel sum is one real
-    product [Re w; Im w] @ sin(k x) over its slice of them.  Returns the
-    values, their estimates and the panel and node counts.
+    Each point gets its own panel count: 1000 within 0.15 of the barrier,
+    x = pi included, and 220 elsewhere.  The kernel is evaluated once on the
+    node set of the largest count, whose prefix is the node set of any
+    smaller one; each group of points sums its panels over that prefix, one
+    real product sin(k x) @ [Re w, Im w] per panel, and its tail fits run in
+    blocks of points (quadrature.tail_mode_fit).  Returns the values, their
+    estimates and the largest panel count with its node count.
     """
     # points just inside the barrier carry a slow tail mode of frequency
     # pi - x; the fit window must see it rotate a few turns, and the shorter
     # verification window too; x = pi itself counts, since at 220 panels its
     # estimate falls short of its error (l = 1, 2, 3 at g = 0.025)
-    near_pi = np.any(x > math.pi - 0.15)
-    n_panels = 1000 if near_pi else 220
-    edges = _panel_edges(g, n_panels)
+    panel_counts = np.where(x > math.pi - 0.15, 1000, 220)
+    n_max = int(panel_counts.max(initial=220))  # 220 for an empty grid
+    edges = _panel_edges(g, n_max)
     nodes, wts = gl_nodes_weights(edges)
-    kern = _spectral_kernel(l, nodes, g) * wts
-    ends = len(GL_NODES) * np.searchsorted(edges, np.arange(n_panels + 1.0))
-    panels = np.empty((n_panels, len(x)), dtype=complex)
-    for j, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
-        w = kern[lo:hi]
-        s = np.stack([w.real, w.imag]) @ np.sin(np.multiply.outer(nodes[lo:hi], x))
-        panels[j] = s[0] + 1j * s[1]
-    partial = np.cumsum(panels, axis=0)
+    kern = (_spectral_kernel(l, nodes, g) * wts).view(np.float64).reshape(-1, 2)
+    ends = len(GL_NODES) * np.searchsorted(edges, np.arange(n_max + 1.0))
     j_lo = TAIL_FIT_START
-    n_short = j_lo + int(0.7 * (n_panels - j_lo))
     values = np.empty(len(x), dtype=complex)
-    # rounding floor: each of the n_panels additions can lose eps of the
-    # largest partial sum, which the fits alone miss at x = pi (value 0)
-    estimates = 3.0 * n_panels * np.finfo(float).eps * np.abs(partial).max(axis=0)
-    for i, xi in enumerate(x):
-        v, rms = tail_mode_fit(partial[:, i], xi, j_lo)
+    estimates = np.empty(len(x))
+    for n_panels in np.unique(panel_counts):
+        group = np.flatnonzero(panel_counts == n_panels)
+        xg = x[group]
+        partial = np.empty((n_panels, len(xg)), dtype=complex)
+        for j, (lo, hi) in enumerate(zip(ends[:n_panels], ends[1 : n_panels + 1])):
+            s = np.sin(np.multiply.outer(xg, nodes[lo:hi])) @ kern[lo:hi]
+            partial[j] = s.view(complex)[:, 0]
+        np.cumsum(partial, axis=0, out=partial)
+        # rounding floor: each of the n_panels additions can lose eps of the
+        # largest partial sum, which the fits alone miss at x = pi (value 0)
+        est = 3.0 * n_panels * np.finfo(float).eps * np.abs(partial).max(axis=0)
         # a second fit on a shorter window exposes extrapolation bias the
         # in-window residual cannot see (slow modes near x = pi)
-        v_short, _ = tail_mode_fit(partial[:n_short, i], xi, j_lo)
-        values[i] = v
-        estimates[i] += 3.0 * rms + abs(v - v_short)
-    # a slow mode cos((pi - x) j) that turns less than once across the shorter
-    # window fools both fits: such a point gets no certificate
-    # (pi - x < 2 pi/672 = 9.35e-3 at 1000 panels)
-    blind = (x < math.pi - 1e-12) & ((math.pi - x) * (n_short - j_lo) < 2.0 * math.pi)
-    estimates[blind] = math.inf
-    return values, estimates, (n_panels, len(nodes))
+        n_short = j_lo + int(0.7 * (n_panels - j_lo))
+        (v, v_short), (rms, _) = tail_mode_fit(partial, xg, j_lo, (n_panels, n_short),
+                                               DIRECT_CHUNK * 128)
+        values[group] = v
+        est += 3.0 * rms + abs(v - v_short)
+        # a slow mode cos((pi - x) j) that turns less than once across the
+        # shorter window fools both fits: such a point gets no certificate
+        # (pi - x < 2 pi/672 = 9.35e-3 at 1000 panels)
+        blind = (xg < math.pi - 1e-12) & ((math.pi - xg) * (n_short - j_lo) < 2.0 * math.pi)
+        est[blind] = math.inf
+        estimates[group] = est
+    return values, estimates, (n_max, len(nodes))
 
 
 def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,8 @@ sum is extrapolated with a windowed least-squares fit of the known tail model
 
 which degenerates to plain Richardson in 1/j at x = pi.  The model's design
 matrix is real, so the real and imaginary parts of the partial sums are fitted
-as two right-hand sides of one real least-squares problem.
+as two right-hand sides of one real least-squares problem, and the problems
+of many points are solved as one batch (tail_mode_fit).
 
 For t > 0 the phase exp(-i k^2 t) is linear in u = k^2, so the same cells are
 mapped to u and integrated by Filon quadrature (Iserles & Norsett, Proc. R.
@@ -28,8 +29,10 @@ The panel sum is truncated where the panel integrals, decaying like
 1/(t j^3), drop below the tolerance.
 
 The caller (evolution._direct_values) builds one node set from the
-panel_cell_edges of every panel.  At t = 0 it sums each panel as one real
-matrix product over that panel's nodes; at t > 0 over blocks of nodes, so no
+panel_cell_edges of every panel.  At t = 0 each point has its own panel
+count (more panels just inside the barrier), every smaller count's nodes are
+a prefix of the largest count's, and each panel is summed as one real matrix
+product over its nodes; at t > 0 the sums run over blocks of nodes.  So no
 nodes x points array over all panels is ever formed.
 """
 
@@ -178,31 +181,57 @@ def truncation_panels(l: int, t: float, tol: float) -> int:
     return int(np.clip(math.ceil(k), 48, TRUNCATION_PANEL_CAP))
 
 
-def tail_mode_fit(partial_sums: np.ndarray, x: float, j_lo: int) -> tuple[complex, float]:
-    """Extrapolate the panel partial sums to j = infinity at t = 0.
+def tail_mode_fit(partial_sums: np.ndarray, x: np.ndarray, j_lo: int, ends,
+                  max_doubles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Extrapolate the panel partial sums of many points to j = infinity at t = 0.
 
-    Returns (limit, residual_rms).  The residual of the windowed fit is the
-    natural error gauge: it stays at rounding level where the model holds and
-    grows visibly in the one hard sliver 0 < pi - x << 1 where the slow mode
-    cos((pi - x) j) barely rotates across the window.
+    Column i of partial_sums (panels x points) holds the partial sums of the
+    point x[i]; each end in `ends` fits the window j_lo <= j < end.  Returns
+    (limits, residual_rms), each of shape len(ends) x points.
+
+    The trig of the model is formed once per point, in one design tensor that
+    serves every window, since a shorter window is a row prefix of a longer
+    one.  Each window's fit is lstsq with cutoff TAIL_RCOND on the
+    column-normalized model: an R-only QR of [A | Re S | Im S], whose 13 x 13
+    triangle has the singular values of A, then the SVD of that triangle.
+    Points go in blocks whose arrays hold at most about max_doubles doubles.
+
+    The residual of the windowed fit is the natural error gauge: it stays at
+    rounding level where the model holds and grows visibly in the one hard
+    sliver 0 < pi - x << 1 where the slow mode cos((pi - x) j) barely rotates
+    across the window.
     """
-    M = len(partial_sums)
-    js = np.arange(j_lo, M)
-    jj = js + 1.0
-    sgn = (-1.0) ** (js % 2)
-    cols = [np.ones_like(jj)]
-    for p in range(1, TAIL_MAX_POWER + 1):
-        cols.append(sgn * np.cos(x * js) / jj**p)
-        cols.append(sgn * np.sin(x * js) / jj**p)
-    A = np.array(cols).T
-    norms = np.linalg.norm(A, axis=0)
-    keep = norms > 1e-14
-    A = A[:, keep] / norms[keep]
-    rhs = np.stack([partial_sums[j_lo:].real, partial_sums[j_lo:].imag], axis=1)
-    coef, *_ = np.linalg.lstsq(A, rhs, rcond=TAIL_RCOND)
-    resid = rhs - A @ coef
-    rms = float(np.sqrt(np.mean(np.sum(resid**2, axis=1))))
-    return complex(coef[0, 0], coef[0, 1]) / norms[keep][0], rms
+    js = np.arange(j_lo, max(ends))
+    decay = (-1.0) ** (js % 2)[:, None] / (js + 1.0)[:, None] ** np.arange(1, TAIL_MAX_POWER + 1)
+    n_model = 2 * TAIL_MAX_POWER + 1
+    limits = np.empty((len(ends), len(x)), dtype=complex)
+    rms = np.empty((len(ends), len(x)))
+    # about four arrays the size of a block's design tensor are alive at once
+    per_block = max(1, max_doubles // (4 * (n_model + 2) * len(js)))
+    for b in range(0, len(x), per_block):
+        blk = slice(b, b + per_block)
+        phase = np.multiply.outer(x[blk], js)
+        design = np.empty(phase.shape + (n_model + 2,))
+        design[..., 0] = 1.0
+        design[..., 1 : TAIL_MAX_POWER + 1] = np.cos(phase)[..., None] * decay
+        design[..., TAIL_MAX_POWER + 1 : n_model] = np.sin(phase)[..., None] * decay
+        tail = partial_sums[j_lo : js[-1] + 1, blk].T
+        design[..., n_model], design[..., n_model + 1] = tail.real, tail.imag
+        for w, end in enumerate(ends):
+            window = design[:, : end - j_lo].copy()
+            norms = np.linalg.norm(window[..., :n_model], axis=1)
+            # a column that vanishes on the window (sin(x j) at x = 0 or pi) is dropped
+            window[..., :n_model] *= np.divide(1.0, norms, out=np.zeros_like(norms),
+                                               where=norms > 1e-14)[:, None, :]
+            r = np.linalg.qr(window, mode="r")
+            u, s, vt = np.linalg.svd(r[:, :n_model, :n_model])
+            inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > TAIL_RCOND * s[:, :1])
+            rotated = u.transpose(0, 2, 1) @ r[:, :n_model, n_model:]
+            coef = vt.transpose(0, 2, 1) @ (inv[..., None] * rotated)
+            resid = window[..., n_model:] - window[..., :n_model] @ coef
+            rms[w, blk] = np.sqrt(np.mean(np.sum(resid**2, axis=-1), axis=-1))
+            limits[w, blk] = (coef[:, 0, 0] + 1j * coef[:, 0, 1]) / norms[:, 0]
+    return limits, rms
 
 
 def ray_band(t: float) -> float:

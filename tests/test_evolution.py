@@ -219,11 +219,13 @@ def direct_field_dense(l, x, t, g, n_panels):
 @pytest.mark.parametrize("l", [1, 2])
 @pytest.mark.parametrize("g", [0.1, 0.2])
 def test_direct_field_matches_dense_reference(l, g):
-    # t = 0: the streamed panels and the real tail fit give the dense route's
-    # values, estimates, verdicts, panel and node counts.  t > 0: Filon in
-    # u = k^2 on the t-free node set agrees with GL in k on chirp cells at the
-    # same truncation, with far fewer nodes
+    # t = 0: the streamed panels and the batched tail fit give the dense
+    # route's values, estimates, verdicts, panel and node counts, each point
+    # group at its own panel count (1000 within 0.15 of the barrier, 220
+    # elsewhere).  t > 0: Filon in u = k^2 on the t-free node set agrees with
+    # GL in k on chirp cells at the same truncation, with far fewer nodes
     x = np.linspace(0.0, math.pi, 33)
+    near = x > math.pi - 0.15
     tol = 1e-6
     for t in (0.0, 0.5, 5.0, 50.0):
         try:
@@ -233,8 +235,11 @@ def test_direct_field_matches_dense_reference(l, g):
             fld, failed = exc.value.best, True
         n_panels = 1000 if t == 0 else truncation_panels(l, t, tol)
         assert fld.meta["panels"] == n_panels
-        values, estimate, n_nodes = direct_field_dense(l, x, t, g, n_panels)
         if t == 0:
+            values = np.empty(len(x), dtype=complex)
+            values[~near], far_estimate, _ = direct_field_dense(l, x[~near], t, g, 220)
+            values[near], estimate, n_nodes = direct_field_dense(l, x[near], t, g, 1000)
+            estimate = max(estimate, far_estimate)
             np.testing.assert_allclose(
                 fld.values, values, rtol=0, atol=1e-13 * np.max(np.abs(values))
             )
@@ -242,6 +247,7 @@ def test_direct_field_matches_dense_reference(l, g):
             assert failed == (estimate > tol)
             assert fld.meta["nodes"] == n_nodes
         else:
+            values, estimate, n_nodes = direct_field_dense(l, x, t, g, n_panels)
             np.testing.assert_allclose(fld.values, values, rtol=0, atol=1e-9)
             assert not failed and estimate <= tol
             assert fld.meta["nodes"] < n_nodes
@@ -278,6 +284,36 @@ def test_direct_field_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("x, bound_mib", [(np.linspace(3.0, math.pi, 1025), 48),
+                                          (np.linspace(0.0, math.pi, 129), 16)],
+                         ids=["1025-near-barrier", "default-grid"])
+def test_direct_t0_memory_is_bounded(x, bound_mib):
+    # the t = 0 tail fits run in blocks of points; as one block, the fits of
+    # 1025 points near the barrier peaked at 365 MiB
+    tracemalloc.start()
+    try:
+        _direct_values(2, x, [0.0], 0.2, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_direct_t0_value_does_not_depend_on_grid(l):
+    # each t = 0 point takes its own panel count, so points far from the
+    # barrier (121 is the last of them), near it and x = pi get the same
+    # value and estimate alone as on the default grid, whatever else the
+    # grid holds
+    g, tol = 0.2, 1e-6
+    grid = np.linspace(0.0, math.pi, 129)
+    values, estimates, _ = _direct_values(l, grid, [0.0], g, tol)
+    for i in (17, 64, 121, 122, 125, 128):
+        alone, alone_estimate, _ = _direct_values(l, grid[i : i + 1], [0.0], g, tol)
+        assert abs(alone[0, 0] - values[i, 0]) <= 1e-14
+        assert alone_estimate[0, 0] == pytest.approx(estimates[i, 0], rel=0.1, abs=0)
 
 
 @pytest.mark.parametrize(

@@ -49,24 +49,32 @@ def tail_mode_fit_complex(partial_sums, x, j_lo, max_power=6, rcond=1e-11):
     return complex(coef[0] / norms[keep][0]), rms
 
 
-@pytest.mark.parametrize("x", [0.0, 1.0, math.pi - 0.1, math.pi])
+TAIL_XS = [0.0, 1.0, math.pi - 0.1, math.pi]
+
+
+@pytest.mark.parametrize("x", TAIL_XS)
 def test_tail_mode_fit_matches_complex_lstsq(x):
     # tail model plus noise: both real parts and both imaginary parts of the
-    # coefficients are non-zero, so a mix-up of the two right-hand sides shows
+    # coefficients are non-zero, so a mix-up of the two right-hand sides shows.
+    # One batched call fits all four points on three windows; the column of x
+    # matches the per-point complex lstsq (x = 0 drops the sin columns)
     rng = np.random.default_rng(5)
-    js = np.arange(1000)
+    js = np.arange(1000)[:, None]
     jj = js + 1.0
     a = (1.0 + 2.0j) / jj + 0.5j / jj**2
     b = (0.2 - 1.0j) / jj + 0.3 / jj**3
-    sums = (0.3 - 0.7j) + (-1.0) ** js * (np.cos(x * js) * a + np.sin(x * js) * b)
-    sums = sums + 1e-9 * (rng.standard_normal(1000) + 1j * rng.standard_normal(1000))
-    for m in (220, 700, 1000):
-        v, rms = tail_mode_fit(sums[:m], x, 12)
-        v_ref, rms_ref = tail_mode_fit_complex(sums[:m], x, 12)
-        assert abs(v - v_ref) <= 1e-13 * abs(v_ref)
-        assert abs(v - (0.3 - 0.7j)) < 1e-8
-        assert rms == pytest.approx(rms_ref, rel=1e-9)
-        assert 1e-10 < rms < 1e-8
+    xs = np.array(TAIL_XS)
+    sums = (0.3 - 0.7j) + (-1.0) ** js * (np.cos(xs * js) * a + np.sin(xs * js) * b)
+    sums = sums + 1e-9 * (rng.standard_normal(sums.shape) + 1j * rng.standard_normal(sums.shape))
+    i = TAIL_XS.index(x)
+    ends = (220, 700, 1000)
+    limits, rms = tail_mode_fit(sums, xs, 12, ends, 2**20)
+    for w, m in enumerate(ends):
+        v_ref, rms_ref = tail_mode_fit_complex(sums[:m, i], x, 12)
+        assert abs(limits[w, i] - v_ref) <= 1e-13 * abs(v_ref)
+        assert abs(limits[w, i] - (0.3 - 0.7j)) < 1e-8
+        assert rms[w, i] == pytest.approx(rms_ref, rel=1e-9)
+        assert 1e-10 < rms[w, i] < 1e-8
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 5.0, 300.0])
