@@ -34,6 +34,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -509,9 +510,14 @@ def exponential_field(l: int, x_grid, t: float, g: float, table: PoleTable,
 
 _ROT = cmath.exp(-1j * math.pi / 4.0)
 
+# U, V, the x phase and the Gaussian factors of one block of _ray_sums hold at
+# most about RAY_CHUNK doubles each, so the memory of a ray sum does not grow
+# with its node count.
+RAY_CHUNK = 2**15
 
-def _ray_sums(l, x, t, g, edges):
-    """GL-15 sums of the ray integrand at every (x, t) on one cell set, with tails.
+
+def _ray_sums(l, x, t, g, levels):
+    """GL-15 sums of the ray integrand at every (x, t) on each cell set of levels, with tails.
 
     The integrand is p^(l)(kappa e^{-i pi/4}; x, g) e^{-kappa^2 t} in
     overflow-free form.  Along the ray both sines and the coefficient b grow
@@ -526,40 +532,86 @@ def _ray_sums(l, x, t, g, edges):
 
     with delta = 1/(4 pi g k); every exponential that remains has a
     non-positive real exponent on the ray.  Only e^{i k (x - pi)} A_x depends
-    on x and only e^{-kappa^2 t} on t, so the integrand without the Gaussian
-    is one nodes x points array and every t follows from one real matrix
-    product with the nodes x times Gaussian factors.
+    on x, and it is real arithmetic but for one phase per node.  With
+    k = kappa (c - i s), (c, s) = (cos, sin)(pi/4), theta = kappa c x and
+    phi = kappa c pi, the exponentials split into phases and real decays,
+    e^{i k (x - pi)} = e^{-i phi} e^{i theta} E_b and
+    e^{-2 i k x} = e^{-2 i theta} (1 + E_d), with E_b = e^{kappa s (x - pi)}
+    <= 1 and E_d = expm1(-2 kappa s x), so that
 
-    The tail of each (x, t) is C/K, with C the 1/k^2 envelope constant
-    measured over the last cell and K the last edge; a sum that is not
-    finite gets an infinite tail.  Both returns are points x times.
+        -e^{i k (x - pi)} A_x = e^{i k (x - pi)} expm1(-2 i k x)
+            = e^{-i phi} (U - i V),
+        U = cos(theta) E_b E_d,  V = sin(theta) E_b (2 + E_d).
+
+    U and V are the only nodes x points arrays: one cos, one sin and two real
+    exponentials per element, all with non-positive exponents.  At x = 0,
+    E_d = 0 and sin(theta) = 0, so the sum is exactly 0.  The same split
+    gives A_pi = -expm1(-2 pi i k) = -E_pi + 2 i (1 + E_pi) sin(phi) e^{-i phi}
+    with E_pi = expm1(-2 pi kappa s), so no complex exponential is left.
+
+    e^{-i phi}, the remaining per-node factor and the GL weight make one
+    complex coefficient q per node, and every (x, t) of a cell set is
+    sum_n (U - i V) q_n e^{-kappa_n^2 t}: one real product of U and of V with
+    the interleaved (re, im) nodes x times matrix.  The nodes of every cell
+    set go in blocks of whole cells whose U, V and Gaussian arrays hold at
+    most about RAY_CHUNK doubles; the per-node factors are formed once for
+    all cell sets.
+
+    Returns the sums, cell sets x points x times, and the tail of each (x, t)
+    on the last cell set, the one a ladder step's estimate needs: C/K, with C
+    the 1/k^2 envelope constant measured over the last cell and K the last
+    edge; a sum that is not finite gets an infinite tail.
     """
-    nodes, wts = gl_nodes_weights(edges)
+    nodes, wts = gl_nodes_weights(*levels)
+    ends = list(accumulate(len(GL_NODES) * (len(edges) - 1) for edges in levels))
+    c, s = _ROT.real, -_ROT.imag
+    kappa_c, kappa_s, kappa2 = c * nodes, s * nodes, nodes * nodes
+    phi = kappa_c * math.pi  # theta at x = pi, rounded alike
+    rot_phi = np.empty(len(nodes), dtype=complex)  # e^{-i phi}
+    np.cos(phi, out=rot_phi.real)
+    sin_phi = np.sin(phi)
+    np.negative(sin_phi, out=rot_phi.imag)
+    e_pi = np.expm1((-2.0 * math.pi) * kappa_s)
+    a_pi = 2j * ((1.0 + e_pi) * sin_phi) * rot_phi - e_pi
     k = nodes * _ROT
     delta = 1.0 / (4.0 * math.pi * g * k)
-    a_pi = -np.expm1(-2j * math.pi * k)
     a_coef = -0.5j - delta * a_pi
     b_wrapped = 0.5j * (1.0 - a_pi) + delta * a_pi
-    # -(1/16) A_pi A_x = (1/16) A_pi expm1(-2 i k x)
+    # -(1/16) e^{i k (x - pi)} A_pi A_x / (a B) = (1/16) A_pi e^{-i phi} (U - i V) / (a B)
     per_node = (-1) ** l * l / 16.0 * a_pi / (a_coef * b_wrapped * (k**2 - l**2))
-    # the nodes x points factor e^{i k (x - pi)} expm1(-2 i k x), formed in
-    # place so that no more than two such arrays are alive at once
-    f = np.multiply.outer(1j * k, x - math.pi)
-    np.exp(f, out=f)
-    expm1_x = np.multiply.outer(-2j * k, x)
-    np.expm1(expm1_x, out=expm1_x)
-    f *= expm1_x
-    del expm1_x
-    f *= per_node[:, None]
-    gauss = np.exp(-np.multiply.outer(nodes**2, t))
-    last = nodes >= edges[-2]
-    decay = gauss[last] * nodes[last, None] ** 2  # last-cell nodes x times
-    envelope = np.max(np.abs(f[last])[:, :, None] * decay[:, None, :], axis=0)
-    f *= wts[:, None]
-    # interleaved (re, im) columns: one real product gives every sum
-    sums = (f.view(np.float64).T @ gauss).reshape(len(x), 2, len(t))
-    sums = sums[:, 0] + 1j * sums[:, 1]
-    return sums, np.where(np.isfinite(sums), envelope / edges[-1], math.inf)
+    coef = per_node * rot_phi * wts
+    x_less_pi, minus_2x, minus_t = x - math.pi, -2.0 * x, -t
+    # per cell set, u.T @ (q e^{-kappa^2 t}) and v.T @ (...) as interleaved (re, im) columns
+    acc = np.zeros((len(levels), 2, len(x), 2 * len(t)))
+    step = len(GL_NODES) * max(1, RAY_CHUNK // (len(GL_NODES) * max(len(x), 2 * len(t))))
+    for lo in range(0, ends[-1], step):
+        hi = min(lo + step, ends[-1])
+        uv = np.empty((2, hi - lo, len(x)))
+        u, v = uv
+        work = np.multiply.outer(kappa_c[lo:hi], x)  # theta
+        np.cos(work, out=u)
+        np.sin(work, out=v)
+        np.exp(np.multiply.outer(kappa_s[lo:hi], x_less_pi, out=work), out=work)  # E_b
+        uv *= work
+        np.expm1(np.multiply.outer(kappa_s[lo:hi], minus_2x, out=work), out=work)  # E_d
+        u *= work
+        work += 2.0
+        v *= work
+        del work
+        gauss = np.exp(np.multiply.outer(kappa2[lo:hi], minus_t))
+        q = (coef[lo:hi, None] * gauss).view(np.float64)
+        for level, (a, b) in enumerate(zip([0, *ends], ends)):
+            a, b = max(a, lo) - lo, min(b, hi) - lo
+            if a < b:
+                acc[level] += uv[:, a:b].transpose(0, 2, 1) @ q[a:b]
+    # the last cell is in the last block; its envelope is |f| kappa^2/K with
+    # |f| = |per_node| |U - i V| e^{-kappa^2 t}
+    last = slice(-len(GL_NODES), None)
+    size = np.abs(per_node[last, None]) * np.hypot(u[last], v[last])
+    decay = gauss[last] * (kappa2[last, None] / levels[-1][-1])
+    envelope = (size[:, :, None] * decay[:, None, :]).max(axis=0)
+    sums = acc[:, 0].view(complex) - 1j * acc[:, 1].view(complex)
+    return sums, np.where(np.isfinite(sums[-1]), envelope, math.inf)
 
 
 def _power_values(l: int, x, t, g: float, tol: float):
@@ -567,35 +619,41 @@ def _power_values(l: int, x, t, g: float, tol: float):
 
     t is a time or an array of times.  Returns points x times arrays of the
     values and of each (x, t)'s error estimate |cur - prev| + tail.  The
-    times t > 0 of one band 4^b <= t < 4^(b+1) share one cell set, so a band
-    is one _ray_sums call per ladder level; t = 0 is one more band, on the
-    cells of the point nearest the barrier, whose cutoff (scaling with
-    1/(pi - x)) is the farthest.  Every (x, t) climbs the cell ladder
-    base -> x2 -> x4 -> x8 and leaves it at the first level whose estimate
-    meets tol; the next level evaluates only the points and times that still
-    hold an (x, t) above tol, and updates only those.  An (x, t) that ends
-    above tol (such as the marginal point (pi, 0)) keeps its last value.
+    times t > 0 of one band 4^b <= t < 4^(b+1) share one cell set; t = 0 is
+    one more band, on the cells of the point nearest the barrier, whose
+    cutoff (scaling with 1/(pi - x)) is the farthest.  Every (x, t) climbs
+    the cell ladder base -> x2 -> x4 -> x8 and leaves it at the first level
+    whose estimate meets tol.  Every (x, t) needs the first pair, base and
+    x2, so one _ray_sums call evaluates both; each further level evaluates
+    only the points and times that still hold an (x, t) above tol, and
+    updates only those.  An (x, t) that ends above tol (such as the marginal
+    point (pi, 0)) keeps its last value.
     """
     x, t = _inputs("power", l, x, t, g)
-    bands = np.array([ray_band(tj) if tj > 0 else 0.0 for tj in t])
+    bands = {}
+    for j, tj in enumerate(t.tolist()):
+        bands.setdefault(ray_band(tj) if tj > 0 else 0.0, []).append(j)
+    x_far = float(x.max(initial=0.0))
     values = np.empty((len(x), len(t)), dtype=complex)
     estimates = np.empty((len(x), len(t)))
-    for band in np.unique(bands):
-        cols = np.flatnonzero(bands == band)
-        edges = ray_cell_edges(band, x.max(initial=0.0))
-        values[:, cols], _ = _ray_sums(l, x, t[cols], g, edges)
-        active = np.ones((len(x), len(cols)), dtype=bool)
-        for factor in (2, 4, 8):
+    for band, cols in bands.items():
+        cols = np.array(cols)
+        edges = ray_cell_edges(band, x_far)
+        (base, cur), tails = _ray_sums(l, x, t[cols], g, (edges, refine_edges(edges, 2)))
+        est = np.abs(cur - base) + tails
+        values[:, cols], estimates[:, cols] = cur, est
+        active = ~(est <= tol)
+        for factor in (4, 8):
+            if not active.any():
+                break
             r, c = active.any(axis=1), active.any(axis=0)
             block = np.ix_(r, cols[c])
             live = active[np.ix_(r, c)]
-            cur, tails = _ray_sums(l, x[r], t[cols[c]], g, refine_edges(edges, factor))
+            (cur,), tails = _ray_sums(l, x[r], t[cols[c]], g, (refine_edges(edges, factor),))
             est = np.abs(cur - values[block]) + tails
             values[block] = np.where(live, cur, values[block])
             estimates[block] = np.where(live, est, estimates[block])
             active[np.ix_(r, c)] = live & ~(est <= tol)
-            if not active.any():
-                break
     return _ROT * SPECTRAL_PREFACTOR * values, estimates
 
 
@@ -607,10 +665,9 @@ def psi_power_quad(l: int, x: float, t: float, g: float, tol: float = 1e-8) -> c
     estimate cannot drop below the tolerance; that case raises AccuracyError
     with the cutoff-limited value attached.
     """
-    xs, ts = _inputs("power", l, x, t, g)
-    values, estimates = _power_values(l, xs, ts, g, tol)
+    values, estimates = _power_values(l, x, t, g, tol)
     value = complex(values[0, 0])
-    _certify("power", l, xs, ts, g, tol, estimates, value)
+    _certify("power", l, [x], [t], g, tol, estimates, value)
     return value
 
 

@@ -90,10 +90,15 @@ def panel_cell_edges(j: int, g: float) -> np.ndarray:
     return np.array(sorted(edges))
 
 
-def gl_nodes_weights(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GL-15 nodes and weights on each consecutive [edges[i], edges[i+1]] cell."""
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
+def gl_nodes_weights(*edge_sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GL-15 nodes and weights on each consecutive [edges[i], edges[i+1]] cell.
+
+    With several edge arrays, the cells of each in turn.
+    """
+    lo = np.concatenate([edges[:-1] for edges in edge_sets])
+    hi = np.concatenate([edges[1:] for edges in edge_sets])
+    mid = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
     nodes = (mid[:, None] + half[:, None] * GL_NODES[None, :]).ravel()
     weights = (half[:, None] * GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
@@ -248,27 +253,36 @@ def ray_cell_edges(t: float, x: float) -> np.ndarray:
     """Cells along the rotated-ray parameter for exp(-k^2 t) damping.
 
     For t > 0 every time in the band 4^b <= t < 4^(b+1) gets the cells of
-    t_b = 4^b, so one cell set serves a whole band of times.  The Gaussian
-    factor confines the integrand to k <~ 6/sqrt(t_b); beyond that geometric
-    doubling reaches K = max(10, sqrt(36/t_b)), where exp(-K^2 t) <= e^-36
-    since t >= t_b.  At t = 0 the envelope decays like
+    t_b = 4^b, so one cell set serves a whole band of times; its cutoff is
+    K = max(10, sqrt(36/t_b)), where exp(-K^2 t) <= e^-36 since t >= t_b.
+    For t_b >= 1/4 the Gaussian factor confines the integrand to
+    k <~ 6/sqrt(t_b) <= 12, which 12 equal cells cover, and geometric
+    doubling reaches K.  At t = 0 the envelope decays like
     exp(-(pi - x) k / sqrt(2)), so the cutoff scales with 1/(pi - x); at
     x = pi, t = 0 the ray integral is marginally divergent and the caller
-    must rely on the measured tail estimate.
+    must rely on the measured tail estimate.  The t = 0 cells are graded:
+    1/2 wide up to k = 10, then growing by 1.5 up to the cutoff.  So are
+    those of t_b < 1/4, up to K, since 12 equal cells would be wider than
+    the unit-scale structure of the integrand near k = 0 (equal cells missed
+    tol 1e-6 below t ~ 4e-3).
     """
     if t > 0:
         t_b = ray_band(t)
         k_max = max(10.0, math.sqrt(36.0 / t_b))
-        core = min(6.0 / math.sqrt(t_b), k_max)
-        edges = list(np.linspace(0.0, core, 13))
-        while edges[-1] < k_max:
-            edges.append(min(edges[-1] * 2.0, k_max))
+        core = 6.0 / math.sqrt(t_b)
+        if core <= 12.0:
+            # the edges i core/12, i < 12, as np.linspace forms them, then
+            # core 2^m for m = 0, 1, ... up to the first one >= K, which is
+            # cut to K: K/core is 1 (t_b = 1/4) or 5/3 times a power of 2, so
+            # the ceiling of its log2 is exact
+            doublings = core * 2.0 ** np.arange(math.ceil(math.log2(k_max / core)) + 1)
+            return np.append(np.arange(12.0) * (core / 12.0), np.minimum(doublings, k_max))
     else:
         rate = (math.pi - x) / math.sqrt(2.0)
         k_max = min(max(10.0, 40.0 / max(rate, 1e-9)), RAY_K_CAP)
-        edges = list(np.linspace(0.0, 10.0, 21))
-        while edges[-1] < k_max:
-            edges.append(min(edges[-1] * 1.5, k_max))
+    edges = list(np.linspace(0.0, 10.0, 21))
+    while edges[-1] < k_max:
+        edges.append(min(edges[-1] * 1.5, k_max))
     return np.array(edges)
 
 

@@ -509,8 +509,8 @@ def test_curve_artifact_bytes_pinned(tmp_path):
         "t,norm\n1.0,0.6061976664797118\n5.5,0.06300119812723168\n10.0,0.006561419936306071\n"
     )
     assert (split / "evolve_power_norm.csv").read_text() == (
-        "t,norm\n1.0,0.0004395734530654488\n5.5,1.60195112515586e-05\n"
-        "10.0,3.3814737655005822e-06\n"
+        "t,norm\n1.0,0.0004395734530654488\n5.5,1.601951125155861e-05\n"
+        "10.0,3.381473765500581e-06\n"
     )
     assert (fig3 / "evolve_pole_diag_norm.csv").read_text() == (
         "t,norm\n1.0,0.3659313069412933\n5.5,0.003969150963242845\n10.0,4.305223158055476e-05\n"
@@ -519,8 +519,8 @@ def test_curve_artifact_bytes_pinned(tmp_path):
         "t,norm\n1.0,0.01567842450307869\n5.5,0.008906655926190766\n10.0,0.005059725214862742\n"
     )
     assert (fig3 / "evolve_power_norm.csv").read_text() == (
-        "t,norm\n1.0,2.498635004061577e-05\n5.5,4.3621056948065823e-07\n"
-        "10.0,8.180518194393038e-08\n"
+        "t,norm\n1.0,2.4986350040615784e-05\n5.5,4.362105694806584e-07\n"
+        "10.0,8.180518194393037e-08\n"
     )
     assert (cross / "crossings.json").read_text() == (
         '{\n  "curve_a": "pole:1",\n  "curve_b": "pole:2",\n  "crossings": [\n    {\n'

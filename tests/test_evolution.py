@@ -529,11 +529,15 @@ def power_values_per_t(l, x, t, g, tol):
 @pytest.mark.parametrize("tol", [1e-6, 1e-10])
 def test_power_values_match_per_time_reference(l, g, tol):
     # the time-batched kernel gives each (x, t) the per-t kernel's value, and
-    # every estimate but the marginal point's (pi, 0) meets tol
+    # every estimate but the marginal point's (pi, 0) meets tol; t = 1e-4 is
+    # the band of cutoff 768, and no exponential of the kernel overflows or
+    # turns invalid for these finite inputs
     x = np.linspace(0.0, math.pi, 33)
-    ts = np.array([0.0, 0.3, 0.5, 1.0, 2.0, 4.0, 5.0, 16.0, 50.0, 64.0, 300.0, 1e5])
-    values, estimates = _power_values(l, x, ts, g, tol)
+    ts = np.array([0.0, 1e-4, 0.3, 0.5, 1.0, 2.0, 4.0, 5.0, 16.0, 50.0, 64.0, 300.0, 1e5])
+    with np.errstate(over="raise", invalid="raise"):
+        values, estimates = _power_values(l, x, ts, g, tol)
     assert values.shape == estimates.shape == (len(x), len(ts))
+    assert np.all(values[0] == 0.0)  # sin(k x) = 0 at x = 0, exactly
     for j, t in enumerate(ts):
         ref, ref_estimates = power_values_per_t(l, x, t, g, tol)
         np.testing.assert_allclose(values[:, j], ref, rtol=1e-13, atol=0)
@@ -541,6 +545,40 @@ def test_power_values_match_per_time_reference(l, g, tol):
         assert np.all(estimates[~marginal, j] <= tol)
         assert np.all(ref_estimates[~marginal] <= tol)
         assert np.all(estimates[marginal, j] > tol) and np.all(ref_estimates[marginal] > tol)
+
+
+def test_first_ladder_pair_is_one_kernel_pass(monkeypatch):
+    # base and x2 cells of every band are summed in one _ray_sums call; a
+    # band whose points all meet tol at x2 needs no further call
+    calls = []
+
+    def recorder(*args):
+        calls.append(args)
+        return ray_sums(*args)
+
+    ray_sums = evolution._ray_sums
+    monkeypatch.setattr(evolution, "_ray_sums", recorder)
+    psi_power_quad(1, 1.0, 5.0, 0.2, 1e-8)
+    assert len(calls) == 1
+    calls.clear()
+    x = np.linspace(0.0, math.pi, 9)
+    _, estimates = _power_values(1, x, [0.5, 5.0, 50.0], 0.2, 1e-8)  # three bands
+    assert len(calls) == 3 and np.all(estimates <= 1e-8)
+    assert [len(levels) for *_, levels in calls] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("l, g", [(1, 0.2), (2, 0.1)])
+def test_power_values_memory_is_bounded(l, g):
+    # the ray sums go in blocks of cells: the first two levels without
+    # blocks peaked at 7.5 MiB here, the complex kernel at 4.4 MiB
+    x, ts = np.linspace(0.0, math.pi, 129), np.linspace(0.5, 300.0, 201)
+    tracemalloc.start()
+    try:
+        _power_values(l, x, ts, g, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 def test_power_field_marginal_point_raises_with_field():

@@ -102,6 +102,20 @@ def test_ray_band_exact_at_powers_of_four(b):
     assert ray_band(float(below)) == t / 4.0
     assert ray_band(float(np.nextafter(4.0 * t, 0.0))) == t
     assert np.array_equal(ray_cell_edges(float(above), math.pi), ray_cell_edges(t, math.pi))
+    if t >= 0.25:
+        # the closed form of the doubling cells is bit-identical to doubling
+        # in a loop
+        assert np.array_equal(ray_cell_edges(t, math.pi), ray_cell_edges_doubling_loop(t))
+
+
+def ray_cell_edges_doubling_loop(t):
+    """Reference form of the cells of t >= 1/4: 13 core edges, then doubling up to K."""
+    k_max = max(10.0, math.sqrt(36.0 / ray_band(t)))
+    core = min(6.0 / math.sqrt(ray_band(t)), k_max)
+    edges = list(np.linspace(0.0, core, 13))
+    while edges[-1] < k_max:
+        edges.append(min(edges[-1] * 2.0, k_max))
+    return np.array(edges)
 
 
 @pytest.mark.parametrize("t", [1e-3, 0.3, 0.5, 3.99, 5.0, 50.0, 300.0, 1e5])
