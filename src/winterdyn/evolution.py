@@ -44,7 +44,7 @@ from .quadrature import (
     GL_NODES,
     filon_moments,
     gl_nodes_weights,
-    panel_cell_edges,
+    panel_edges,
     ray_band,
     ray_cell_edges,
     refine_edges,
@@ -75,13 +75,18 @@ ORIGIN_GRADING = 2.0 ** -np.arange(1, 41)
 # the panels before it, whose misfit would dominate the residual.
 TAIL_FIT_START = 40
 
+# Smallest coupling of the direct route: its tail model expands in
+# 1/(4 pi g (j + 1/2)), about 1/2 at panel TAIL_FIT_START here.  Below it the
+# t = 0 values miss their estimates (by 0.18 at g = 1e-6).
+DIRECT_G_MIN = 1.0 / (2.0 * math.pi * TAIL_FIT_START)
+
 
 def _inputs(route: str, l: int, x, t, g: float):
     """x and t as 1-d float arrays, checked against the domain of a route.
 
     Every route needs a positive integer l, positions in the cavity [0, pi]
-    and times t >= 0; direct and power need g > 0 and asymptotic t > 0.
-    Raises DomainError.
+    and times t >= 0; power needs g > 0, direct g >= DIRECT_G_MIN > 0 and
+    asymptotic t > 0.  Raises DomainError.
     """
     if l < 1 or int(l) != l:
         raise DomainError("initial mode index l must be a positive integer")
@@ -93,6 +98,9 @@ def _inputs(route: str, l: int, x, t, g: float):
         raise DomainError("time must be >= 0")
     if route in ("direct", "power") and not g > 0:
         raise DomainError(f"the {route} route requires g > 0")
+    if route == "direct" and g < DIRECT_G_MIN:
+        raise DomainError(f"the direct route requires g >= {DIRECT_G_MIN!r} = 1/(2 pi "
+                          f"{TAIL_FIT_START}), where its tail model holds")
     if route == "asymptotic" and not np.all(t > 0):
         raise DomainError("asymptotic form needs t > 0")
     return x, t
@@ -272,20 +280,15 @@ def _spectral_kernel(l: int, k: np.ndarray, g: float) -> np.ndarray:
     return (-1) ** l * l * _sin_ratio(k, l) / (4.0 * ab_product(k.astype(complex), g))
 
 
-def _panel_edges(g: float, n_panels: int, *extra) -> np.ndarray:
-    """Sorted cell edges in k of panels 0..n_panels-1 and of any extra edge arrays."""
-    return np.unique(np.concatenate([*extra, *(panel_cell_edges(j, g) for j in range(n_panels))]))
-
-
 def _direct_t0(l: int, x, g: float):
     """psi^(l)(x, 0) by GL-15 panels in k, extrapolated with the tail model.
 
     Each point gets its own panel count: 1000 within 0.15 of the barrier,
     x = pi included, and 220 elsewhere.  The kernel is evaluated once on the
-    node set of the largest count, whose prefix is the node set of any
-    smaller one; each group of points sums its panels over that prefix, one
-    real product sin(k x) @ [Re w, Im w] per panel, and its tail fits run in
-    blocks of points (quadrature.tail_mode_fit).  Returns the values, their
+    panel_edges nodes of the largest count, whose prefix is the node set of
+    any smaller one; each group of points sums its panels over that prefix,
+    one real product sin(k x) @ [Re w, Im w] per panel, and its tail fits run
+    in blocks of points (quadrature.tail_mode_fit).  Returns the values, their
     estimates and the largest panel count with its node count.
     """
     # points just inside the barrier carry a slow tail mode of frequency
@@ -294,7 +297,7 @@ def _direct_t0(l: int, x, g: float):
     # estimate falls short of its error (l = 1, 2, 3 at g = 0.025)
     panel_counts = np.where(x > math.pi - 0.15, 1000, 220)
     n_max = int(panel_counts.max(initial=220))  # 220 for an empty grid
-    edges = _panel_edges(g, n_max)
+    edges = panel_edges(g, n_max)
     nodes, wts = gl_nodes_weights(edges)
     kern = (_spectral_kernel(l, nodes, g) * wts).view(np.float64).reshape(-1, 2)
     ends = len(GL_NODES) * np.searchsorted(edges, np.arange(n_max + 1.0))
@@ -364,7 +367,7 @@ def _direct_filon(l: int, x, t, g: float, tol: float):
     """psi^(l) at every (x, t > 0) by Filon quadrature in u = k^2, truncated.
 
     Every t shares the panel count J = truncation_panels of the earliest t and
-    one node set: the t = 0 cells of panels 0..J-1 in u, panel 0 graded by
+    one node set: the panel_edges of panels 0..J-1 in u, panel 0 graded by
     ORIGIN_GRADING.  The rule runs on those cells and on the cells halved;
     the halved sum is returned with the estimate |fine - coarse| plus three
     times the largest of its last five panel sums plus the halved sum's
@@ -372,7 +375,7 @@ def _direct_filon(l: int, x, t, g: float, tol: float):
     panel and node counts (nodes of both levels).
     """
     n_panels = truncation_panels(l, float(t.min()), tol)
-    coarse = _panel_edges(g, n_panels, ORIGIN_GRADING) ** 2
+    coarse = np.union1d(ORIGIN_GRADING, panel_edges(g, n_panels)) ** 2
     fine = refine_edges(coarse, 2)
     # the halved cells split at the edges (J - 5)^2 .. J^2 of the last five panels
     cuts = np.searchsorted(fine, np.arange(n_panels - 5.0, n_panels + 1.0) ** 2)

@@ -29,9 +29,9 @@ The panel sum is truncated where the panel integrals, decaying like
 1/(t j^3), drop below the tolerance.
 
 The caller (evolution._direct_values) builds one node set from the
-panel_cell_edges of every panel.  At t = 0 each point has its own panel
-count (more panels just inside the barrier), every smaller count's nodes are
-a prefix of the largest count's, and each panel is summed as one real matrix
+panel_edges of all its panels.  At t = 0 each point has its own panel count
+(more panels just inside the barrier), every smaller count's nodes are a
+prefix of the largest count's, and each panel is summed as one real matrix
 product over its nodes; at t > 0 the sums run over blocks of nodes.  So no
 nodes x points array over all panels is ever formed.
 """
@@ -60,34 +60,30 @@ TAIL_RCOND = 1e-11
 RAY_K_CAP = 4096.0
 
 
-def baseline_subpanels(j: int, g: float) -> int:
-    """Cells needed for the period-1 structure of 1/(4ab) in panel [j, j+1]."""
-    delta = 1.0 / (4.0 * math.pi * abs(g) * (j + 0.5))
-    if delta < 0.02:
-        return 1
-    if delta < 0.1:
-        return 4
-    if delta < 0.3:
-        return 8
-    return 16
+def panel_edges(g: float, n_panels: int) -> np.ndarray:
+    """Sorted cell edges in k of the unit panels [j, j+1], j < n_panels.
 
-
-def panel_cell_edges(j: int, g: float) -> np.ndarray:
-    """Subdivision of the unit panel [j, j+1] adapted to spike and wiggle."""
-    lo, hi = float(j), float(j + 1)
-    edges = set(np.linspace(lo, hi, baseline_subpanels(j, g) + 1))
-    n = j + 1
-    kr = n * (1.0 - g + g * g)
-    if lo - 0.5 < kr < hi + 0.5:
-        w = min(max(math.pi * n * n * g * g / 4.0, 1e-9), 0.25)
-        step = w
-        pts = [kr]
-        while step < 1.0:
-            pts.append(kr - step)
-            pts.append(kr + step)
-            step *= 2.0
-        edges.update(p for p in pts if lo < p < hi)
-    return np.array(sorted(edges))
+    Panel j has sub = 1, 4, 8 or 16 equal cells, by the amplitude 1/(4 pi g
+    (j + 1/2)) of the period-1 wiggles of 1/(4ab), with edges j + i/sub as
+    np.linspace forms them.  The panels within half a panel of the spike
+    k_r = n(1 - g + g^2), n = j + 1, add k_r and k_r -+ w 2^m < 1 inside them,
+    w = pi n^2 g^2/4 clipped to [1e-9, 1/4].
+    """
+    j = np.arange(n_panels)
+    delta = 1.0 / (4.0 * math.pi * g * (j + 0.5))
+    sub = np.select([delta < 0.02, delta < 0.1, delta < 0.3], [1, 4, 8], 16)[:, None]
+    i = np.arange(16)
+    baseline = (j[:, None] + i * (1.0 / sub))[i < sub]
+    kr = (j + 1) * (1.0 - g + g * g)
+    near = (j - 0.5 < kr) & (kr < j + 1.5)
+    n, kr, lo = j[near] + 1, kr[near, None], j[near, None]
+    # in this operation order: regrouping it as pi n^2 can change the last bit
+    w = np.minimum(np.maximum(math.pi * n * n * g * g / 4.0, 1e-9), 0.25)[:, None]
+    steps = w * 2.0 ** np.arange(30)  # w >= 1e-9 reaches 1 within 30 doublings
+    steps[steps >= 1.0] = np.inf  # k_r -+ inf lies in no panel
+    spike = np.concatenate([kr, kr - steps, kr + steps], axis=1)
+    spike = spike[(lo < spike) & (spike < lo + 1)]
+    return np.unique(np.concatenate([baseline, [float(n_panels)], spike]))
 
 
 def gl_nodes_weights(*edge_sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from winterdyn import DomainError, WinterError, cli, errors, evolution
 from winterdyn.cli import CROSSING_RTOL, build_parser, find_crossings, main, parse_grid
+from winterdyn.quadrature import TRUNCATION_PANEL_CAP
 
 
 def read_csv(path):
@@ -681,15 +682,15 @@ def test_published_files_follow_the_umask(tmp_path, umask):
 
 
 def record_direct_panels(monkeypatch) -> list:
-    """The arguments (j, g) of every panel_cell_edges call the direct route makes."""
+    """The arguments (g, n_panels) of every panel_edges call the direct route makes."""
     panels = []
-    cell_edges = evolution.panel_cell_edges
+    edges = evolution.panel_edges
 
     def recorder(*args):
         panels.append(args)
-        return cell_edges(*args)
+        return edges(*args)
 
-    monkeypatch.setattr(evolution, "panel_cell_edges", recorder)
+    monkeypatch.setattr(evolution, "panel_edges", recorder)
     return panels
 
 
@@ -698,13 +699,15 @@ def record_direct_panels(monkeypatch) -> list:
     [
         # every route's domain is checked first: asymptotic refuses t = 0
         ["evolve", "--g", "0.2", "--method", "all", "--t", "0:50:101"],
+        # below g = 1/(80 pi) the direct route's tail model does not hold
+        ["evolve", "--g", "0.001", "--method", "direct", "--t", "0"],
     ],
-    ids=["evolve-all-t0"],
+    ids=["evolve-all-t0", "evolve-direct-g-0.001"],
 )
-def test_direct_cap_refuses_before_any_quadrature(tmp_path, monkeypatch, argv):
+def test_domain_refusal_before_any_direct_node_set(tmp_path, monkeypatch, argv):
     panels = record_direct_panels(monkeypatch)
     assert main(argv + ["--out", str(tmp_path)]) == 2
-    assert panels == []  # refused before any direct panel is integrated
+    assert panels == []  # refused before any direct node set is built
     assert not any(tmp_path.iterdir())
 
 
@@ -789,15 +792,13 @@ def test_direct_past_t50_exits_0_certified(tmp_path, monkeypatch, argv, outputs)
 )
 def test_direct_past_t50_integrates_t_free_cells(tmp_path, monkeypatch, argv):
     # past the old cap every direct call builds panels 0..J-1 once, from the
-    # t = 0 cells panel_cell_edges(j, g): no per-time panels, no chirp cells
+    # t = 0 cells panel_edges(g, J): no per-time panels, no chirp cells
     panels = record_direct_panels(monkeypatch)
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    assert panels and all(g == 0.2 for _, g in panels)
-    js = [j for j, _ in panels]
-    assert js[0] == 0
-    assert all(b == 0 or b == a + 1 for a, b in zip(js, js[1:]))
+    assert panels
+    assert all(g == 0.2 and 48 <= n <= TRUNCATION_PANEL_CAP for g, n in panels)
     if argv[0] == "evolve":
-        assert js.count(0) == 1  # t = 40 and t = 60 share one node set
+        assert len(panels) == 1  # t = 40 and t = 60 share one node set
 
 
 @pytest.mark.parametrize("flag", [["--l", "0"], ["--n-max", "0"], ["--l", "-1"]])
@@ -928,7 +929,8 @@ def tree(root):
         (["evolve", "--g", "1e300", "--parts", "split", "--t", "1:2:2"], 2),
         (["crossings", "--g", "1e300", "--l", "2", "--curve-a", "pole:1", "--curve-b", "pole:2",
           "--t", "1:5:3"], 2),
-        (["evolve", "--g", "1e-300", "--method", "direct", "--t", "1"], 3),
+        (["evolve", "--g", "1e-300", "--method", "direct", "--t", "1"], 2),
+        (["evolve", "--g", "1e-6", "--method", "direct", "--t", "0"], 2),
         (["evolve", "--g", "1e-300", "--method", "power", "--t", "1"], 3),
         (["mixing", "--g", "1e300", "--n", "4", "--emit", "Uinv"], 4),
         (["mixing", "--g", "1e200", "--n", "4", "--rotate", "1"], 4),
@@ -936,9 +938,10 @@ def tree(root):
         (["mixing", "--g", "1e300", "--n", "4", "--emit", "Uinv", "--mode", "series"], 2),
         (["mixing", "--g", "1e300", "--n", "4", "--emit", "expgap"], 2),
     ],
-    ids=["evolve-split-overflow", "crossings-overflow", "evolve-direct-nan-field",
-         "evolve-power-nan-field", "mixing-Uinv-nan-cond", "mixing-rotate-nan-cond",
-         "mixing-U-overflow", "mixing-Uinv-series-overflow", "mixing-expgap-overflow"],
+    ids=["evolve-split-overflow", "crossings-overflow", "evolve-direct-g-1e-300",
+         "evolve-direct-g-1e-6", "evolve-power-nan-field", "mixing-Uinv-nan-cond",
+         "mixing-rotate-nan-cond", "mixing-U-overflow", "mixing-Uinv-series-overflow",
+         "mixing-expgap-overflow"],
 )
 def test_failure_exit_code_leaves_out_as_it_was(tmp_path, argv, code):
     (tmp_path / "old").mkdir()

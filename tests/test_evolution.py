@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from test_quadrature import tail_mode_fit_complex
+from test_quadrature import baseline_subpanels, panel_cell_edges, tail_mode_fit_complex
 
 from winterdyn import (
     AccuracyError,
@@ -34,9 +34,7 @@ from winterdyn.evolution import (
     _sin_ratio,
 )
 from winterdyn.quadrature import (
-    baseline_subpanels,
     gl_nodes_weights,
-    panel_cell_edges,
     ray_cell_edges,
     refine_edges,
     truncation_panels,
@@ -625,6 +623,14 @@ def test_quadrature_fields_refuse_inputs_outside_domain(field, l, t, g, message)
         field(l, [0.5], t, g)
 
 
+def test_direct_field_refuses_g_below_its_tail_model():
+    # the t = 0 tail model expands in 1/(4 pi g (j + 1/2)) from panel 40 on;
+    # at g = 0.002 the grid's worst error (1.1e-6) exceeded its worst
+    # estimate (6.8e-7) and the field was certified at tol 1e-6
+    with pytest.raises(DomainError, match="requires g >= "):
+        direct_field(1, np.linspace(0.0, math.pi, 129), 0.0, 0.002, 1e-6)
+
+
 def psi_power_asym_scalar(l, x, t, g):
     """Reference form: the two-term closed form in scalar math/cmath."""
     gp = g / (1.0 + g)
@@ -774,11 +780,17 @@ def test_decomposition_identity_grid_l2(table01):
 
 
 @pytest.mark.parametrize("route", [direct_field, power_field], ids=["direct", "power"])
-def test_non_finite_field_is_an_accuracy_error(route):
-    # at g = 1e-300 the integrand's 1/(a b) overflows to nan
+def test_non_finite_field_is_an_accuracy_error(monkeypatch, route):
+    # at g = 1e-300 the integrand's 1/(a b) overflows to nan; the direct route
+    # refuses so small a g, so a nan kernel stands in for the overflow there
     x = np.linspace(0.0, math.pi, 33)
+    g = 1e-300
+    if route is direct_field:
+        g = 0.2
+        monkeypatch.setattr(evolution, "_spectral_kernel",
+                            lambda l, k, g: np.full(k.shape, np.nan, dtype=complex))
     with pytest.raises(AccuracyError) as exc, np.errstate(all="ignore"):
-        route(1, x, 1.0, 1e-300, 1e-6)
+        route(1, x, 1.0, g, 1e-6)
     assert exc.value.best is None
 
 

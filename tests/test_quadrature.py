@@ -6,10 +6,12 @@ import pytest
 from numpy.polynomial import legendre
 from scipy.special import spherical_jn
 
+from winterdyn.evolution import ORIGIN_GRADING
 from winterdyn.quadrature import (
     GL_NODES,
     GL_WEIGHTS,
     filon_moments,
+    panel_edges,
     ray_band,
     ray_cell_edges,
     refine_edges,
@@ -28,6 +30,47 @@ def refine_edges_per_cell(edges, factor):
     for a, b in zip(edges[:-1], edges[1:]):
         out.extend(np.linspace(a, b, factor + 1)[1:])
     return np.array(out)
+
+
+def baseline_subpanels(j: int, g: float) -> int:
+    """Cells needed for the period-1 structure of 1/(4ab) in panel [j, j+1]."""
+    delta = 1.0 / (4.0 * math.pi * abs(g) * (j + 0.5))
+    if delta < 0.02:
+        return 1
+    if delta < 0.1:
+        return 4
+    if delta < 0.3:
+        return 8
+    return 16
+
+
+def panel_cell_edges(j: int, g: float) -> np.ndarray:
+    """Subdivision of the unit panel [j, j+1] adapted to spike and wiggle."""
+    lo, hi = float(j), float(j + 1)
+    edges = set(np.linspace(lo, hi, baseline_subpanels(j, g) + 1))
+    n = j + 1
+    kr = n * (1.0 - g + g * g)
+    if lo - 0.5 < kr < hi + 0.5:
+        w = min(max(math.pi * n * n * g * g / 4.0, 1e-9), 0.25)
+        step = w
+        pts = [kr]
+        while step < 1.0:
+            pts.append(kr - step)
+            pts.append(kr + step)
+            step *= 2.0
+        edges.update(p for p in pts if lo < p < hi)
+    return np.array(sorted(edges))
+
+
+@pytest.mark.parametrize("g", np.geomspace(0.01, 1.0, 10).tolist())
+def test_panel_edges_match_per_panel_reference(g):
+    # the closed form is bit for bit the union of the per-panel reference
+    # cells, alone and with the origin grading of the t > 0 route
+    for n_panels in (48, 100, 220, 800, 1000):
+        ref = np.unique(np.concatenate([panel_cell_edges(j, g) for j in range(n_panels)]))
+        np.testing.assert_array_equal(panel_edges(g, n_panels), ref)
+        np.testing.assert_array_equal(np.union1d(ORIGIN_GRADING, panel_edges(g, n_panels)),
+                                      np.union1d(ORIGIN_GRADING, ref))
 
 
 def tail_mode_fit_complex(partial_sums, x, j_lo, max_power=6, rcond=1e-11):
