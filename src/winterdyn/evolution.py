@@ -42,12 +42,15 @@ from .errors import AccuracyError, DomainError
 from .poles import PoleTable, width_pert
 from .quadrature import (
     GL_NODES,
+    TRUNCATION_PANEL_CAP,
+    angle_split,
     filon_moments,
     gl_nodes_weights,
     panel_edges,
     ray_band,
     ray_cell_edges,
     refine_edges,
+    sin_product,
     tail_mode_fit,
     truncation_panels,
 )
@@ -60,10 +63,10 @@ SPECTRAL_PREFACTOR = (2.0 / math.pi) ** 1.5
 # form; 1e-4 keeps the cancellation error below 1e-10 with four terms.
 RING_WINDOW = 1e-4
 
-# At t > 0 the sin(k x) and weight arrays of one block of the direct route's
-# real matrix products hold at most DIRECT_CHUNK x 128 doubles, so memory
-# does not grow with the tolerance; at t = 0 so do the tail fits of one
-# block of points.
+# At t > 0 the weight arrays of one block of the direct route's real matrix
+# products hold at most DIRECT_CHUNK x 128 doubles, and its sin(k x) arrays at
+# most DIRECT_CHUNK x 32, so memory does not grow with the tolerance; at t = 0
+# the tail fits of one block of points hold at most DIRECT_CHUNK x 128.
 DIRECT_CHUNK = 4096
 
 # Panel 0 in u = k^2 also gets the cell edges k = 2^-1 ... 2^-40, graded
@@ -337,19 +340,24 @@ def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray) -> tuple[np.ndarray
     With u = k^2 the integral over a cell [u_c - H, u_c + H] reads
     Int F(u) e^{-i u t} du, F = p^(l)(sqrt(u))/(2 sqrt(u)), and Filon weights
     its GL-15 nodes by H e^{-i u_c t} Phi_m(H t).  The cells go in blocks whose
-    sin(k x) and weight arrays hold at most DIRECT_CHUNK x 128 doubles; per
-    block sin(k x) is formed once and every (x, t) follows from one real
-    product with the interleaved (re, im) nodes x times weights, so no complex
-    nodes x points array is formed.
+    weight arrays hold at most DIRECT_CHUNK x 128 doubles, and every (x, t)
+    of a block follows from quadrature.sin_product of its nodes with the
+    interleaved (re, im) nodes x times weights, so no complex nodes x points
+    array is formed.  On a np.linspace grid sin_product builds sin(k x) by
+    angle addition from p + q phases per node in blocks of DIRECT_CHUNK x 32
+    doubles; on any other grid, or one of fewer than 9 points, it calls
+    np.sin and p + q = 0.
 
-    Also returns, per t, the sum over the terms of |weight| (1 + u t): each
-    term carries a rounding error of about eps (1 + u t), u t being the phase
-    that e^{-i u t} and the moments Phi_m(H t) are evaluated at.
+    Also returns, per t, the sum over the terms of |weight| (1 + p + q + u t):
+    each term carries a rounding error of about eps (1 + p + q + u t), u t
+    being the phase that e^{-i u t} and the moments Phi_m(H t) are evaluated
+    at and p + q the products that build its sine.
     """
     centre, half = 0.5 * (u_edges[1:] + u_edges[:-1]), 0.5 * (u_edges[1:] - u_edges[:-1])
     per_block = max(1, DIRECT_CHUNK * 128 // (len(GL_NODES) * max(len(x), 2 * len(t))))
     acc = np.zeros((len(x), 2 * len(t)))
     floor = np.zeros(len(t))
+    products = sum(angle_split(x))
     for lo in range(0, len(centre), per_block):
         c, h = centre[lo : lo + per_block, None], half[lo : lo + per_block, None]
         k = np.sqrt(c + h * GL_NODES).ravel()
@@ -357,9 +365,9 @@ def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray) -> tuple[np.ndarray
         wts = (h * np.exp(-1j * c * t))[:, :, None] * filon_moments(h * t)
         wts = np.ascontiguousarray(wts.transpose(0, 2, 1)).reshape(len(k), len(t))
         wts *= (_spectral_kernel(l, k, g) / (2.0 * k))[:, None]
-        acc += np.sin(np.multiply.outer(x, k)) @ wts.view(np.float64)
+        acc += sin_product(x, k, wts.view(np.float64), DIRECT_CHUNK * 32)
         size = np.abs(wts)
-        floor += size.sum(axis=0) + t * (k * k @ size)
+        floor += (1 + products) * size.sum(axis=0) + t * (k * k @ size)
     return acc.view(complex), floor
 
 
@@ -371,20 +379,30 @@ def _direct_filon(l: int, x, t, g: float, tol: float):
     ORIGIN_GRADING.  The rule runs on those cells and on the cells halved;
     the halved sum is returned with the estimate |fine - coarse| plus three
     times the largest of its last five panel sums plus the halved sum's
-    rounding floor (_filon_sums).  Returns the values, their estimates and the
-    panel and node counts (nodes of both levels).
+    rounding floor (_filon_sums).  Where J is TRUNCATION_PANEL_CAP, the
+    truncation outruns that panel envelope, and the estimate also takes the
+    sum |S_J - S_{J/2}| of the panels J/2..J-1.  Returns the values, their
+    estimates and the panel and node counts (nodes of both levels).
     """
     n_panels = truncation_panels(l, float(t.min()), tol)
+    capped = n_panels == TRUNCATION_PANEL_CAP
     coarse = np.union1d(ORIGIN_GRADING, panel_edges(g, n_panels)) ** 2
     fine = refine_edges(coarse, 2)
-    # the halved cells split at the edges (J - 5)^2 .. J^2 of the last five panels
-    cuts = np.searchsorted(fine, np.arange(n_panels - 5.0, n_panels + 1.0) ** 2)
+    # the halved cells split at the edges (J - 5)^2 .. J^2 of the last five
+    # panels, and at (J/2)^2 where the cap binds
+    splits = np.arange(n_panels - 5.0, n_panels + 1.0)
+    if capped:
+        splits = np.append(n_panels // 2, splits)
+    cuts = np.searchsorted(fine, splits**2)
     sums, floors = zip(*(_filon_sums(l, x, t, g, fine[a : b + 1])
                          for a, b in zip([0, *cuts[:-1]], cuts)))
-    head, last = sums[0], sums[1:]
-    values = head + sum(last)
+    heads, last = sums[:-5], sums[-5:]
+    tail = sum(last)
+    values = sum(heads) + tail
     estimates = (np.abs(values - _filon_sums(l, x, t, g, coarse)[0])
                  + 3.0 * np.max(np.abs(last), axis=0) + np.finfo(float).eps * sum(floors))
+    if capped:
+        estimates += np.abs(heads[1] + tail)
     return values, estimates, (n_panels, len(GL_NODES) * (len(coarse) + len(fine) - 2))
 
 

@@ -24,6 +24,7 @@ from winterdyn import (
 )
 from winterdyn.evolution import (
     _ROT,
+    ORIGIN_GRADING,
     SPECTRAL_PREFACTOR,
     TAIL_FIT_START,
     _cavity_norms,
@@ -34,7 +35,10 @@ from winterdyn.evolution import (
     _sin_ratio,
 )
 from winterdyn.quadrature import (
+    TRUNCATION_PANEL_CAP,
+    angle_split,
     gl_nodes_weights,
+    panel_edges,
     ray_cell_edges,
     refine_edges,
     truncation_panels,
@@ -270,6 +274,46 @@ def test_filon_sums_match_gl_in_k(monkeypatch, chunk):
             ref = (kern * np.exp(-1j * nodes**2 * t) * wts) @ np.sin(np.outer(nodes, x))
             got = _filon_sums(l, x, np.array([t, 2 * t]), g, k_edges**2)[0][:, 0]
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_filon_sums_angle_addition_matches_np_sin(monkeypatch):
+    # the 129-point grid takes quadrature.sin_product's angle addition; the
+    # np.sin form of the same Filon sums, over the cells of 240 panels, differs
+    # by rounding only, and the rounding floor counts the p + q = 23 products
+    x = np.linspace(0.0, math.pi, 129)
+    assert angle_split(x) == (11, 12)
+    l, g, t = 2, 0.2, np.array([0.5, 50.0])
+    u_edges = np.union1d(ORIGIN_GRADING, panel_edges(g, 240)) ** 2
+    got, floor = _filon_sums(l, x, t, g, u_edges)
+    weight_sums = []
+
+    def np_sin_product(x, k, w, max_doubles):
+        weight_sums.append(np.abs(w.view(complex)).sum(axis=0))
+        return np.sin(np.multiply.outer(x, k)) @ w
+
+    monkeypatch.setattr(evolution, "sin_product", np_sin_product)
+    ref, _ = _filon_sums(l, x, t, g, u_edges)
+    total = sum(weight_sums)
+    assert np.all(np.abs(got - ref) <= 1e-13 * total)
+    assert np.all(floor >= (1 + 11 + 12) * total)
+
+
+def test_direct_estimate_covers_error_where_truncation_is_capped():
+    # at t = 0.059 and tol 1e-12 the truncation stops at TRUNCATION_PANEL_CAP
+    # panels, and three times the last five panel sums fell short of the tail
+    # left out (5 points missed, the worst by 1.78x at x = 3.0189); the
+    # reference is the residue sum over 1500 poles plus power at 1e-13
+    l, g, t = 1, 0.2, 0.059
+    x = np.linspace(0.0, math.pi, 129)
+    values, estimates, counts = _direct_values(l, x, [t], g, 1e-12)
+    assert counts[0, 0] == TRUNCATION_PANEL_CAP
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = pole_table(g, 1500, tol=1e-12)
+    expo, tail = _exponential_values(l, x, [t], g, table)
+    power, power_estimates = _power_values(l, x, [t], g, 1e-13)
+    gap = np.abs(values - expo - power)
+    assert np.all(gap <= estimates + power_estimates + tail)
 
 
 def test_direct_field_memory_is_bounded():

@@ -10,11 +10,13 @@ from winterdyn.evolution import ORIGIN_GRADING
 from winterdyn.quadrature import (
     GL_NODES,
     GL_WEIGHTS,
+    angle_split,
     filon_moments,
     panel_edges,
     ray_band,
     ray_cell_edges,
     refine_edges,
+    sin_product,
     spherical_bessel_j,
     tail_mode_fit,
 )
@@ -222,6 +224,46 @@ def test_filon_moments_match_reference(omega):
 def test_filon_moments_at_zero_are_gl_weights():
     assert np.array_equal(filon_moments(0.0), GL_WEIGHTS.astype(complex))
     assert filon_moments(np.zeros((2, 3))).shape == (2, 3, len(GL_NODES))
+
+
+def _jittered_grid():
+    x = np.linspace(0.0, math.pi, 129)
+    x[1:-1] += np.random.default_rng(3).uniform(-1e-3, 1e-3, 127)
+    return x
+
+
+SINE_GRIDS = {
+    "9-points": np.linspace(0.0, math.pi, 9),
+    "33-points": np.linspace(0.0, math.pi, 33),
+    "129-points": np.linspace(0.0, math.pi, 129),
+    "1025-near-barrier": np.linspace(3.0, math.pi, 1025),
+    "not-arithmetic": _jittered_grid(),
+    "one-point": np.array([1.3]),
+}
+
+
+def test_angle_split_takes_linspace_grids_of_nine_or_more_points():
+    splits = {name: angle_split(x) for name, x in SINE_GRIDS.items()}
+    assert splits == {"9-points": (3, 3), "33-points": (6, 6), "129-points": (11, 12),
+                      "1025-near-barrier": (32, 33), "not-arithmetic": (0, 0), "one-point": (0, 0)}
+    assert angle_split(np.linspace(0.0, math.pi, 8)) == (0, 0)
+
+
+@pytest.mark.parametrize("max_doubles", [4096 * 32, 5000], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("x", SINE_GRIDS.values(), ids=SINE_GRIDS.keys())
+def test_sin_product_matches_np_sin(x, max_doubles):
+    # 154 identity columns compare every sine, 2 random columns the sums; the
+    # nodes reach the direct route's 800-panel cap.  Either side rounds the
+    # phase k x to about k x eps, and the angle-addition tables add (p + q) eps
+    rng = np.random.default_rng(11)
+    k = np.sort(rng.uniform(0.0, 800.0, 154))
+    p, q = angle_split(x)
+    ref = np.sin(np.multiply.outer(x, k))
+    bound = 2.0 * np.finfo(float).eps * (1 + p + q + np.multiply.outer(x, k))
+    for w in (np.eye(len(k)), rng.standard_normal((len(k), 2))):
+        got = sin_product(x, k, w, max_doubles)
+        assert got.shape == (len(x), w.shape[1])
+        assert np.all(np.abs(got - ref @ w) <= bound @ np.abs(w))
 
 
 def test_spherical_bessel_matches_scipy_across_regimes():
