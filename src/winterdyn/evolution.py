@@ -43,7 +43,6 @@ from .poles import PoleTable, width_pert
 from .quadrature import (
     GL_NODES,
     TRUNCATION_PANEL_CAP,
-    angle_split,
     filon_moments,
     gl_nodes_weights,
     panel_edges,
@@ -63,10 +62,11 @@ SPECTRAL_PREFACTOR = (2.0 / math.pi) ** 1.5
 # form; 1e-4 keeps the cancellation error below 1e-10 with four terms.
 RING_WINDOW = 1e-4
 
-# At t > 0 the weight arrays of one block of the direct route's real matrix
-# products hold at most DIRECT_CHUNK x 128 doubles, and its sin(k x) arrays at
-# most DIRECT_CHUNK x 32, so memory does not grow with the tolerance; at t = 0
-# the tail fits of one block of points hold at most DIRECT_CHUNK x 128.
+# At t > 0 the sin(k x) and weight arrays of one block of the direct route's
+# real matrix products hold at most DIRECT_CHUNK x 128 doubles, and the
+# angle-addition basis behind sin(k x) at most DIRECT_CHUNK x 32, so memory
+# does not grow with the tolerance; at t = 0 so do the tail fits of one block
+# of points.
 DIRECT_CHUNK = 4096
 
 # Panel 0 in u = k^2 also gets the cell edges k = 2^-1 ... 2^-40, graded
@@ -343,21 +343,21 @@ def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray) -> tuple[np.ndarray
     weight arrays hold at most DIRECT_CHUNK x 128 doubles, and every (x, t)
     of a block follows from quadrature.sin_product of its nodes with the
     interleaved (re, im) nodes x times weights, so no complex nodes x points
-    array is formed.  On a np.linspace grid sin_product builds sin(k x) by
-    angle addition from p + q phases per node in blocks of DIRECT_CHUNK x 32
-    doubles; on any other grid, or one of fewer than 9 points, it calls
-    np.sin and p + q = 0.
+    array is formed.  On a np.linspace grid of two or more points
+    sin_product builds sin(k x) by angle addition from p + q phases per node,
+    in blocks of DIRECT_CHUNK x 32 doubles; on one point or a grid that is
+    not arithmetic it calls np.sin.
 
-    Also returns, per t, the sum over the terms of |weight| (1 + p + q + u t):
-    each term carries a rounding error of about eps (1 + p + q + u t), u t
-    being the phase that e^{-i u t} and the moments Phi_m(H t) are evaluated
-    at and p + q the products that build its sine.
+    Also returns, per t, the sum over the terms of |weight| (r + u t): each
+    term carries a rounding error of about eps (r + u t), u t being the phase
+    that e^{-i u t} and the moments Phi_m(H t) are evaluated at and r the
+    roundings of its sine that sin_product reports (1 + p + q, or 1 for
+    np.sin).
     """
     centre, half = 0.5 * (u_edges[1:] + u_edges[:-1]), 0.5 * (u_edges[1:] - u_edges[:-1])
     per_block = max(1, DIRECT_CHUNK * 128 // (len(GL_NODES) * max(len(x), 2 * len(t))))
     acc = np.zeros((len(x), 2 * len(t)))
     floor = np.zeros(len(t))
-    products = sum(angle_split(x))
     for lo in range(0, len(centre), per_block):
         c, h = centre[lo : lo + per_block, None], half[lo : lo + per_block, None]
         k = np.sqrt(c + h * GL_NODES).ravel()
@@ -365,9 +365,10 @@ def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray) -> tuple[np.ndarray
         wts = (h * np.exp(-1j * c * t))[:, :, None] * filon_moments(h * t)
         wts = np.ascontiguousarray(wts.transpose(0, 2, 1)).reshape(len(k), len(t))
         wts *= (_spectral_kernel(l, k, g) / (2.0 * k))[:, None]
-        acc += sin_product(x, k, wts.view(np.float64), DIRECT_CHUNK * 32)
+        sines, rounds = sin_product(x, k, wts.view(np.float64), DIRECT_CHUNK * 32)
+        acc += sines
         size = np.abs(wts)
-        floor += (1 + products) * size.sum(axis=0) + t * (k * k @ size)
+        floor += rounds * size.sum(axis=0) + t * (k * k @ size)
     return acc.view(complex), floor
 
 

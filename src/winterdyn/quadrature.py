@@ -34,7 +34,7 @@ panel_edges of all its panels.  At t = 0 each point has its own panel count
 prefix of the largest count's, and each panel is summed as one real matrix
 product over its nodes; at t > 0 the sums run over blocks of nodes, and
 sin_product forms sin(k x) of a block by angle addition on a np.linspace
-grid of 9 or more points (three complex exponentials per node, then
+grid of two or more points (three complex exponentials per node, then
 products), by np.sin on any other.  So no nodes x points array over all
 panels is ever formed.
 """
@@ -103,16 +103,16 @@ def gl_nodes_weights(*edge_sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def angle_split(x: np.ndarray) -> tuple[int, int]:
+def _angle_split(x: np.ndarray) -> tuple[int, int]:
     """The p x q slots of sin_product's tables for the points x, or (0, 0).
 
-    For n >= 9 points that are x_0 + j dx, j < n, to within 4 ulps of the
+    For n >= 2 points that are x_0 + j dx, j < n, to within 4 ulps of the
     largest |x| (every np.linspace grid), q = ceil(sqrt(n)) and
-    p = ceil(n/q), so point j = q a + r sits in slot (a, r).  A grid that is
-    shorter or not arithmetic gets (0, 0): sin_product then calls np.sin.
+    p = ceil(n/q), so point j = q a + r sits in slot (a, r).  One point, or a
+    grid that is not arithmetic, gets (0, 0): sin_product then calls np.sin.
     """
     n = len(x)
-    if n < 9:  # p + q phases per node would not undercut n sines
+    if n < 2:
         return 0, 0
     dx = (x[-1] - x[0]) / (n - 1)
     drift = np.abs(x - (x[0] + np.arange(n) * dx)).max()
@@ -132,36 +132,35 @@ def _phase_rows(first: np.ndarray, step: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def sin_product(x: np.ndarray, k: np.ndarray, w: np.ndarray, max_doubles: int) -> np.ndarray:
-    """sin(x k^T) @ w for points x, nodes k and a real nodes x columns array w.
+def sin_product(x: np.ndarray, k: np.ndarray, w: np.ndarray,
+                max_doubles: int) -> tuple[np.ndarray, int]:
+    """sin(x k^T) @ w for points x, nodes k and a real nodes x columns array w,
+    and the roundings each sine carries, in units of eps.
 
-    On a grid that angle_split accepts, x_j = x_0 + (q a + r) dx and
+    On a grid that _angle_split accepts, x_j = x_0 + (q a + r) dx and
     sin(k x_j) = Im(e^{i A_a} e^{i B_r}), A_a = k (x_0 + q dx a), B_r = k dx r.
     Per node, e^{ik x_0}, e^{ik q dx} and e^{ik dx} are the only complex
     exponentials; repeated products give the p phases e^{i A_a} and the q
-    phases e^{i B_r}, so each sine carries about (p + q) eps of rounding.
-    The nodes go in blocks whose complex p x q x nodes basis holds at most
-    max_doubles doubles, and the sines of a block, its first n slots, enter
-    one real product with w.  Any other grid takes np.sin of points x nodes
-    blocks of at most max_doubles.
+    phases e^{i B_r}, so each sine carries 1 + p + q roundings.  The nodes go
+    in blocks whose complex p x q x nodes basis holds at most max_doubles
+    doubles, and the sines of a block, its first n slots, enter one real
+    product with w.  Any other grid takes np.sin(x k^T) @ w, one rounding.
     """
-    p, q = angle_split(x)
+    p, q = _angle_split(x)
+    if not p:
+        return np.sin(np.multiply.outer(x, k)) @ w, 1
     n = len(x)
-    per_block = max(1, max_doubles // (2 * p * q if p else n))
+    dx = (x[-1] - x[0]) / (n - 1)
+    per_block = max(1, max_doubles // (2 * p * q))
+    basis = np.empty((p, q, min(per_block, len(k))), dtype=complex)
     out = np.zeros((n, w.shape[1]))
-    if p:
-        dx = (x[-1] - x[0]) / (n - 1)
-        basis = np.empty((p, q, min(per_block, len(k))), dtype=complex)
     for lo in range(0, len(k), per_block):
         kb, wb = k[lo : lo + per_block], w[lo : lo + per_block]
-        if not p:
-            out += np.sin(np.multiply.outer(x, kb)) @ wb
-            continue
         rows_a = _phase_rows(np.exp(1j * (kb * x[0])), np.exp(1j * (kb * (q * dx))), p)
         rows_b = _phase_rows(np.ones(len(kb)), np.exp(1j * (kb * dx)), q)
         b = np.multiply(rows_a[:, None], rows_b, out=basis[..., : len(kb)])
         out += np.ascontiguousarray(b.reshape(p * q, len(kb))[:n].imag) @ wb
-    return out
+    return out, 1 + p + q
 
 
 def _bessel_series(w: np.ndarray) -> np.ndarray:

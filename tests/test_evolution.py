@@ -36,7 +36,7 @@ from winterdyn.evolution import (
 )
 from winterdyn.quadrature import (
     TRUNCATION_PANEL_CAP,
-    angle_split,
+    _angle_split,
     gl_nodes_weights,
     panel_edges,
     ray_cell_edges,
@@ -281,7 +281,7 @@ def test_filon_sums_angle_addition_matches_np_sin(monkeypatch):
     # np.sin form of the same Filon sums, over the cells of 240 panels, differs
     # by rounding only, and the rounding floor counts the p + q = 23 products
     x = np.linspace(0.0, math.pi, 129)
-    assert angle_split(x) == (11, 12)
+    assert _angle_split(x) == (11, 12)
     l, g, t = 2, 0.2, np.array([0.5, 50.0])
     u_edges = np.union1d(ORIGIN_GRADING, panel_edges(g, 240)) ** 2
     got, floor = _filon_sums(l, x, t, g, u_edges)
@@ -289,7 +289,7 @@ def test_filon_sums_angle_addition_matches_np_sin(monkeypatch):
 
     def np_sin_product(x, k, w, max_doubles):
         weight_sums.append(np.abs(w.view(complex)).sum(axis=0))
-        return np.sin(np.multiply.outer(x, k)) @ w
+        return np.sin(np.multiply.outer(x, k)) @ w, 1
 
     monkeypatch.setattr(evolution, "sin_product", np_sin_product)
     ref, _ = _filon_sums(l, x, t, g, u_edges)

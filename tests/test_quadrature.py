@@ -10,7 +10,7 @@ from winterdyn.evolution import ORIGIN_GRADING
 from winterdyn.quadrature import (
     GL_NODES,
     GL_WEIGHTS,
-    angle_split,
+    _angle_split,
     filon_moments,
     panel_edges,
     ray_band,
@@ -233,6 +233,7 @@ def _jittered_grid():
 
 
 SINE_GRIDS = {
+    "2-points": np.linspace(0.0, math.pi, 2),
     "9-points": np.linspace(0.0, math.pi, 9),
     "33-points": np.linspace(0.0, math.pi, 33),
     "129-points": np.linspace(0.0, math.pi, 129),
@@ -242,11 +243,11 @@ SINE_GRIDS = {
 }
 
 
-def test_angle_split_takes_linspace_grids_of_nine_or_more_points():
-    splits = {name: angle_split(x) for name, x in SINE_GRIDS.items()}
-    assert splits == {"9-points": (3, 3), "33-points": (6, 6), "129-points": (11, 12),
-                      "1025-near-barrier": (32, 33), "not-arithmetic": (0, 0), "one-point": (0, 0)}
-    assert angle_split(np.linspace(0.0, math.pi, 8)) == (0, 0)
+def test_angle_split_takes_linspace_grids_of_two_or_more_points():
+    splits = {name: _angle_split(x) for name, x in SINE_GRIDS.items()}
+    assert splits == {"2-points": (1, 2), "9-points": (3, 3), "33-points": (6, 6),
+                      "129-points": (11, 12), "1025-near-barrier": (32, 33),
+                      "not-arithmetic": (0, 0), "one-point": (0, 0)}
 
 
 @pytest.mark.parametrize("max_doubles", [4096 * 32, 5000], ids=["default-blocks", "small-blocks"])
@@ -254,15 +255,17 @@ def test_angle_split_takes_linspace_grids_of_nine_or_more_points():
 def test_sin_product_matches_np_sin(x, max_doubles):
     # 154 identity columns compare every sine, 2 random columns the sums; the
     # nodes reach the direct route's 800-panel cap.  Either side rounds the
-    # phase k x to about k x eps, and the angle-addition tables add (p + q) eps
+    # phase k x to about k x eps, and sin_product reports the roundings of its
+    # sines: 1 + p + q on the angle-addition tables, 1 for np.sin
     rng = np.random.default_rng(11)
     k = np.sort(rng.uniform(0.0, 800.0, 154))
-    p, q = angle_split(x)
+    p, q = _angle_split(x)
     ref = np.sin(np.multiply.outer(x, k))
-    bound = 2.0 * np.finfo(float).eps * (1 + p + q + np.multiply.outer(x, k))
     for w in (np.eye(len(k)), rng.standard_normal((len(k), 2))):
-        got = sin_product(x, k, w, max_doubles)
+        got, rounds = sin_product(x, k, w, max_doubles)
         assert got.shape == (len(x), w.shape[1])
+        assert rounds == 1 + p + q
+        bound = 2.0 * np.finfo(float).eps * (rounds + np.multiply.outer(x, k))
         assert np.all(np.abs(got - ref @ w) <= bound @ np.abs(w))
 
 
