@@ -49,24 +49,20 @@ from .quadrature import (
     ray_band,
     ray_cell_edges,
     refine_edges,
-    sin_product,
+    sin_blocks,
+    sine_rounds,
     tail_mode_fit,
     truncation_panels,
 )
-from .spectrum import ab_product
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 SPECTRAL_PREFACTOR = (2.0 / math.pi) ** 1.5
 
-# Window around k = l where sin(k pi)/(k^2 - l^2) switches to its Taylor
-# form; 1e-4 keeps the cancellation error below 1e-10 with four terms.
-RING_WINDOW = 1e-4
-
-# At t > 0 the sin(k x) and weight arrays of one block of the direct route's
-# real matrix products hold at most DIRECT_CHUNK x 128 doubles, and the
-# angle-addition basis behind sin(k x) at most DIRECT_CHUNK x 32, so memory
-# does not grow with the tolerance; at t = 0 so do the tail fits of one block
-# of points.
+# The direct route's blocks: at t > 0 the Filon weights of one block of cells
+# hold at most DIRECT_CHUNK x 128 doubles, and at either time a block of
+# sin(k x), or the angle-addition basis behind it, at most DIRECT_CHUNK x 32,
+# so memory does not grow with the tolerance; at t = 0 the tail fits of one
+# block of points hold about DIRECT_CHUNK x 128.
 DIRECT_CHUNK = 4096
 
 # Panel 0 in u = k^2 also gets the cell edges k = 2^-1 ... 2^-40, graded
@@ -135,31 +131,6 @@ def _certify(route: str, l: int, x, t, g: float, tol: float, estimates, best, no
             best=best,
             estimate=float(estimates[i, j]),
         )
-
-
-# ---------------------------------------------------------------------------
-# integrand
-# ---------------------------------------------------------------------------
-
-def _sin_ratio(k: np.ndarray, l: int) -> np.ndarray:
-    """sin(pi k)/(k^2 - l^2) with the removable singularity at k = l filled.
-
-    Near k = l the Taylor form (-1)^l [pi - (pi d)^2 pi/6 + ...]/(k + l) in
-    d = k - l avoids the 0/0 cancellation; four terms cover |d| < 1e-4 to
-    better than 1e-10.
-    """
-    k = np.asarray(k, dtype=complex)
-    d = k - l
-    near = np.abs(d) < RING_WINDOW
-    out = np.empty_like(k)
-    far = ~near
-    out[far] = np.sin(np.pi * k[far]) / (k[far] ** 2 - l**2)
-    if near.any():
-        dd = d[near]
-        pd2 = (np.pi * dd) ** 2
-        series = np.pi * (1.0 - pd2 / 6.0 + pd2**2 / 120.0 - pd2**3 / 5040.0)
-        out[near] = (-1) ** l * series / (k[near] + l)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +250,39 @@ def cavity_norm(fld: WaveField) -> float:
 # ---------------------------------------------------------------------------
 
 def _spectral_kernel(l: int, k: np.ndarray, g: float) -> np.ndarray:
-    """p^(l)(k; x, g) / sin(k x) at real nodes k."""
-    return (-1) ** l * l * _sin_ratio(k, l) / (4.0 * ab_product(k.astype(complex), g))
+    """p^(l)(k; x, g) / sin(k x) at real nodes k > 0, in real arithmetic.
+
+    With n = round(k), r = k - n, s, c = sin, cos(pi r) and d = 1/(4 pi g k),
+    b = -2 d s^2 + i (1/2 + 2 d s c) and a = conj(b) on the real axis, so
+    4 a b = 4 [(2 d s^2)^2 + (1/2 + 2 d s c)^2]; sin(pi k) = (-1)^n s.  Where
+    n = l, k - l = r exactly and sin(pi k)/(k - l) = (-1)^l pi sinc(r), which
+    fills the one 0/0, at k = l.
+    """
+    n = np.round(k)
+    r = k - n
+    s, c = np.sin(math.pi * r), np.cos(math.pi * r)
+    d = 1.0 / (4.0 * math.pi * g * k)
+    ab4 = 4.0 * ((2.0 * d * s * s) ** 2 + (0.5 + 2.0 * d * s * c) ** 2)
+    ring = n == l
+    ratio = np.divide(s, k - l, out=np.empty_like(k), where=~ring)
+    ratio[ring] = math.pi * np.sinc(r[ring])
+    sign = 1.0 - 2.0 * ((n + l) % 2)  # (-1)^(n + l)
+    return sign * l * ratio / ((k + l) * ab4)
 
 
 def _direct_t0(l: int, x, g: float):
     """psi^(l)(x, 0) by GL-15 panels in k, extrapolated with the tail model.
 
     Each point gets its own panel count: 1000 within 0.15 of the barrier,
-    x = pi included, and 220 elsewhere.  The kernel is evaluated once on the
-    panel_edges nodes of the largest count, whose prefix is the node set of
-    any smaller one; each group of points sums its panels over that prefix,
-    one real product sin(k x) @ [Re w, Im w] per panel, and its tail fits run
-    in blocks of points (quadrature.tail_mode_fit).  Returns the values, their
-    estimates and the largest panel count with its node count.
+    x = pi included, and 220 elsewhere.  The real kernel times the GL weights
+    is evaluated once on the panel_edges nodes of the largest count, whose
+    prefix is the node set of any smaller one.  Each group of points takes
+    its sines block by block of that prefix from quadrature.sin_blocks, and
+    one np.add.reduceat per block sums them, times the kernel column, into
+    the panels the block meets (a panel that spans two blocks gets its two
+    parts).  The partial sums are real, and their tail fits run in blocks of
+    points (quadrature.tail_mode_fit).  Returns the values, their estimates
+    and the largest panel count with its node count.
     """
     # points just inside the barrier carry a slow tail mode of frequency
     # pi - x; the fit window must see it rotate a few turns, and the shorter
@@ -302,18 +292,22 @@ def _direct_t0(l: int, x, g: float):
     n_max = int(panel_counts.max(initial=220))  # 220 for an empty grid
     edges = panel_edges(g, n_max)
     nodes, wts = gl_nodes_weights(edges)
-    kern = (_spectral_kernel(l, nodes, g) * wts).view(np.float64).reshape(-1, 2)
-    ends = len(GL_NODES) * np.searchsorted(edges, np.arange(n_max + 1.0))
+    kern = _spectral_kernel(l, nodes, g) * wts
+    # the first node of each panel, then the node count
+    starts = len(GL_NODES) * np.searchsorted(edges, np.arange(n_max + 1.0))
     j_lo = TAIL_FIT_START
-    values = np.empty(len(x), dtype=complex)
+    values = np.empty(len(x))
     estimates = np.empty(len(x))
     for n_panels in np.unique(panel_counts):
         group = np.flatnonzero(panel_counts == n_panels)
         xg = x[group]
-        partial = np.empty((n_panels, len(xg)), dtype=complex)
-        for j, (lo, hi) in enumerate(zip(ends[:n_panels], ends[1 : n_panels + 1])):
-            s = np.sin(np.multiply.outer(xg, nodes[lo:hi])) @ kern[lo:hi]
-            partial[j] = s.view(complex)[:, 0]
+        partial = np.zeros((n_panels, len(xg)))
+        for lo, sines in sin_blocks(xg, nodes[: starts[n_panels]], DIRECT_CHUNK * 32):
+            hi = lo + sines.shape[1]
+            # panels first .. last - 1 meet the block's nodes lo .. hi - 1
+            first, last = np.searchsorted(starts, lo, "right") - 1, np.searchsorted(starts, hi)
+            cuts = np.maximum(starts[first:last], lo) - lo
+            partial[first:last] += np.add.reduceat(sines * kern[lo:hi], cuts, axis=1).T
         np.cumsum(partial, axis=0, out=partial)
         # rounding floor: each of the n_panels additions can lose eps of the
         # largest partial sum, which the fits alone miss at x = pi (value 0)
@@ -334,39 +328,51 @@ def _direct_t0(l: int, x, g: float):
     return values, estimates, (n_max, len(nodes))
 
 
-def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Filon sums in u = k^2 of the spectral integrand over cells, points x times.
+def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray,
+                cuts=()) -> tuple[np.ndarray, np.ndarray]:
+    """Filon sums in u = k^2 of the spectral integrand over groups of cells,
+    groups x points x times.
 
     With u = k^2 the integral over a cell [u_c - H, u_c + H] reads
     Int F(u) e^{-i u t} du, F = p^(l)(sqrt(u))/(2 sqrt(u)), and Filon weights
-    its GL-15 nodes by H e^{-i u_c t} Phi_m(H t).  The cells go in blocks whose
-    weight arrays hold at most DIRECT_CHUNK x 128 doubles, and every (x, t)
-    of a block follows from quadrature.sin_product of its nodes with the
-    interleaved (re, im) nodes x times weights, so no complex nodes x points
-    array is formed.  On a np.linspace grid of two or more points
-    sin_product builds sin(k x) by angle addition from p + q phases per node,
-    in blocks of DIRECT_CHUNK x 32 doubles; on one point or a grid that is
-    not arithmetic it calls np.sin.
+    its GL-15 nodes by H e^{-i u_c t} Phi_m(H t).  The cells split into groups
+    at the cell indices `cuts` (one group without them), and go in blocks
+    whose weight arrays hold at most DIRECT_CHUNK x 128 doubles; a block's
+    moments, phases and real kernel are formed once, whatever groups it
+    meets.  quadrature.sin_blocks gives the sines of its nodes, in blocks of
+    DIRECT_CHUNK x 32 doubles, and every (x, t) of a group follows from one
+    real product of those sines with the interleaved (re, im) nodes x times
+    weights of the group's nodes, so no complex nodes x points array is
+    formed.
 
-    Also returns, per t, the sum over the terms of |weight| (r + u t): each
+    Also returns, per t, the sum over all terms of |weight| (r + u t): each
     term carries a rounding error of about eps (r + u t), u t being the phase
     that e^{-i u t} and the moments Phi_m(H t) are evaluated at and r the
-    roundings of its sine that sin_product reports (1 + p + q, or 1 for
-    np.sin).
+    roundings of its sine (quadrature.sine_rounds: 1 + p + q on the
+    angle-addition tables, 1 for np.sin).
     """
     centre, half = 0.5 * (u_edges[1:] + u_edges[:-1]), 0.5 * (u_edges[1:] - u_edges[:-1])
-    per_block = max(1, DIRECT_CHUNK * 128 // (len(GL_NODES) * max(len(x), 2 * len(t))))
-    acc = np.zeros((len(x), 2 * len(t)))
+    bounds = np.array([0, *cuts, len(centre)])
+    per_block = max(1, DIRECT_CHUNK * 128 // (len(GL_NODES) * 2 * len(t)))
+    acc = np.zeros((len(bounds) - 1, len(x), 2 * len(t)))
     floor = np.zeros(len(t))
+    rounds = sine_rounds(x)
     for lo in range(0, len(centre), per_block):
         c, h = centre[lo : lo + per_block, None], half[lo : lo + per_block, None]
         k = np.sqrt(c + h * GL_NODES).ravel()
-        # cells x times x nodes Filon weights, then nodes x times
-        wts = (h * np.exp(-1j * c * t))[:, :, None] * filon_moments(h * t)
-        wts = np.ascontiguousarray(wts.transpose(0, 2, 1)).reshape(len(k), len(t))
-        wts *= (_spectral_kernel(l, k, g) / (2.0 * k))[:, None]
-        sines, rounds = sin_product(x, k, wts.view(np.float64), DIRECT_CHUNK * 32)
-        acc += sines
+        # cells x times x nodes Filon weights, then, times the real kernel,
+        # nodes x times
+        moments = (h * np.exp(-1j * c * t))[:, :, None] * filon_moments(h * t)
+        wts = np.empty((len(c), len(GL_NODES), len(t)), dtype=complex)
+        kern = _spectral_kernel(l, k, g) / (2.0 * k)
+        np.multiply(moments.transpose(0, 2, 1), kern.reshape(-1, len(GL_NODES), 1), out=wts)
+        wts = wts.reshape(len(k), len(t))
+        for first, sines in sin_blocks(x, k, DIRECT_CHUNK * 32):
+            # the nodes of each group within these sines, empty for a group they miss
+            ends = np.clip(len(GL_NODES) * (bounds - lo) - first, 0, sines.shape[1])
+            for i in np.flatnonzero(ends[1:] > ends[:-1]):
+                a, b = ends[i], ends[i + 1]
+                acc[i] += sines[:, a:b] @ wts[first + a : first + b].view(np.float64)
         size = np.abs(wts)
         floor += rounds * size.sum(axis=0) + t * (k * k @ size)
     return acc.view(complex), floor
@@ -380,30 +386,29 @@ def _direct_filon(l: int, x, t, g: float, tol: float):
     ORIGIN_GRADING.  The rule runs on those cells and on the cells halved;
     the halved sum is returned with the estimate |fine - coarse| plus three
     times the largest of its last five panel sums plus the halved sum's
-    rounding floor (_filon_sums).  Where J is TRUNCATION_PANEL_CAP, the
-    truncation outruns that panel envelope, and the estimate also takes the
-    sum |S_J - S_{J/2}| of the panels J/2..J-1.  Returns the values, their
+    rounding floor.  One _filon_sums pass over the halved cells keeps the
+    head and each of the last five panels as separate sums.  Where J is
+    TRUNCATION_PANEL_CAP, the truncation outruns that panel envelope: the
+    pass also cuts the head at (J/2)^2, and the estimate takes the sum
+    |S_J - S_{J/2}| of the panels J/2..J-1 too.  Returns the values, their
     estimates and the panel and node counts (nodes of both levels).
     """
     n_panels = truncation_panels(l, float(t.min()), tol)
     capped = n_panels == TRUNCATION_PANEL_CAP
     coarse = np.union1d(ORIGIN_GRADING, panel_edges(g, n_panels)) ** 2
     fine = refine_edges(coarse, 2)
-    # the halved cells split at the edges (J - 5)^2 .. J^2 of the last five
-    # panels, and at (J/2)^2 where the cap binds
-    splits = np.arange(n_panels - 5.0, n_panels + 1.0)
+    # the head ends at the edge (J - 5)^2, each of the last five panels at the
+    # next square; where the cap binds the head also splits at (J/2)^2
+    splits = np.arange(n_panels - 5.0, n_panels)
     if capped:
         splits = np.append(n_panels // 2, splits)
-    cuts = np.searchsorted(fine, splits**2)
-    sums, floors = zip(*(_filon_sums(l, x, t, g, fine[a : b + 1])
-                         for a, b in zip([0, *cuts[:-1]], cuts)))
-    heads, last = sums[:-5], sums[-5:]
-    tail = sum(last)
-    values = sum(heads) + tail
-    estimates = (np.abs(values - _filon_sums(l, x, t, g, coarse)[0])
-                 + 3.0 * np.max(np.abs(last), axis=0) + np.finfo(float).eps * sum(floors))
+    sums, floor = _filon_sums(l, x, t, g, fine, np.searchsorted(fine, splits**2))
+    last = sums[-5:]
+    values = sums.sum(axis=0)
+    estimates = (np.abs(values - _filon_sums(l, x, t, g, coarse)[0][0])
+                 + 3.0 * np.max(np.abs(last), axis=0) + np.finfo(float).eps * floor)
     if capped:
-        estimates += np.abs(heads[1] + tail)
+        estimates += np.abs(sums[1:].sum(axis=0))
     return values, estimates, (n_panels, len(GL_NODES) * (len(coarse) + len(fine) - 2))
 
 

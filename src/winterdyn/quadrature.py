@@ -14,9 +14,9 @@ sum is extrapolated with a windowed least-squares fit of the known tail model
 
     S_j = S + (-1)^j [cos(x j) A(j) + sin(x j) B(j)],  A, B ~ poly(1/j),
 
-which degenerates to plain Richardson in 1/j at x = pi.  The model's design
-matrix is real, so the real and imaginary parts of the partial sums are fitted
-as two right-hand sides of one real least-squares problem, and the problems
+which degenerates to plain Richardson in 1/j at x = pi.  The integrand and
+the model's design matrix are real at t = 0, so the partial sums of a point
+are the one right-hand side of a real least-squares problem, and the problems
 of many points are solved as one batch (tail_mode_fit).
 
 For t > 0 the phase exp(-i k^2 t) is linear in u = k^2, so the same cells are
@@ -30,13 +30,13 @@ The panel sum is truncated where the panel integrals, decaying like
 
 The caller (evolution._direct_values) builds one node set from the
 panel_edges of all its panels.  At t = 0 each point has its own panel count
-(more panels just inside the barrier), every smaller count's nodes are a
-prefix of the largest count's, and each panel is summed as one real matrix
-product over its nodes; at t > 0 the sums run over blocks of nodes, and
-sin_product forms sin(k x) of a block by angle addition on a np.linspace
+(more panels just inside the barrier), and every smaller count's nodes are a
+prefix of the largest count's.  Both times take sin(k x) block by block of
+nodes from sin_blocks, which forms it by angle addition on a np.linspace
 grid of two or more points (three complex exponentials per node, then
-products), by np.sin on any other.  So no nodes x points array over all
-panels is ever formed.
+products), by np.sin on any other: at t = 0 one array reduction per block
+gives its panel sums, at t > 0 one real matrix product per block and group
+of cells.  So no nodes x points array over all panels is ever formed.
 """
 
 from __future__ import annotations
@@ -104,12 +104,12 @@ def gl_nodes_weights(*edge_sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _angle_split(x: np.ndarray) -> tuple[int, int]:
-    """The p x q slots of sin_product's tables for the points x, or (0, 0).
+    """The p x q slots of sin_blocks' tables for the points x, or (0, 0).
 
     For n >= 2 points that are x_0 + j dx, j < n, to within 4 ulps of the
     largest |x| (every np.linspace grid), q = ceil(sqrt(n)) and
     p = ceil(n/q), so point j = q a + r sits in slot (a, r).  One point, or a
-    grid that is not arithmetic, gets (0, 0): sin_product then calls np.sin.
+    grid that is not arithmetic, gets (0, 0): sin_blocks then calls np.sin.
     """
     n = len(x)
     if n < 2:
@@ -132,35 +132,45 @@ def _phase_rows(first: np.ndarray, step: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def sin_product(x: np.ndarray, k: np.ndarray, w: np.ndarray,
-                max_doubles: int) -> tuple[np.ndarray, int]:
-    """sin(x k^T) @ w for points x, nodes k and a real nodes x columns array w,
-    and the roundings each sine carries, in units of eps.
+def sine_rounds(x: np.ndarray) -> int:
+    """The roundings each sine of sin_blocks carries for the points x, in units
+    of eps: 1 + p + q on its angle-addition tables, 1 for np.sin."""
+    p, q = _angle_split(x)
+    return 1 + p + q
+
+
+def sin_blocks(x: np.ndarray, k: np.ndarray, max_doubles: int):
+    """sin(x k^T) block by block of the nodes k: yields (lo, sines), sines the
+    contiguous real array sin(x k[lo : lo + sines.shape[1]]^T), which the
+    next block may overwrite.
 
     On a grid that _angle_split accepts, x_j = x_0 + (q a + r) dx and
     sin(k x_j) = Im(e^{i A_a} e^{i B_r}), A_a = k (x_0 + q dx a), B_r = k dx r.
     Per node, e^{ik x_0}, e^{ik q dx} and e^{ik dx} are the only complex
     exponentials; repeated products give the p phases e^{i A_a} and the q
-    phases e^{i B_r}, so each sine carries 1 + p + q roundings.  The nodes go
-    in blocks whose complex p x q x nodes basis holds at most max_doubles
-    doubles, and the sines of a block, its first n slots, enter one real
-    product with w.  Any other grid takes np.sin(x k^T) @ w, one rounding.
+    phases e^{i B_r}, and a block's sines are the first n slots of their
+    p x q products, a complex basis of at most max_doubles doubles, copied
+    into one table that every block reuses.  Any other grid takes np.sin on
+    blocks of at most max_doubles sines.
     """
     p, q = _angle_split(x)
-    if not p:
-        return np.sin(np.multiply.outer(x, k)) @ w, 1
     n = len(x)
-    dx = (x[-1] - x[0]) / (n - 1)
-    per_block = max(1, max_doubles // (2 * p * q))
-    basis = np.empty((p, q, min(per_block, len(k))), dtype=complex)
-    out = np.zeros((n, w.shape[1]))
+    per_block = max(1, max_doubles // (2 * p * q or n))
+    if p:
+        dx = (x[-1] - x[0]) / (n - 1)
+        basis = np.empty((p, q, min(per_block, len(k))), dtype=complex)
+        table = np.empty(n * basis.shape[-1])
     for lo in range(0, len(k), per_block):
-        kb, wb = k[lo : lo + per_block], w[lo : lo + per_block]
+        kb = k[lo : lo + per_block]
+        if not p:
+            yield lo, np.sin(np.multiply.outer(x, kb))
+            continue
         rows_a = _phase_rows(np.exp(1j * (kb * x[0])), np.exp(1j * (kb * (q * dx))), p)
         rows_b = _phase_rows(np.ones(len(kb)), np.exp(1j * (kb * dx)), q)
         b = np.multiply(rows_a[:, None], rows_b, out=basis[..., : len(kb)])
-        out += np.ascontiguousarray(b.reshape(p * q, len(kb))[:n].imag) @ wb
-    return out, 1 + p + q
+        sines = table[: n * len(kb)].reshape(n, len(kb))
+        np.copyto(sines, b.reshape(p * q, len(kb))[:n].imag)
+        yield lo, sines
 
 
 def _bessel_series(w: np.ndarray) -> np.ndarray:
@@ -249,14 +259,14 @@ def tail_mode_fit(partial_sums: np.ndarray, x: np.ndarray, j_lo: int, ends,
                   max_doubles: int) -> tuple[np.ndarray, np.ndarray]:
     """Extrapolate the panel partial sums of many points to j = infinity at t = 0.
 
-    Column i of partial_sums (panels x points) holds the partial sums of the
-    point x[i]; each end in `ends` fits the window j_lo <= j < end.  Returns
-    (limits, residual_rms), each of shape len(ends) x points.
+    Column i of the real partial_sums (panels x points) holds the partial sums
+    of the point x[i]; each end in `ends` fits the window j_lo <= j < end.
+    Returns (limits, residual_rms), each of shape len(ends) x points.
 
     The trig of the model is formed once per point, in one design tensor that
     serves every window, since a shorter window is a row prefix of a longer
     one.  Each window's fit is lstsq with cutoff TAIL_RCOND on the
-    column-normalized model: an R-only QR of [A | Re S | Im S], whose 13 x 13
+    column-normalized model: an R-only QR of [A | S], whose 13 x 13
     triangle has the singular values of A, then the SVD of that triangle.
     Points go in blocks whose arrays hold at most about max_doubles doubles.
 
@@ -268,19 +278,18 @@ def tail_mode_fit(partial_sums: np.ndarray, x: np.ndarray, j_lo: int, ends,
     js = np.arange(j_lo, max(ends))
     decay = (-1.0) ** (js % 2)[:, None] / (js + 1.0)[:, None] ** np.arange(1, TAIL_MAX_POWER + 1)
     n_model = 2 * TAIL_MAX_POWER + 1
-    limits = np.empty((len(ends), len(x)), dtype=complex)
+    limits = np.empty((len(ends), len(x)))
     rms = np.empty((len(ends), len(x)))
     # about four arrays the size of a block's design tensor are alive at once
-    per_block = max(1, max_doubles // (4 * (n_model + 2) * len(js)))
+    per_block = max(1, max_doubles // (4 * (n_model + 1) * len(js)))
     for b in range(0, len(x), per_block):
         blk = slice(b, b + per_block)
         phase = np.multiply.outer(x[blk], js)
-        design = np.empty(phase.shape + (n_model + 2,))
+        design = np.empty(phase.shape + (n_model + 1,))
         design[..., 0] = 1.0
         design[..., 1 : TAIL_MAX_POWER + 1] = np.cos(phase)[..., None] * decay
         design[..., TAIL_MAX_POWER + 1 : n_model] = np.sin(phase)[..., None] * decay
-        tail = partial_sums[j_lo : js[-1] + 1, blk].T
-        design[..., n_model], design[..., n_model + 1] = tail.real, tail.imag
+        design[..., n_model] = partial_sums[j_lo : js[-1] + 1, blk].T
         for w, end in enumerate(ends):
             window = design[:, : end - j_lo].copy()
             norms = np.linalg.norm(window[..., :n_model], axis=1)
@@ -293,8 +302,8 @@ def tail_mode_fit(partial_sums: np.ndarray, x: np.ndarray, j_lo: int, ends,
             rotated = u.transpose(0, 2, 1) @ r[:, :n_model, n_model:]
             coef = vt.transpose(0, 2, 1) @ (inv[..., None] * rotated)
             resid = window[..., n_model:] - window[..., :n_model] @ coef
-            rms[w, blk] = np.sqrt(np.mean(np.sum(resid**2, axis=-1), axis=-1))
-            limits[w, blk] = (coef[:, 0, 0] + 1j * coef[:, 0, 1]) / norms[:, 0]
+            rms[w, blk] = np.sqrt(np.mean(resid[..., 0] ** 2, axis=-1))
+            limits[w, blk] = coef[:, 0, 0] / norms[:, 0]
     return limits, rms
 
 

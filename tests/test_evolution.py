@@ -32,7 +32,7 @@ from winterdyn.evolution import (
     _exponential_values,
     _filon_sums,
     _power_values,
-    _sin_ratio,
+    _spectral_kernel,
 )
 from winterdyn.quadrature import (
     TRUNCATION_PANEL_CAP,
@@ -47,12 +47,43 @@ from winterdyn.spectrum import ab_product
 
 SQ = math.sqrt(2.0 / math.pi)
 
+# Window around k = l where sin(k pi)/(k^2 - l^2) switches to its Taylor
+# form; 1e-4 keeps the cancellation error below 1e-10 with four terms.
+RING_WINDOW = 1e-4
+
+
+def _sin_ratio(k: np.ndarray, l: int) -> np.ndarray:
+    """Reference form: sin(pi k)/(k^2 - l^2) in complex arithmetic, the
+    removable singularity at k = l filled.
+
+    Near k = l the Taylor form (-1)^l [pi - (pi d)^2 pi/6 + ...]/(k + l) in
+    d = k - l avoids the 0/0 cancellation; four terms cover |d| < 1e-4 to
+    better than 1e-10.
+    """
+    k = np.asarray(k, dtype=complex)
+    d = k - l
+    near = np.abs(d) < RING_WINDOW
+    out = np.empty_like(k)
+    far = ~near
+    out[far] = np.sin(np.pi * k[far]) / (k[far] ** 2 - l**2)
+    if near.any():
+        dd = d[near]
+        pd2 = (np.pi * dd) ** 2
+        series = np.pi * (1.0 - pd2 / 6.0 + pd2**2 / 120.0 - pd2**3 / 5040.0)
+        out[near] = (-1) ** l * series / (k[near] + l)
+    return out
+
+
+def spectral_kernel_complex(l: int, k, g: float) -> np.ndarray:
+    """Reference form of p^(l)(k; x, g)/sin(k x): complex _sin_ratio over 4 a b."""
+    k = np.asarray(k, dtype=complex)
+    return (-1) ** l * l * _sin_ratio(k, l) / (4.0 * ab_product(k, g))
+
 
 def integrand_p(l: int, k: complex, x: float, g: float) -> complex:
     """Spectral integrand p^(l)(k; x, g) at one k."""
     k = np.array([k], dtype=complex)
-    val = (-1) ** l * l * _sin_ratio(k, l) * np.sin(k * x) / (4.0 * ab_product(k, g))
-    return complex(val[0])
+    return complex((spectral_kernel_complex(l, k, g) * np.sin(k * x))[0])
 
 
 def pole_wavefunction(n: int, x, t: float, table):
@@ -102,6 +133,48 @@ def test_integrand_small_k_coefficient():
     assert abs(richardson - expected) / abs(expected) < 1e-5
 
 
+def kernel_nodes(l: int) -> np.ndarray:
+    """k = l, l -+ 1e-13 .. 2e-4, n -+ 1e-9 for n = 1..1000, and 2^-40 .. 1000."""
+    n = np.arange(1.0, 1001.0)
+    near = l + np.array([[-1.0], [1.0]]) * [1e-13, 1e-6, 5e-5, 2e-4]
+    return np.concatenate([[float(l)], near.ravel(), n - 1e-9, n + 1e-9,
+                           np.geomspace(2.0**-40, 1000.0, 4001)])
+
+
+@pytest.mark.parametrize("g", [0.00398, 0.025, 0.2, 3.0])
+def test_spectral_kernel_matches_complex_form(g):
+    # the real kernel against the complex reference, relative gap 1e-10.  The
+    # reference takes sin at pi k rounded, off by up to about 2 eps pi k;
+    # outside its Taylor window that much of its sine is allowed too, which
+    # is all of its error next to an integer n != l (1.1e-4 of the value at
+    # k = 954 - 1e-9)
+    eps = np.finfo(float).eps
+    for l in (1, 2, 3):
+        k = kernel_nodes(l)
+        got = _spectral_kernel(l, k, g)
+        ref = spectral_kernel_complex(l, k, g)
+        assert got.dtype == np.float64
+        far = np.abs(k - l) >= RING_WINDOW
+        smooth = l / np.abs((k[far] ** 2 - l**2) * 4.0 * ab_product(k[far].astype(complex), g))
+        slack = np.zeros_like(k)
+        slack[far] = 2.0 * eps * math.pi * k[far] * smooth
+        assert np.all(np.abs(got - ref.real) <= 1e-10 * np.abs(got) + slack)
+
+
+def test_spectral_kernel_matches_mpmath_next_to_integers():
+    # where the complex form cannot judge it, the real kernel meets a 40-digit
+    # value of (-1)^l l sin(pi k)/((k^2 - l^2) 4 |b|^2)
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for l, g, k in [(1, 0.2, 954.0 - 1e-9), (1, 0.2, 953.006), (2, 0.025, 500.0 + 1e-9),
+                    (3, 0.00398, 1000.0 - 1e-9), (2, 3.0, 2.0 + 1e-13), (1, 3.0, 2.0**-40)]:
+        km = mpmath.mpf(k)
+        b = 0.5j + mpmath.expm1(2j * mpmath.pi * km) / (4 * mpmath.pi * g * km)
+        exact = (-1) ** l * l * mpmath.sin(mpmath.pi * km) / ((km**2 - l**2) * 4 * abs(b) ** 2)
+        got = _spectral_kernel(l, np.array([k]), g)[0]
+        assert abs(got - exact) <= 1e-15 * abs(exact)
+
+
 # ---------------------------------------------------------------------------
 # direct quadrature
 # ---------------------------------------------------------------------------
@@ -139,6 +212,7 @@ def test_direct_t0_estimate_covers_true_error(l, g):
     x = np.linspace(0.0, math.pi, 129)
     values, estimates, _ = _direct_values(l, x, [0.0], g, tol)
     err = np.abs(values[:, 0] - SQ * np.sin(l * x))
+    assert np.all(values.imag == 0.0)
     assert np.all(estimates <= tol)
     assert np.all(err <= estimates[:, 0])
     # just inside the barrier a certified value lies within its estimate,
@@ -189,14 +263,7 @@ def direct_field_dense(l, x, t, g, n_panels):
         wts.append(w)
         panel_of.append(np.full(len(nd), j, dtype=np.intp))
     nodes, wts, panel_of = map(np.concatenate, (nodes, wts, panel_of))
-    kern = (
-        (-1) ** l
-        * l
-        * _sin_ratio(nodes, l)
-        / (4.0 * ab_product(nodes.astype(complex), g))
-        * np.exp(-1j * nodes**2 * t)
-        * wts
-    )
+    kern = spectral_kernel_complex(l, nodes, g) * np.exp(-1j * nodes**2 * t) * wts
     contrib = kern[:, None] * np.sin(np.outer(nodes, x))
     panels = np.zeros((n_panels, len(x)), dtype=complex)
     np.add.at(panels, panel_of, contrib)
@@ -242,6 +309,7 @@ def test_direct_field_matches_dense_reference(l, g):
             values[~near], far_estimate, _ = direct_field_dense(l, x[~near], t, g, 220)
             values[near], estimate, n_nodes = direct_field_dense(l, x[near], t, g, 1000)
             estimate = max(estimate, far_estimate)
+            assert np.all(fld.values.imag == 0.0)
             np.testing.assert_allclose(
                 fld.values, values, rtol=0, atol=1e-13 * np.max(np.abs(values))
             )
@@ -255,11 +323,12 @@ def test_direct_field_matches_dense_reference(l, g):
             assert fld.meta["nodes"] < n_nodes
 
 
-@pytest.mark.parametrize("chunk", [evolution.DIRECT_CHUNK, 2], ids=["one-block", "3-cell-blocks"])
+@pytest.mark.parametrize("chunk", [evolution.DIRECT_CHUNK, 3], ids=["one-block", "3-cell-blocks"])
 def test_filon_sums_match_gl_in_k(monkeypatch, chunk):
     # Filon in u = k^2 against GL-15 in k on cells of at most ~1 radian of
     # chirp, on one cell and on the cells of panels 1..5 (52 cells: with
-    # 3-cell blocks the last block holds one cell)
+    # 3-cell blocks, the weights of four times, the last block holds one
+    # cell, and the sine blocks of 8 nodes split the cells)
     monkeypatch.setattr(evolution, "DIRECT_CHUNK", chunk)
     x = np.linspace(0.0, math.pi, 5)
     l, g = 2, 0.2
@@ -269,33 +338,33 @@ def test_filon_sums_match_gl_in_k(monkeypatch, chunk):
             cells = [np.linspace(a, b, max(64, math.ceil((b * b - a * a) * t)) + 1)[:-1]
                      for a, b in zip(k_edges[:-1], k_edges[1:])]
             nodes, wts = gl_nodes_weights(np.append(np.concatenate(cells), k_edges[-1]))
-            kern = ((-1) ** l * l * _sin_ratio(nodes, l)
-                    / (4.0 * ab_product(nodes.astype(complex), g)))
+            kern = spectral_kernel_complex(l, nodes, g)
             ref = (kern * np.exp(-1j * nodes**2 * t) * wts) @ np.sin(np.outer(nodes, x))
-            got = _filon_sums(l, x, np.array([t, 2 * t]), g, k_edges**2)[0][:, 0]
+            got = _filon_sums(l, x, t * np.arange(1.0, 5.0), g, k_edges**2)[0][0, :, 0]
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 def test_filon_sums_angle_addition_matches_np_sin(monkeypatch):
-    # the 129-point grid takes quadrature.sin_product's angle addition; the
+    # the 129-point grid takes quadrature.sin_blocks' angle addition; the
     # np.sin form of the same Filon sums, over the cells of 240 panels, differs
-    # by rounding only, and the rounding floor counts the p + q = 23 products
+    # by rounding only, and the rounding floor counts the p + q = 23 products.
+    # sum |w| is the floor's growth from 0 to 1 rounding per sine
     x = np.linspace(0.0, math.pi, 129)
     assert _angle_split(x) == (11, 12)
     l, g, t = 2, 0.2, np.array([0.5, 50.0])
     u_edges = np.union1d(ORIGIN_GRADING, panel_edges(g, 240)) ** 2
     got, floor = _filon_sums(l, x, t, g, u_edges)
-    weight_sums = []
-
-    def np_sin_product(x, k, w, max_doubles):
-        weight_sums.append(np.abs(w.view(complex)).sum(axis=0))
-        return np.sin(np.multiply.outer(x, k)) @ w, 1
-
-    monkeypatch.setattr(evolution, "sin_product", np_sin_product)
-    ref, _ = _filon_sums(l, x, t, g, u_edges)
-    total = sum(weight_sums)
+    monkeypatch.setattr(evolution, "sin_blocks",
+                        lambda x, k, max_doubles: [(0, np.sin(np.multiply.outer(x, k)))])
+    floors = []
+    for rounds in (0, 1):
+        monkeypatch.setattr(evolution, "sine_rounds", lambda x, rounds=rounds: rounds)
+        ref, ref_floor = _filon_sums(l, x, t, g, u_edges)
+        floors.append(ref_floor)
+    total = floors[1] - floors[0]
     assert np.all(np.abs(got - ref) <= 1e-13 * total)
     assert np.all(floor >= (1 + 11 + 12) * total)
+    np.testing.assert_allclose(floor - floors[0], (1 + 11 + 12) * total, rtol=1e-12)
 
 
 def test_direct_estimate_covers_error_where_truncation_is_capped():
@@ -343,13 +412,15 @@ def test_direct_t0_memory_is_bounded(x, bound_mib):
     assert peak < bound_mib * 2**20
 
 
-@pytest.mark.parametrize("l", [1, 2, 3])
-def test_direct_t0_value_does_not_depend_on_grid(l):
+@pytest.mark.parametrize("l, g", [(1, 0.2), (2, 0.2), (3, 0.2), (1, 0.025)],
+                         ids=["1", "2", "3", "1-g0.025"])
+def test_direct_t0_value_does_not_depend_on_grid(l, g):
     # each t = 0 point takes its own panel count, so points far from the
     # barrier (121 is the last of them), near it and x = pi get the same
     # value and estimate alone as on the default grid, whatever else the
-    # grid holds
-    g, tol = 0.2, 1e-6
+    # grid holds; the grid builds its sines by angle addition, a lone point
+    # by np.sin
+    tol = 1e-6
     grid = np.linspace(0.0, math.pi, 129)
     values, estimates, _ = _direct_values(l, grid, [0.0], g, tol)
     for i in (17, 64, 121, 122, 125, 128):

@@ -16,7 +16,8 @@ from winterdyn.quadrature import (
     ray_band,
     ray_cell_edges,
     refine_edges,
-    sin_product,
+    sin_blocks,
+    sine_rounds,
     spherical_bessel_j,
     tail_mode_fit,
 )
@@ -99,25 +100,25 @@ TAIL_XS = [0.0, 1.0, math.pi - 0.1, math.pi]
 
 @pytest.mark.parametrize("x", TAIL_XS)
 def test_tail_mode_fit_matches_complex_lstsq(x):
-    # tail model plus noise: both real parts and both imaginary parts of the
-    # coefficients are non-zero, so a mix-up of the two right-hand sides shows.
-    # One batched call fits all four points on three windows; the column of x
-    # matches the per-point complex lstsq (x = 0 drops the sin columns)
+    # real tail model plus noise, the partial sums the real kernel gives at
+    # t = 0.  One batched call fits all four points on three windows; the
+    # column of x matches the per-point complex lstsq (x = 0 drops the sin
+    # columns)
     rng = np.random.default_rng(5)
     js = np.arange(1000)[:, None]
     jj = js + 1.0
-    a = (1.0 + 2.0j) / jj + 0.5j / jj**2
-    b = (0.2 - 1.0j) / jj + 0.3 / jj**3
+    a = 1.0 / jj + 0.5 / jj**2
+    b = -1.0 / jj + 0.3 / jj**3
     xs = np.array(TAIL_XS)
-    sums = (0.3 - 0.7j) + (-1.0) ** js * (np.cos(xs * js) * a + np.sin(xs * js) * b)
-    sums = sums + 1e-9 * (rng.standard_normal(sums.shape) + 1j * rng.standard_normal(sums.shape))
+    sums = 0.3 + (-1.0) ** js * (np.cos(xs * js) * a + np.sin(xs * js) * b)
+    sums = sums + 1e-9 * rng.standard_normal(sums.shape)
     i = TAIL_XS.index(x)
     ends = (220, 700, 1000)
     limits, rms = tail_mode_fit(sums, xs, 12, ends, 2**20)
     for w, m in enumerate(ends):
         v_ref, rms_ref = tail_mode_fit_complex(sums[:m, i], x, 12)
         assert abs(limits[w, i] - v_ref) <= 1e-13 * abs(v_ref)
-        assert abs(limits[w, i] - (0.3 - 0.7j)) < 1e-8
+        assert abs(limits[w, i] - 0.3) < 1e-8
         assert rms[w, i] == pytest.approx(rms_ref, rel=1e-9)
         assert 1e-10 < rms[w, i] < 1e-8
 
@@ -253,16 +254,21 @@ def test_angle_split_takes_linspace_grids_of_two_or_more_points():
 @pytest.mark.parametrize("max_doubles", [4096 * 32, 5000], ids=["default-blocks", "small-blocks"])
 @pytest.mark.parametrize("x", SINE_GRIDS.values(), ids=SINE_GRIDS.keys())
 def test_sin_product_matches_np_sin(x, max_doubles):
-    # 154 identity columns compare every sine, 2 random columns the sums; the
-    # nodes reach the direct route's 800-panel cap.  Either side rounds the
-    # phase k x to about k x eps, and sin_product reports the roundings of its
+    # the blocks of sin_blocks, one after the other, times 154 identity
+    # columns compare every sine, times 2 random columns the sums; the nodes
+    # reach the direct route's 800-panel cap.  Either side rounds the phase
+    # k x to about k x eps, and sine_rounds reports the roundings of the
     # sines: 1 + p + q on the angle-addition tables, 1 for np.sin
     rng = np.random.default_rng(11)
     k = np.sort(rng.uniform(0.0, 800.0, 154))
     p, q = _angle_split(x)
     ref = np.sin(np.multiply.outer(x, k))
+    blocks = [(lo, sines.copy()) for lo, sines in sin_blocks(x, k, max_doubles)]
+    assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [s.shape[1] for _, s in blocks])[:-1])
+    table = np.concatenate([s for _, s in blocks], axis=1)
+    rounds = sine_rounds(x)
     for w in (np.eye(len(k)), rng.standard_normal((len(k), 2))):
-        got, rounds = sin_product(x, k, w, max_doubles)
+        got = table @ w
         assert got.shape == (len(x), w.shape[1])
         assert rounds == 1 + p + q
         bound = 2.0 * np.finfo(float).eps * (rounds + np.multiply.outer(x, k))
