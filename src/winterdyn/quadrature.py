@@ -155,7 +155,7 @@ def sin_blocks(x: np.ndarray, k: np.ndarray, max_doubles: int):
     """
     p, q = _angle_split(x)
     n = len(x)
-    per_block = max(1, max_doubles // (2 * p * q or n))
+    per_block = max(1, max_doubles // max(2 * p * q, n, 1))
     if p:
         dx = (x[-1] - x[0]) / (n - 1)
         basis = np.empty((p, q, min(per_block, len(k))), dtype=complex)

@@ -241,6 +241,7 @@ SINE_GRIDS = {
     "1025-near-barrier": np.linspace(3.0, math.pi, 1025),
     "not-arithmetic": _jittered_grid(),
     "one-point": np.array([1.3]),
+    "empty": np.array([]),
 }
 
 
@@ -248,7 +249,7 @@ def test_angle_split_takes_linspace_grids_of_two_or_more_points():
     splits = {name: _angle_split(x) for name, x in SINE_GRIDS.items()}
     assert splits == {"2-points": (1, 2), "9-points": (3, 3), "33-points": (6, 6),
                       "129-points": (11, 12), "1025-near-barrier": (32, 33),
-                      "not-arithmetic": (0, 0), "one-point": (0, 0)}
+                      "not-arithmetic": (0, 0), "one-point": (0, 0), "empty": (0, 0)}
 
 
 @pytest.mark.parametrize("max_doubles", [4096 * 32, 5000], ids=["default-blocks", "small-blocks"])
