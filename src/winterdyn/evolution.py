@@ -254,20 +254,19 @@ def _spectral_kernel(l: int, k: np.ndarray, g: float) -> np.ndarray:
 
     With n = round(k), r = k - n, s, c = sin, cos(pi r) and d = 1/(4 pi g k),
     b = -2 d s^2 + i (1/2 + 2 d s c) and a = conj(b) on the real axis, so
-    4 a b = 4 [(2 d s^2)^2 + (1/2 + 2 d s c)^2]; sin(pi k) = (-1)^n s.  Where
-    n = l, k - l = r exactly and sin(pi k)/(k - l) = (-1)^l pi sinc(r), which
-    fills the one 0/0, at k = l.
+    4 a b = 4 [(2 d s^2)^2 + (1/2 + 2 d s c)^2] = (v s)^2 + (1 + v c)^2 with
+    v = 4 d s; sin(pi k) = (-1)^n s.  Where n = l, k - l = r exactly and
+    sin(pi k)/(k - l) = (-1)^l pi sinc(r), which fills the one 0/0, at k = l.
     """
     n = np.round(k)
     r = k - n
     s, c = np.sin(math.pi * r), np.cos(math.pi * r)
-    d = 1.0 / (4.0 * math.pi * g * k)
-    ab4 = 4.0 * ((2.0 * d * s * s) ** 2 + (0.5 + 2.0 * d * s * c) ** 2)
+    v = s / (math.pi * g * k)
     ring = n == l
     ratio = np.divide(s, k - l, out=np.empty_like(k), where=~ring)
     ratio[ring] = math.pi * np.sinc(r[ring])
-    sign = 1.0 - 2.0 * ((n + l) % 2)  # (-1)^(n + l)
-    return sign * l * ratio / ((k + l) * ab4)
+    np.negative(ratio, out=ratio, where=(n.astype(np.int64) + l) % 2 == 1)  # (-1)^(n + l)
+    return l * ratio / ((k + l) * ((v * s) ** 2 + (1.0 + v * c) ** 2))
 
 
 def _direct_t0(l: int, x, g: float):
@@ -367,12 +366,14 @@ def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray,
         kern = _spectral_kernel(l, k, g) / (2.0 * k)
         np.multiply(moments.transpose(0, 2, 1), kern.reshape(-1, len(GL_NODES), 1), out=wts)
         wts = wts.reshape(len(k), len(t))
+        # the group bounds as node offsets into this block of cells
+        group_ends = [len(GL_NODES) * (int(b) - lo) for b in bounds]
         for first, sines in sin_blocks(x, k, DIRECT_CHUNK * 32):
-            # the nodes of each group within these sines, empty for a group they miss
-            ends = np.clip(len(GL_NODES) * (bounds - lo) - first, 0, sines.shape[1])
-            for i in np.flatnonzero(ends[1:] > ends[:-1]):
-                a, b = ends[i], ends[i + 1]
-                acc[i] += sines[:, a:b] @ wts[first + a : first + b].view(np.float64)
+            for i, (a, b) in enumerate(zip(group_ends[:-1], group_ends[1:])):
+                # the group's nodes within these sines, none for a group they miss
+                a, b = max(a - first, 0), min(b - first, sines.shape[1])
+                if a < b:
+                    acc[i] += sines[:, a:b] @ wts[first + a : first + b].view(np.float64)
         size = np.abs(wts)
         floor += rounds * size.sum(axis=0) + t * (k * k @ size)
     return acc.view(complex), floor
