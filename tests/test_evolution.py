@@ -35,8 +35,10 @@ from winterdyn.evolution import (
     _spectral_kernel,
 )
 from winterdyn.quadrature import (
+    GL_NODES,
     TRUNCATION_PANEL_CAP,
     _angle_split,
+    filon_moments,
     gl_nodes_weights,
     panel_edges,
     ray_cell_edges,
@@ -348,23 +350,25 @@ def test_filon_sums_angle_addition_matches_np_sin(monkeypatch):
     # the 129-point grid takes quadrature.sin_blocks' angle addition; the
     # np.sin form of the same Filon sums, over the cells of 240 panels, differs
     # by rounding only, and the rounding floor counts the p + q = 23 products.
-    # sum |w| is the floor's growth from 0 to 1 rounding per sine
+    # sum |w| and sum u |w| come from the Filon weights rebuilt here on the
+    # complex kernel, not from the weights _filon_sums forms
     x = np.linspace(0.0, math.pi, 129)
     assert _angle_split(x) == (11, 12)
     l, g, t = 2, 0.2, np.array([0.5, 50.0])
     u_edges = np.union1d(ORIGIN_GRADING, panel_edges(g, 240)) ** 2
     got, floor = _filon_sums(l, x, t, g, u_edges)
+    c = 0.5 * (u_edges[1:] + u_edges[:-1])[:, None]
+    h = 0.5 * (u_edges[1:] - u_edges[:-1])[:, None]
+    u = c + h * GL_NODES
+    kern = np.abs(spectral_kernel_complex(l, np.sqrt(u), g)) / (2.0 * np.sqrt(u))
+    size = h[:, :, None] * np.abs(filon_moments(h * t)) * kern[:, None, :]  # cells x t x nodes
+    total, u_total = size.sum(axis=(0, 2)), (u[:, None, :] * size).sum(axis=(0, 2))
     monkeypatch.setattr(evolution, "sin_blocks",
                         lambda x, k, max_doubles: [(0, np.sin(np.multiply.outer(x, k)))])
-    floors = []
-    for rounds in (0, 1):
-        monkeypatch.setattr(evolution, "sine_rounds", lambda x, rounds=rounds: rounds)
-        ref, ref_floor = _filon_sums(l, x, t, g, u_edges)
-        floors.append(ref_floor)
-    total = floors[1] - floors[0]
+    ref, _ = _filon_sums(l, x, t, g, u_edges)
     assert np.all(np.abs(got - ref) <= 1e-13 * total)
     assert np.all(floor >= (1 + 11 + 12) * total)
-    np.testing.assert_allclose(floor - floors[0], (1 + 11 + 12) * total, rtol=1e-12)
+    np.testing.assert_allclose(floor, (1 + 11 + 12) * total + t * u_total, rtol=1e-9)
 
 
 def test_direct_estimate_covers_error_where_truncation_is_capped():
