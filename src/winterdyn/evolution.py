@@ -16,10 +16,11 @@ Three independent evaluation routes are provided on purpose: direct
 quadrature along the real k axis, the residue sum, and the rotated-ray
 quadrature.  Their mutual agreement (direct = exponential + power) is the
 strongest internal check the package has, so none of them may be implemented
-in terms of another.  The direct route uses no pole and no contour: GL-15
-panels in k with a tail extrapolation at t = 0, and for t > 0 Filon
-quadrature in u = k^2, where the chirp e^{-i k^2 t} is linear, on a node set
-that does not depend on t, so it reaches every t > 0.
+in terms of another.  The direct route uses no pole and no contour: at every
+t, Filon quadrature in u = k^2, where the chirp e^{-i k^2 t} is linear, on a
+node set that does not depend on t, so it reaches every t > 0; at t = 0 the
+panels end at J and the closed-form integral of the integrand's large-k
+expansion adds the rest.
 
 Each route, and the two-term asymptotic form of the power part, is one kernel
 `_<route>_values(l, x, t, g, ...)` that evaluates every (x, t) of a points x
@@ -43,6 +44,7 @@ from .poles import PoleTable, width_pert
 from .quadrature import (
     GL_NODES,
     TRUNCATION_PANEL_CAP,
+    direct_tail,
     filon_moments,
     gl_nodes_weights,
     panel_edges,
@@ -51,7 +53,7 @@ from .quadrature import (
     refine_edges,
     sin_blocks,
     sine_rounds,
-    tail_mode_fit,
+    tail_panels,
     truncation_panels,
 )
 
@@ -61,8 +63,8 @@ SPECTRAL_PREFACTOR = (2.0 / math.pi) ** 1.5
 # The direct route's blocks: at t > 0 the Filon weights of one block of cells
 # hold at most DIRECT_CHUNK x 128 doubles, and at either time a block of
 # sin(k x), or the angle-addition basis behind it, at most DIRECT_CHUNK x 32,
-# so memory does not grow with the tolerance; at t = 0 the tail fits of one
-# block of points hold about DIRECT_CHUNK x 128.
+# so memory does not grow with the tolerance; at t = 0 the tail's E_n arrays
+# of one block of points hold about DIRECT_CHUNK x 128.
 DIRECT_CHUNK = 4096
 
 # Panel 0 in u = k^2 also gets the cell edges k = 2^-1 ... 2^-40, graded
@@ -70,14 +72,10 @@ DIRECT_CHUNK = 4096
 # ~ 2^-120.
 ORIGIN_GRADING = 2.0 ** -np.arange(1, 41)
 
-# First panel of the t = 0 tail fit: the 1/j tail model does not describe
-# the panels before it, whose misfit would dominate the residual.
-TAIL_FIT_START = 40
-
-# Smallest coupling of the direct route: its tail model expands in
-# 1/(4 pi g (j + 1/2)), about 1/2 at panel TAIL_FIT_START here.  Below it the
-# t = 0 values miss their estimates (by 0.18 at g = 1e-6).
-DIRECT_G_MIN = 1.0 / (2.0 * math.pi * TAIL_FIT_START)
+# Smallest coupling of the direct route, 1/(80 pi): there the t = 0 sum runs
+# to J = 640 panels, and the low panels' cells set its error (up to 1.1e-10,
+# estimates up to 3.5e-8).  Smaller g is untested.
+DIRECT_G_MIN = 1.0 / (80.0 * math.pi)
 
 
 def _inputs(route: str, l: int, x, t, g: float):
@@ -98,8 +96,8 @@ def _inputs(route: str, l: int, x, t, g: float):
     if route in ("direct", "power") and not g > 0:
         raise DomainError(f"the {route} route requires g > 0")
     if route == "direct" and g < DIRECT_G_MIN:
-        raise DomainError(f"the direct route requires g >= {DIRECT_G_MIN!r} = 1/(2 pi "
-                          f"{TAIL_FIT_START}), where its tail model holds")
+        raise DomainError(f"the direct route requires g >= {DIRECT_G_MIN!r} = 1/(80 pi), "
+                          "the smallest coupling its cells are tested at")
     if route == "asymptotic" and not np.all(t > 0):
         raise DomainError("asymptotic form needs t > 0")
     return x, t
@@ -269,66 +267,8 @@ def _spectral_kernel(l: int, k: np.ndarray, g: float) -> np.ndarray:
     return l * ratio / ((k + l) * ((v * s) ** 2 + (1.0 + v * c) ** 2))
 
 
-def _direct_t0(l: int, x, g: float):
-    """psi^(l)(x, 0) by GL-15 panels in k, extrapolated with the tail model.
-
-    Each point gets its own panel count: 1000 within 0.15 of the barrier,
-    x = pi included, and 220 elsewhere.  The real kernel times the GL weights
-    is evaluated once on the panel_edges nodes of the largest count, whose
-    prefix is the node set of any smaller one.  Each group of points takes
-    its sines block by block of that prefix from quadrature.sin_blocks, and
-    one np.add.reduceat per block sums them, times the kernel column, into
-    the panels the block meets (a panel that spans two blocks gets its two
-    parts).  The partial sums are real, and their tail fits run in blocks of
-    points (quadrature.tail_mode_fit).  Returns the values, their estimates
-    and the largest panel count with its node count.
-    """
-    # points just inside the barrier carry a slow tail mode of frequency
-    # pi - x; the fit window must see it rotate a few turns, and the shorter
-    # verification window too; x = pi itself counts, since at 220 panels its
-    # estimate falls short of its error (l = 1, 2, 3 at g = 0.025)
-    panel_counts = np.where(x > math.pi - 0.15, 1000, 220)
-    n_max = int(panel_counts.max(initial=220))  # 220 for an empty grid
-    edges = panel_edges(g, n_max)
-    nodes, wts = gl_nodes_weights(edges)
-    kern = _spectral_kernel(l, nodes, g) * wts
-    # the first node of each panel, then the node count
-    starts = len(GL_NODES) * np.searchsorted(edges, np.arange(n_max + 1.0))
-    j_lo = TAIL_FIT_START
-    values = np.empty(len(x))
-    estimates = np.empty(len(x))
-    for n_panels in np.unique(panel_counts):
-        group = np.flatnonzero(panel_counts == n_panels)
-        xg = x[group]
-        partial = np.zeros((n_panels, len(xg)))
-        for lo, sines in sin_blocks(xg, nodes[: starts[n_panels]], DIRECT_CHUNK * 32):
-            hi = lo + sines.shape[1]
-            # panels first .. last - 1 meet the block's nodes lo .. hi - 1
-            first, last = np.searchsorted(starts, lo, "right") - 1, np.searchsorted(starts, hi)
-            cuts = np.maximum(starts[first:last], lo) - lo
-            partial[first:last] += np.add.reduceat(sines * kern[lo:hi], cuts, axis=1).T
-        np.cumsum(partial, axis=0, out=partial)
-        # rounding floor: each of the n_panels additions can lose eps of the
-        # largest partial sum, which the fits alone miss at x = pi (value 0)
-        est = 3.0 * n_panels * np.finfo(float).eps * np.abs(partial).max(axis=0)
-        # a second fit on a shorter window exposes extrapolation bias the
-        # in-window residual cannot see (slow modes near x = pi)
-        n_short = j_lo + int(0.7 * (n_panels - j_lo))
-        (v, v_short), (rms, _) = tail_mode_fit(partial, xg, j_lo, (n_panels, n_short),
-                                               DIRECT_CHUNK * 128)
-        values[group] = v
-        est += 3.0 * rms + abs(v - v_short)
-        # a slow mode cos((pi - x) j) that turns less than once across the
-        # shorter window fools both fits: such a point gets no certificate
-        # (pi - x < 2 pi/672 = 9.35e-3 at 1000 panels)
-        blind = (xg < math.pi - 1e-12) & ((math.pi - xg) * (n_short - j_lo) < 2.0 * math.pi)
-        est[blind] = math.inf
-        estimates[group] = est
-    return values, estimates, (n_max, len(nodes))
-
-
 def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray,
-                cuts=()) -> tuple[np.ndarray, np.ndarray]:
+                cuts=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Filon sums in u = k^2 of the spectral integrand over groups of cells,
     groups x points x times.
 
@@ -339,22 +279,24 @@ def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray,
     whose weight arrays hold at most DIRECT_CHUNK x 128 doubles; a block's
     moments, phases and real kernel are formed once, whatever groups it
     meets.  quadrature.sin_blocks gives the sines of its nodes, in blocks of
-    DIRECT_CHUNK x 32 doubles, and every (x, t) of a group follows from one
-    real product of those sines with the interleaved (re, im) nodes x times
-    weights of the group's nodes, so no complex nodes x points array is
-    formed.
+    DIRECT_CHUNK x 32 doubles, and every (x, t) of a group that a block of
+    sines meets follows from one real product of those sines with the
+    interleaved (re, im) nodes x times weights of the group's nodes, so no
+    complex nodes x points array is formed.
 
     Also returns, per t, the sum over all terms of |weight| (r + u t): each
     term carries a rounding error of about eps (r + u t), u t being the phase
     that e^{-i u t} and the moments Phi_m(H t) are evaluated at and r the
     roundings of its sine (quadrature.sine_rounds: 1 + p + q on the
-    angle-addition tables, 1 for np.sin).
+    angle-addition tables, 1 for np.sin); and the sum of |weight| k, which
+    times x bounds the rounding of the sines' phases k x.
     """
     centre, half = 0.5 * (u_edges[1:] + u_edges[:-1]), 0.5 * (u_edges[1:] - u_edges[:-1])
     bounds = np.array([0, *cuts, len(centre)])
     per_block = max(1, DIRECT_CHUNK * 128 // (len(GL_NODES) * 2 * len(t)))
     acc = np.zeros((len(bounds) - 1, len(x), 2 * len(t)))
     floor = np.zeros(len(t))
+    reach = np.zeros(len(t))
     rounds = sine_rounds(x)
     for lo in range(0, len(centre), per_block):
         c, h = centre[lo : lo + per_block, None], half[lo : lo + per_block, None]
@@ -367,75 +309,87 @@ def _filon_sums(l: int, x, t, g: float, u_edges: np.ndarray,
         np.multiply(moments.transpose(0, 2, 1), kern.reshape(-1, len(GL_NODES), 1), out=wts)
         wts = wts.reshape(len(k), len(t))
         # the group bounds as node offsets into this block of cells
-        group_ends = [len(GL_NODES) * (int(b) - lo) for b in bounds]
+        ends = len(GL_NODES) * (bounds - lo)
         for first, sines in sin_blocks(x, k, DIRECT_CHUNK * 32):
-            for i, (a, b) in enumerate(zip(group_ends[:-1], group_ends[1:])):
-                # the group's nodes within these sines, none for a group they miss
-                a, b = max(a - first, 0), min(b - first, sines.shape[1])
+            width = sines.shape[1]
+            # the groups that meet these sines, and their nodes among them
+            for i in range(np.searchsorted(ends, first, "right") - 1,
+                           np.searchsorted(ends, first + width)):
+                a, b = max(ends[i] - first, 0), min(ends[i + 1] - first, width)
                 if a < b:
                     acc[i] += sines[:, a:b] @ wts[first + a : first + b].view(np.float64)
         size = np.abs(wts)
         floor += rounds * size.sum(axis=0) + t * (k * k @ size)
-    return acc.view(complex), floor
+        reach += k @ size
+    return acc.view(complex), floor, reach
 
 
 def _direct_filon(l: int, x, t, g: float, tol: float):
-    """psi^(l) at every (x, t > 0) by Filon quadrature in u = k^2, truncated.
+    """psi^(l) at every (x, t) by Filon quadrature in u = k^2 on the panels
+    0..J-1, panel 0 graded by ORIGIN_GRADING, one J and node set per call.
 
-    Every t shares the panel count J = truncation_panels of the earliest t and
-    one node set: the panel_edges of panels 0..J-1 in u, panel 0 graded by
-    ORIGIN_GRADING.  The rule runs on those cells and on the cells halved;
-    the halved sum is returned with the estimate |fine - coarse| plus three
-    times the largest of its last five panel sums plus the halved sum's
-    rounding floor.  One _filon_sums pass over the halved cells keeps the
-    head and each of the last five panels as separate sums.  Where J is
-    TRUNCATION_PANEL_CAP, the truncation outruns that panel envelope: the
-    pass also cuts the head at (J/2)^2, and the estimate takes the sum
-    |S_J - S_{J/2}| of the panels J/2..J-1 too.  Returns the values, their
+    The rule runs on the panel_edges cells and on the cells halved; the
+    halved sum is returned with the estimate |fine - coarse| plus its
+    rounding floor plus a bound on what lies past J.  At t = 0 (t = [0.])
+    J = tail_panels, quadrature.direct_tail adds the rest and its last two
+    orders are the bound; the halved pass keeps one sum per panel (a lone
+    point's one product over all nodes rounded up to 4.9e-15), and the floor
+    adds the rounding of the phases k x.  At t > 0 J = truncation_panels of
+    the earliest t, and the bound is three times the largest of the last
+    five panel sums, kept apart from the head; where J is
+    TRUNCATION_PANEL_CAP the pass also cuts the head at (J/2)^2 and the
+    estimate adds |S_J - S_{J/2}|, the panels J/2..J-1.  Returns the values,
     estimates and the panel and node counts (nodes of both levels).
     """
-    n_panels = truncation_panels(l, float(t.min()), tol)
-    capped = n_panels == TRUNCATION_PANEL_CAP
-    coarse = np.union1d(ORIGIN_GRADING, panel_edges(g, n_panels)) ** 2
-    fine = refine_edges(coarse, 2)
-    # the head ends at the edge (J - 5)^2, each of the last five panels at the
-    # next square; where the cap binds the head also splits at (J/2)^2
-    splits = np.arange(n_panels - 5.0, n_panels)
+    at_zero = t[0] == 0.0
+    if at_zero:
+        n_panels = tail_panels(l, g)
+        splits = np.arange(1.0, n_panels)
+    else:
+        n_panels = truncation_panels(l, float(t.min()), tol)
+        # the head ends at the edge (J - 5)^2, each of the last five panels at
+        # the next square; where the cap binds the head also splits at (J/2)^2
+        splits = np.arange(n_panels - 5.0, n_panels)
+    capped = not at_zero and n_panels == TRUNCATION_PANEL_CAP
     if capped:
         splits = np.append(n_panels // 2, splits)
-    sums, floor = _filon_sums(l, x, t, g, fine, np.searchsorted(fine, splits**2))
-    last = sums[-5:]
+    coarse = np.union1d(ORIGIN_GRADING, panel_edges(g, n_panels)) ** 2
+    fine = refine_edges(coarse, 2)
+    sums, floor, reach = _filon_sums(l, x, t, g, fine, np.searchsorted(fine, splits**2))
     values = sums.sum(axis=0)
+    if at_zero:
+        values = values.real
+        floor = floor + np.multiply.outer(x, reach)
+        tail, beyond = (a[:, None] for a in direct_tail(l, x, g, n_panels, DIRECT_CHUNK * 128))
+    else:
+        beyond = 3.0 * np.max(np.abs(sums[-5:]), axis=0)
     estimates = (np.abs(values - _filon_sums(l, x, t, g, coarse)[0][0])
-                 + 3.0 * np.max(np.abs(last), axis=0) + np.finfo(float).eps * floor)
+                 + beyond + np.finfo(float).eps * floor)
     if capped:
         estimates += np.abs(sums[1:].sum(axis=0))
+    if at_zero:
+        values = values + tail
     return values, estimates, (n_panels, len(GL_NODES) * (len(coarse) + len(fine) - 2))
 
 
 def _direct_values(l: int, x, t, g: float, tol: float):
     """psi^(l) at every (x, t) by quadrature of the spectral integral on the real axis.
 
-    For t = 0 the panel sums converge only algebraically and are extrapolated
-    with the two-mode tail model (_direct_t0).  For t > 0 the panel integrals
-    decay like 1/(t j^3), and the times are integrated together by Filon
-    quadrature in u = k^2 on one node set that does not depend on t
-    (_direct_filon), so there is no upper limit on t.
-
-    Returns points x times arrays of the values and of each (x, t)'s error
-    estimate (infinite where a value is not finite), and a times x 2 array of
-    the panel and node counts.
+    _direct_filon takes the times below 1e-12 as one t = 0, where the panel
+    sums to J end in the closed-form integral of the integrand's large-k
+    expansion, and the rest together on one t-free node set, so there is no
+    upper limit on t.  Returns points x times arrays of the values and of
+    each (x, t)'s error estimate (infinite where a value is not finite), and
+    a times x 2 array of the panel and node counts.
     """
     x, t = _inputs("direct", l, x, t, g)
     values = np.empty((len(x), len(t)), dtype=complex)
     estimates = np.empty((len(x), len(t)))
     counts = np.zeros((len(t), 2), dtype=int)
-    at_zero, later = t < 1e-12, t >= 1e-12
-    if at_zero.any():
-        v, e, counts[at_zero] = _direct_t0(l, x, g)
-        values[:, at_zero], estimates[:, at_zero] = v[:, None], e[:, None]
-    if later.any():
-        values[:, later], estimates[:, later], counts[later] = _direct_filon(l, x, t[later], g, tol)
+    for part, ts in ((t < 1e-12, np.zeros(1)), (t >= 1e-12, t[t >= 1e-12])):
+        if part.any():
+            v, e, counts[part] = _direct_filon(l, x, ts, g, tol)
+            values[:, part], estimates[:, part] = v, e
     values *= SPECTRAL_PREFACTOR
     estimates *= SPECTRAL_PREFACTOR
     estimates[~np.isfinite(values)] = math.inf

@@ -9,34 +9,26 @@ the subdivision inside a panel:
 * period-one wiggles of 1/(4ab) whose amplitude grows like 1/(4 pi g k)
   toward small k, resolved by a baseline subdivision tied to that amplitude.
 
-At t = 0 Gauss-Legendre 15 is applied on every cell and the infinite panel
-sum is extrapolated with a windowed least-squares fit of the known tail model
-
-    S_j = S + (-1)^j [cos(x j) A(j) + sin(x j) B(j)],  A, B ~ poly(1/j),
-
-which degenerates to plain Richardson in 1/j at x = pi.  The integrand and
-the model's design matrix are real at t = 0, so the partial sums of a point
-are the one right-hand side of a real least-squares problem, and the problems
-of many points are solved as one batch (tail_mode_fit).
-
-For t > 0 the phase exp(-i k^2 t) is linear in u = k^2, so the same cells are
-mapped to u and integrated by Filon quadrature (Iserles & Norsett, Proc. R.
-Soc. A 461, 1383 (2005)): the non-oscillatory factor is interpolated at the
-GL-15 nodes of each cell and the interpolant is integrated against e^{-iut}
-exactly.  A cell of centre u_c and half-width H weights node m by
-H e^{-i u_c t} filon_moments(H t)[m], so the node set does not depend on t.
-The panel sum is truncated where the panel integrals, decaying like
-1/(t j^3), drop below the tolerance.
+The phase exp(-i k^2 t) is linear in u = k^2, so the cells are mapped to u
+and integrated by Filon quadrature (Iserles & Norsett, Proc. R. Soc. A 461,
+1383 (2005)): the non-oscillatory factor is interpolated at the GL-15 nodes
+of each cell and the interpolant is integrated against e^{-iut} exactly.  A
+cell of centre u_c and half-width H weights node m by
+H e^{-i u_c t} filon_moments(H t)[m], so the node set does not depend on t;
+at t = 0 the moments are the GL-15 weights.  For t > 0 the panel sum is
+truncated where the panel integrals, decaying like 1/(t j^3), drop below
+the tolerance (truncation_panels).  At t = 0 they decay only like 1/j, and
+the panels stop at J = tail_panels, past which direct_tail integrates the
+integrand's large-k expansion in closed form, term by term a generalized
+exponential integral E_n (expint).
 
 The caller (evolution._direct_values) builds one node set from the
-panel_edges of all its panels.  At t = 0 each point has its own panel count
-(more panels just inside the barrier), and every smaller count's nodes are a
-prefix of the largest count's.  Both times take sin(k x) block by block of
+panel_edges of the panels of a call and takes sin(k x) block by block of
 nodes from sin_blocks, which forms it by angle addition on a np.linspace
 grid of two or more points (three complex exponentials per node, then
-products), by np.sin on any other: at t = 0 one array reduction per block
-gives its panel sums, at t > 0 one real matrix product per block and group
-of cells.  So no nodes x points array over all panels is ever formed.
+products), by np.sin on any other, then one real matrix product per block
+and group of cells.  So no nodes x points array over all panels is ever
+formed.
 """
 
 from __future__ import annotations
@@ -55,9 +47,8 @@ TRUNCATION_PANEL_CAP = 800
 BESSEL_ORDERS = len(GL_NODES)
 MILLER_START = 60
 
-# Highest power of 1/j in the t = 0 tail model, and the lstsq cutoff of its fit.
-TAIL_MAX_POWER = 6
-TAIL_RCOND = 1e-11
+# Highest power of 1/k in the large-k expansion that direct_tail integrates.
+TAIL_ORDER = 12
 
 # Farthest ray cutoff at t = 0, reached as x -> pi.
 RAY_K_CAP = 4096.0
@@ -255,56 +246,110 @@ def truncation_panels(l: int, t: float, tol: float) -> int:
     return int(np.clip(math.ceil(k), 48, TRUNCATION_PANEL_CAP))
 
 
-def tail_mode_fit(partial_sums: np.ndarray, x: np.ndarray, j_lo: int, ends,
-                  max_doubles: int) -> tuple[np.ndarray, np.ndarray]:
-    """Extrapolate the panel partial sums of many points to j = infinity at t = 0.
+def tail_panels(l: int, g: float) -> int:
+    """Panels J summed before direct_tail takes over at t = 0.
 
-    Column i of the real partial_sums (panels x points) holds the partial sums
-    of the point x[i]; each end in `ends` fits the window j_lo <= j < end.
-    Returns (limits, residual_rms), each of shape len(ends) x points.
-
-    The trig of the model is formed once per point, in one design tensor that
-    serves every window, since a shorter window is a row prefix of a longer
-    one.  Each window's fit is lstsq with cutoff TAIL_RCOND on the
-    column-normalized model: an R-only QR of [A | S], whose 13 x 13
-    triangle has the singular values of A, then the SVD of that triangle.
-    Points go in blocks whose arrays hold at most about max_doubles doubles.
-
-    The residual of the windowed fit is the natural error gauge: it stays at
-    rounding level where the model holds and grows visibly in the one hard
-    sliver 0 < pi - x << 1 where the slow mode cos((pi - x) j) barely rotates
-    across the window.
+    J = max(40, ceil(8/(pi g)), 8 l), so that at k >= J both ratios of the
+    expansion, |z| <= 1/(pi g k) and l/k, are at most 1/8.
     """
-    js = np.arange(j_lo, max(ends))
-    decay = (-1.0) ** (js % 2)[:, None] / (js + 1.0)[:, None] ** np.arange(1, TAIL_MAX_POWER + 1)
-    n_model = 2 * TAIL_MAX_POWER + 1
-    limits = np.empty((len(ends), len(x)))
-    rms = np.empty((len(ends), len(x)))
-    # about four arrays the size of a block's design tensor are alive at once
-    per_block = max(1, max_doubles // (4 * (n_model + 1) * len(js)))
+    return max(40, math.ceil(8.0 / (math.pi * g)), 8 * l)
+
+
+def _expint_series(z: np.ndarray, top: int) -> np.ndarray:
+    """E_2 .. E_top at |z| < 1 by Abramowitz & Stegun 5.1.12: E_n(z) =
+    (-z)^(n-1)/(n-1)! (psi(n) - ln z) - sum_{m != n-1} (-z)^m/((m-n+1) m!),
+    with (-z)^(n-1) ln z = 0 at z = 0, so E_n(0) = 1/(n - 1)."""
+    n = np.arange(2.0, top + 1.0)
+    psi = np.cumsum(1.0 / np.arange(1.0, top)) - 0.5772156649015329  # psi(2) .. psi(top)
+    log = np.log(np.where(z == 0.0, 1.0, z))
+    total = np.zeros((len(z), top - 1), dtype=complex)
+    term = np.ones_like(z)
+    for m in range(24):  # the first term left out is below 1e-23
+        if m:
+            term = term * (-z) / m
+        den = m - n + 1.0
+        den[den == 0.0] = np.inf
+        total -= term[:, None] / den
+        if 1 <= m < top:  # the logarithmic term of n = m + 1
+            total[:, m - 1] += term * (psi[m - 1] - log)
+    return total
+
+
+def _expint_fraction(z: np.ndarray, n) -> np.ndarray:
+    """E_n at Re z >= 0, |z| >= 1 by the even form of the continued fraction
+    A&S 5.1.22, e^-z/(z + n - 1 n/(z + n + 2 - 2 (n + 1)/(z + n + 4 - ...))),
+    by the modified Lentz method until every step is 1 to 4 eps (about 90
+    steps at |z| = 1 on the imaginary axis; to 1 eps, up to 175)."""
+    b = z + n
+    c = np.full(b.shape, 1e300, dtype=complex)
+    d = h = 1.0 / b
+    for i in range(1, 1000):
+        a = -i * (n - 1.0 + i)
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        step = c * d
+        h = h * step
+        if np.all(np.abs(step - 1.0) <= 4.0 * np.finfo(float).eps):
+            break
+    return h * np.exp(-z)
+
+
+def expint(z: np.ndarray, top: int) -> np.ndarray:
+    """E_n(z) = int_1^inf e^{-z s} s^-n ds, n = 2 .. top, at each z (1-d, Re z >= 0),
+    shape len(z) x (top - 1): the series below |z| = 1, the continued
+    fraction order by order up to |z| = 2 top, and beyond it the fraction at
+    n = top and the downward recurrence E_n = (e^-z - n E_(n+1))/z
+    (A&S 5.1.14), stable where |z| > n."""
+    out = np.empty((len(z), top - 1), dtype=complex)
+    near, far = np.abs(z) < 1.0, np.abs(z) >= 2.0 * top
+    out[near] = _expint_series(z[near], top)
+    out[~near & ~far] = _expint_fraction(z[~near & ~far, None], np.arange(2.0, top + 1.0))
+    zf = z[far]
+    column = [_expint_fraction(zf, float(top))]
+    for n in range(top - 1, 1, -1):
+        column.append((np.exp(-zf) - n * column[-1]) / zf)
+    out[far] = np.stack(column[::-1], axis=1)
+    return out
+
+
+def tail_coefficients(l: int, g: float) -> np.ndarray:
+    """C[n, j] of the direct kernel's large-k expansion, n <= N = TAIL_ORDER, j < N - 1:
+    (-1)^l l sin(pi k)/((k^2 - l^2) 4 a b) = sum 2 Re(C[n, j] e^{i pi (2j + 1) k}) k^-n.
+
+    On the real axis 4 a b = |1 + z|^2, z = i e (1 - E), e = 1/(2 pi g k),
+    E = e^{2 pi i k}.  As 1 - 1/E = -(1 - E)/E, the order-d part of
+    sum (-z)^a (-conj z)^b is (-i e)^d (1 - E)^d sum_{b <= d} E^-b, real, whose
+    E^q coefficient, q >= 1, is (-1)^q binom(d - 1, q - 1); 1/(k^2 - l^2) =
+    sum_m l^(2m) k^-(2m+2), and the conjugate terms e^{-i pi p k} are implied.
+    """
+    top = TAIL_ORDER - 2
+    series = np.zeros((TAIL_ORDER + 1, top + 2), dtype=complex)  # coefficient of k^-n E^q
+    for d in range(top + 1):
+        powers = [float(d == 0)] + [(-1) ** q * math.comb(d - 1, q - 1) for q in range(1, d + 1)]
+        part = (-0.5j / (math.pi * g)) ** d * np.array(powers)
+        for m in range((TAIL_ORDER - d) // 2):
+            series[d + 2 * m + 2, : d + 1] += l ** (2 * m) * part
+    return (-1) ** l * l * (series[:, :-1] - series[:, 1:]) / 2j  # sin(pi k) E^q
+
+
+def direct_tail(l: int, x: np.ndarray, g: float, J: int,
+                max_doubles: int) -> tuple[np.ndarray, np.ndarray]:
+    """int_J^inf kernel(k) sin(k x) dk at t = 0 at every x, and the size of its
+    last two orders: each term of the expansion (tail_coefficients) times
+    sin(k x) is 2 Re c e^{i w k} k^-n, w = pi (2j + 1) +- x >= 0, with
+    int_J^inf e^{i w k} k^-n dk = J^(1-n) E_n(-i w J).  Points go in blocks
+    whose E_n arrays hold at most about max_doubles doubles."""
+    coef = tail_coefficients(l, g)[2:] * (-1j * float(J) ** -np.arange(1.0, TAIL_ORDER))[:, None]
+    odd = math.pi * np.arange(1.0, 2.0 * TAIL_ORDER - 2.0, 2.0)
+    per_block = max(1, max_doubles // (8 * odd.size * coef.shape[0]))
+    orders = np.empty((len(x), TAIL_ORDER - 1))
     for b in range(0, len(x), per_block):
-        blk = slice(b, b + per_block)
-        phase = np.multiply.outer(x[blk], js)
-        design = np.empty(phase.shape + (n_model + 1,))
-        design[..., 0] = 1.0
-        design[..., 1 : TAIL_MAX_POWER + 1] = np.cos(phase)[..., None] * decay
-        design[..., TAIL_MAX_POWER + 1 : n_model] = np.sin(phase)[..., None] * decay
-        design[..., n_model] = partial_sums[j_lo : js[-1] + 1, blk].T
-        for w, end in enumerate(ends):
-            window = design[:, : end - j_lo].copy()
-            norms = np.linalg.norm(window[..., :n_model], axis=1)
-            # a column that vanishes on the window (sin(x j) at x = 0 or pi) is dropped
-            window[..., :n_model] *= np.divide(1.0, norms, out=np.zeros_like(norms),
-                                               where=norms > 1e-14)[:, None, :]
-            r = np.linalg.qr(window, mode="r")
-            u, s, vt = np.linalg.svd(r[:, :n_model, :n_model])
-            inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > TAIL_RCOND * s[:, :1])
-            rotated = u.transpose(0, 2, 1) @ r[:, :n_model, n_model:]
-            coef = vt.transpose(0, 2, 1) @ (inv[..., None] * rotated)
-            resid = window[..., n_model:] - window[..., :n_model] @ coef
-            rms[w, blk] = np.sqrt(np.mean(resid[..., 0] ** 2, axis=-1))
-            limits[w, blk] = coef[:, 0, 0] / norms[:, 0]
-    return limits, rms
+        xb = x[b : b + per_block, None]
+        w = np.stack([odd + xb, odd - xb])  # 2 x points x j
+        e = expint((-1j * J) * w.ravel(), TAIL_ORDER).reshape(w.shape + (-1,))
+        orders[b : b + per_block] = np.einsum("pjn,nj->pn", e[0] - e[1], coef).real
+    return orders.sum(axis=1), np.abs(orders[:, -2:]).sum(axis=1)
 
 
 def ray_band(t: float) -> float:

@@ -699,7 +699,7 @@ def record_direct_panels(monkeypatch) -> list:
     [
         # every route's domain is checked first: asymptotic refuses t = 0
         ["evolve", "--g", "0.2", "--method", "all", "--t", "0:50:101"],
-        # below g = 1/(80 pi) the direct route's tail model does not hold
+        # the direct route refuses g below 1/(80 pi)
         ["evolve", "--g", "0.001", "--method", "direct", "--t", "0"],
     ],
     ids=["evolve-all-t0", "evolve-direct-g-0.001"],
@@ -709,6 +709,19 @@ def test_domain_refusal_before_any_direct_node_set(tmp_path, monkeypatch, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert panels == []  # refused before any direct node set is built
     assert not any(tmp_path.iterdir())
+
+
+def test_direct_t0_next_to_barrier_exits_0(tmp_path):
+    # within 1.6e-3 of the barrier the panel sums carry a slow mode
+    # cos((pi - x) j) that a fitted tail could not certify (exit 3); the
+    # closed-form tail gives the initial state to 1e-12, imaginary part 0.0
+    argv = ["evolve", "--g", "0.2", "--method", "direct", "--t", "0", "--x", "3.14:3.1415:5"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "evolve_field_direct.csv")
+    assert len(rows) == 5 and all(r["im"] == "0.0" for r in rows)
+    for r in rows:
+        exact = math.sqrt(2.0 / math.pi) * math.sin(float(r["x_or_t"]))
+        assert abs(float(r["re"]) - exact) <= 1e-12
 
 
 @pytest.mark.parametrize(

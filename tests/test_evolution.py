@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from test_quadrature import baseline_subpanels, panel_cell_edges, tail_mode_fit_complex
+from test_quadrature import baseline_subpanels, panel_cell_edges
 
 from winterdyn import (
     AccuracyError,
@@ -26,7 +26,6 @@ from winterdyn.evolution import (
     _ROT,
     ORIGIN_GRADING,
     SPECTRAL_PREFACTOR,
-    TAIL_FIT_START,
     _cavity_norms,
     _direct_values,
     _exponential_values,
@@ -43,6 +42,7 @@ from winterdyn.quadrature import (
     panel_edges,
     ray_cell_edges,
     refine_edges,
+    tail_panels,
     truncation_panels,
 )
 from winterdyn.spectrum import ab_product
@@ -204,12 +204,15 @@ def test_direct_reports_accuracy_failure():
     assert exc.value.estimate > 1e-14
 
 
-@pytest.mark.parametrize("l, g", [(l, g) for l in (1, 2, 3) for g in (0.05, 0.1, 0.2, 0.4)])
+@pytest.mark.parametrize("l, g", [(l, g) for l in (1, 2, 3)
+                                  for g in (0.00398, 0.008, 0.015, 0.025, 0.05, 0.1, 0.2, 0.4)])
 def test_direct_t0_estimate_covers_true_error(l, g):
     # t = 0 is the one time with a known answer, sqrt(2/pi) sin(l x): on the
-    # default 129-point grid, whose last points lie within 0.15 of the
-    # barrier, every point is certified and its true error is within its
-    # estimate, x = pi (where both sit at rounding level) included
+    # default 129-point grid every point is certified and its true error is
+    # within its estimate, x = pi (where both sit at rounding level) included,
+    # down to the route's floor g = 1/(80 pi); from g = 0.025 on the error is
+    # at most 1e-12 (below, the cells of the low panels set it: 1.1e-10 at
+    # g = 0.00398)
     tol = 1e-6
     x = np.linspace(0.0, math.pi, 129)
     values, estimates, _ = _direct_values(l, x, [0.0], g, tol)
@@ -217,29 +220,24 @@ def test_direct_t0_estimate_covers_true_error(l, g):
     assert np.all(values.imag == 0.0)
     assert np.all(estimates <= tol)
     assert np.all(err <= estimates[:, 0])
-    # just inside the barrier a certified value lies within its estimate,
-    # and a refused one carries an estimate no smaller than its true error
+    if g >= 0.025:
+        assert err.max() <= 1e-12
+    # just inside the barrier every point is certified within its estimate
     slivers = (6e-3, 3e-3, 1e-3, 1e-4, 1e-6) if (l, g) in [(1, 0.2), (3, 0.4), (2, 0.05)] else ()
     for gap in slivers:
         x = math.pi - gap
-        exact = SQ * math.sin(l * x)
-        try:
-            fld = direct_field(l, [x], 0.0, g, tol)
-        except AccuracyError as exc:
-            assert exc.estimate >= abs(exc.best.values[0] - exact)
-        else:
-            assert abs(fld.values[0] - exact) <= fld.meta["error_estimate"] <= tol
+        fld = direct_field(l, [x], 0.0, g, tol)
+        assert abs(fld.values[0] - SQ * math.sin(l * x)) <= fld.meta["error_estimate"] <= tol
 
 
 @pytest.mark.parametrize(
     "l, g", [(1, 0.4), (2, 0.4), (1, 0.05), (3, 0.2), (1, 0.025), (2, 0.025), (3, 0.025)]
 )
 def test_direct_t0_estimate_covers_rounding_at_barrier(l, g):
-    # at x = pi the value is 0 and the tail model is Richardson in 1/j: what
-    # is left is rounding in the panel sums, which the estimate's floor
-    # (scaled with the largest partial sum) must cover.  At g = 0.025 the
-    # extrapolation error dominates, and a lone x = pi is covered only by
-    # the 1000-panel fit, with a margin of about 6 %
+    # at x = pi the value is 0 and every term of the closed-form tail is
+    # E_n(0) = 1/(n - 1) or oscillatory: what is left is rounding in the
+    # panel sums, which the estimate's floor (eps times the sum of |weight|
+    # times the sine roundings) must cover
     fld = direct_field(l, [math.pi], 0.0, g, 1e-6)
     assert abs(fld.values[0]) <= fld.meta["error_estimate"]
 
@@ -252,9 +250,9 @@ def chirp_cell_edges(j, g, t):
 
 
 def direct_field_dense(l, x, t, g, n_panels):
-    """Reference form: GL-15 in k on chirp-resolving cells, every node of every
-    panel in one nodes x points array, scattered into panel sums with
-    np.add.at; complex-lstsq tail fit at t = 0.
+    """Reference form at t > 0: GL-15 in k on chirp-resolving cells, every node
+    of every panel in one nodes x points array, scattered into panel sums
+    with np.add.at.
 
     Returns (values, error estimate, node count).
     """
@@ -269,34 +267,18 @@ def direct_field_dense(l, x, t, g, n_panels):
     contrib = kern[:, None] * np.sin(np.outer(nodes, x))
     panels = np.zeros((n_panels, len(x)), dtype=complex)
     np.add.at(panels, panel_of, contrib)
-    partial = np.cumsum(panels, axis=0)
-    if t == 0:
-        j_lo = TAIL_FIT_START
-        n_short = j_lo + int(0.7 * (n_panels - j_lo))
-        values = np.empty(len(x), dtype=complex)
-        estimates = np.empty(len(x))
-        for i, xi in enumerate(x):
-            v, rms = tail_mode_fit_complex(partial[:, i], xi, j_lo)
-            v_short, _ = tail_mode_fit_complex(partial[:n_short, i], xi, j_lo)
-            values[i] = v
-            floor = 3.0 * n_panels * np.finfo(float).eps * np.abs(partial[:, i]).max()
-            estimates[i] = 3.0 * rms + abs(v - v_short) + floor
-    else:
-        values = partial[-1]
-        estimates = 3.0 * np.max(np.abs(panels[-5:, :]), axis=0)
-    return values * SPECTRAL_PREFACTOR, estimates.max() * SPECTRAL_PREFACTOR, len(nodes)
+    estimates = 3.0 * np.max(np.abs(panels[-5:, :]), axis=0)
+    return panels.sum(axis=0) * SPECTRAL_PREFACTOR, estimates.max() * SPECTRAL_PREFACTOR, len(nodes)
 
 
 @pytest.mark.parametrize("l", [1, 2])
 @pytest.mark.parametrize("g", [0.1, 0.2])
 def test_direct_field_matches_dense_reference(l, g):
-    # t = 0: the streamed panels and the batched tail fit give the dense
-    # route's values, estimates, verdicts, panel and node counts, each point
-    # group at its own panel count (1000 within 0.15 of the barrier, 220
-    # elsewhere).  t > 0: Filon in u = k^2 on the t-free node set agrees with
-    # GL in k on chirp cells at the same truncation, with far fewer nodes
+    # t = 0: panels 0..J-1 plus the closed-form tail give the initial state
+    # to 1e-12, with J = tail_panels.  t > 0: Filon in u = k^2 on the t-free
+    # node set agrees with GL in k on chirp cells at the same truncation,
+    # with far fewer nodes
     x = np.linspace(0.0, math.pi, 33)
-    near = x > math.pi - 0.15
     tol = 1e-6
     for t in (0.0, 0.5, 5.0, 50.0):
         try:
@@ -304,20 +286,12 @@ def test_direct_field_matches_dense_reference(l, g):
             failed = False
         except AccuracyError as exc:
             fld, failed = exc.value.best, True
-        n_panels = 1000 if t == 0 else truncation_panels(l, t, tol)
+        n_panels = tail_panels(l, g) if t == 0 else truncation_panels(l, t, tol)
         assert fld.meta["panels"] == n_panels
         if t == 0:
-            values = np.empty(len(x), dtype=complex)
-            values[~near], far_estimate, _ = direct_field_dense(l, x[~near], t, g, 220)
-            values[near], estimate, n_nodes = direct_field_dense(l, x[near], t, g, 1000)
-            estimate = max(estimate, far_estimate)
+            assert not failed
             assert np.all(fld.values.imag == 0.0)
-            np.testing.assert_allclose(
-                fld.values, values, rtol=0, atol=1e-13 * np.max(np.abs(values))
-            )
-            assert fld.meta["error_estimate"] == pytest.approx(estimate, rel=1e-9)
-            assert failed == (estimate > tol)
-            assert fld.meta["nodes"] == n_nodes
+            np.testing.assert_allclose(fld.values, SQ * np.sin(l * x), rtol=0, atol=1e-12)
         else:
             values, estimate, n_nodes = direct_field_dense(l, x, t, g, n_panels)
             np.testing.assert_allclose(fld.values, values, rtol=0, atol=1e-9)
@@ -350,25 +324,27 @@ def test_filon_sums_angle_addition_matches_np_sin(monkeypatch):
     # the 129-point grid takes quadrature.sin_blocks' angle addition; the
     # np.sin form of the same Filon sums, over the cells of 240 panels, differs
     # by rounding only, and the rounding floor counts the p + q = 23 products.
-    # sum |w| and sum u |w| come from the Filon weights rebuilt here on the
-    # complex kernel, not from the weights _filon_sums forms
+    # sum |w|, sum u |w| and sum k |w| come from the Filon weights rebuilt here
+    # on the complex kernel, not from the weights _filon_sums forms
     x = np.linspace(0.0, math.pi, 129)
     assert _angle_split(x) == (11, 12)
     l, g, t = 2, 0.2, np.array([0.5, 50.0])
     u_edges = np.union1d(ORIGIN_GRADING, panel_edges(g, 240)) ** 2
-    got, floor = _filon_sums(l, x, t, g, u_edges)
+    got, floor, reach = _filon_sums(l, x, t, g, u_edges)
     c = 0.5 * (u_edges[1:] + u_edges[:-1])[:, None]
     h = 0.5 * (u_edges[1:] - u_edges[:-1])[:, None]
     u = c + h * GL_NODES
     kern = np.abs(spectral_kernel_complex(l, np.sqrt(u), g)) / (2.0 * np.sqrt(u))
     size = h[:, :, None] * np.abs(filon_moments(h * t)) * kern[:, None, :]  # cells x t x nodes
     total, u_total = size.sum(axis=(0, 2)), (u[:, None, :] * size).sum(axis=(0, 2))
+    k_total = (np.sqrt(u)[:, None, :] * size).sum(axis=(0, 2))
     monkeypatch.setattr(evolution, "sin_blocks",
                         lambda x, k, max_doubles: [(0, np.sin(np.multiply.outer(x, k)))])
-    ref, _ = _filon_sums(l, x, t, g, u_edges)
+    ref, *_ = _filon_sums(l, x, t, g, u_edges)
     assert np.all(np.abs(got - ref) <= 1e-13 * total)
     assert np.all(floor >= (1 + 11 + 12) * total)
     np.testing.assert_allclose(floor, (1 + 11 + 12) * total + t * u_total, rtol=1e-9)
+    np.testing.assert_allclose(reach, k_total, rtol=1e-9)
 
 
 def test_direct_estimate_covers_error_where_truncation_is_capped():
@@ -405,8 +381,9 @@ def test_direct_field_memory_is_bounded():
                                           (np.linspace(0.0, math.pi, 129), 16)],
                          ids=["1025-near-barrier", "default-grid"])
 def test_direct_t0_memory_is_bounded(x, bound_mib):
-    # the t = 0 tail fits run in blocks of points; as one block, the fits of
-    # 1025 points near the barrier peaked at 365 MiB
+    # the t = 0 tail forms its E_n arrays in blocks of points (the fitted
+    # tail it replaced peaked at 365 MiB on 1025 points near the barrier as
+    # one block)
     tracemalloc.start()
     try:
         _direct_values(2, x, [0.0], 0.2, 1e-6)
@@ -419,18 +396,20 @@ def test_direct_t0_memory_is_bounded(x, bound_mib):
 @pytest.mark.parametrize("l, g", [(1, 0.2), (2, 0.2), (3, 0.2), (1, 0.025)],
                          ids=["1", "2", "3", "1-g0.025"])
 def test_direct_t0_value_does_not_depend_on_grid(l, g):
-    # each t = 0 point takes its own panel count, so points far from the
-    # barrier (121 is the last of them), near it and x = pi get the same
-    # value and estimate alone as on the default grid, whatever else the
-    # grid holds; the grid builds its sines by angle addition, a lone point
-    # by np.sin
+    # a t = 0 point's value does not depend on what else the grid holds:
+    # points far from the barrier, near it and x = pi get the same value
+    # alone as on the default grid, up to the rounding of the sines, which
+    # the grid builds by angle addition and a lone point by np.sin.  The
+    # estimate's rounding floor counts those roundings (24 per sine on the
+    # grid, 1 alone), so a lone point's estimate is its own, and it covers
+    # the lone point's error at rounding level
     tol = 1e-6
     grid = np.linspace(0.0, math.pi, 129)
-    values, estimates, _ = _direct_values(l, grid, [0.0], g, tol)
+    values, _, _ = _direct_values(l, grid, [0.0], g, tol)
     for i in (17, 64, 121, 122, 125, 128):
         alone, alone_estimate, _ = _direct_values(l, grid[i : i + 1], [0.0], g, tol)
         assert abs(alone[0, 0] - values[i, 0]) <= 1e-14
-        assert alone_estimate[0, 0] == pytest.approx(estimates[i, 0], rel=0.1, abs=0)
+        assert abs(alone[0, 0] - SQ * np.sin(l * grid[i])) <= alone_estimate[0, 0] <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -743,9 +722,8 @@ def test_quadrature_fields_refuse_inputs_outside_domain(field, l, t, g, message)
 
 
 def test_direct_field_refuses_g_below_its_tail_model():
-    # the t = 0 tail model expands in 1/(4 pi g (j + 1/2)) from panel 40 on;
-    # at g = 0.002 the grid's worst error (1.1e-6) exceeded its worst
-    # estimate (6.8e-7) and the field was certified at tol 1e-6
+    # the route refuses g < DIRECT_G_MIN = 1/(80 pi), below the couplings
+    # its t = 0 estimates are tested at
     with pytest.raises(DomainError, match="requires g >= "):
         direct_field(1, np.linspace(0.0, math.pi, 129), 0.0, 0.002, 1e-6)
 

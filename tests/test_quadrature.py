@@ -6,11 +6,13 @@ import pytest
 from numpy.polynomial import legendre
 from scipy.special import spherical_jn
 
-from winterdyn.evolution import ORIGIN_GRADING
+from winterdyn.evolution import ORIGIN_GRADING, _spectral_kernel
 from winterdyn.quadrature import (
     GL_NODES,
     GL_WEIGHTS,
+    TAIL_ORDER,
     _angle_split,
+    expint,
     filon_moments,
     panel_edges,
     ray_band,
@@ -19,7 +21,8 @@ from winterdyn.quadrature import (
     sin_blocks,
     sine_rounds,
     spherical_bessel_j,
-    tail_mode_fit,
+    tail_coefficients,
+    tail_panels,
 )
 
 MOMENT_OMEGAS = [0.0, 1e-8, 1e-3, 0.5, 14.9, 15.0, 15.1, 100.0, 1e4, 1e7]
@@ -74,53 +77,6 @@ def test_panel_edges_match_per_panel_reference(g):
         np.testing.assert_array_equal(panel_edges(g, n_panels), ref)
         np.testing.assert_array_equal(np.union1d(ORIGIN_GRADING, panel_edges(g, n_panels)),
                                       np.union1d(ORIGIN_GRADING, ref))
-
-
-def tail_mode_fit_complex(partial_sums, x, j_lo, max_power=6, rcond=1e-11):
-    """Reference form: the real design matrix cast to complex, one complex lstsq."""
-    M = len(partial_sums)
-    js = np.arange(j_lo, M)
-    jj = js + 1.0
-    sgn = (-1.0) ** (js % 2)
-    cols = [np.ones_like(jj)]
-    for p in range(1, max_power + 1):
-        cols.append(sgn * np.cos(x * js) / jj**p)
-        cols.append(sgn * np.sin(x * js) / jj**p)
-    A = np.array(cols).T.astype(complex)
-    norms = np.linalg.norm(A, axis=0)
-    keep = norms > 1e-14
-    coef, *_ = np.linalg.lstsq(A[:, keep] / norms[keep], partial_sums[j_lo:], rcond=rcond)
-    resid = partial_sums[j_lo:] - (A[:, keep] / norms[keep]) @ coef
-    rms = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
-    return complex(coef[0] / norms[keep][0]), rms
-
-
-TAIL_XS = [0.0, 1.0, math.pi - 0.1, math.pi]
-
-
-@pytest.mark.parametrize("x", TAIL_XS)
-def test_tail_mode_fit_matches_complex_lstsq(x):
-    # real tail model plus noise, the partial sums the real kernel gives at
-    # t = 0.  One batched call fits all four points on three windows; the
-    # column of x matches the per-point complex lstsq (x = 0 drops the sin
-    # columns)
-    rng = np.random.default_rng(5)
-    js = np.arange(1000)[:, None]
-    jj = js + 1.0
-    a = 1.0 / jj + 0.5 / jj**2
-    b = -1.0 / jj + 0.3 / jj**3
-    xs = np.array(TAIL_XS)
-    sums = 0.3 + (-1.0) ** js * (np.cos(xs * js) * a + np.sin(xs * js) * b)
-    sums = sums + 1e-9 * rng.standard_normal(sums.shape)
-    i = TAIL_XS.index(x)
-    ends = (220, 700, 1000)
-    limits, rms = tail_mode_fit(sums, xs, 12, ends, 2**20)
-    for w, m in enumerate(ends):
-        v_ref, rms_ref = tail_mode_fit_complex(sums[:m, i], x, 12)
-        assert abs(limits[w, i] - v_ref) <= 1e-13 * abs(v_ref)
-        assert abs(limits[w, i] - 0.3) < 1e-8
-        assert rms[w, i] == pytest.approx(rms_ref, rel=1e-9)
-        assert 1e-10 < rms[w, i] < 1e-8
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 5.0, 300.0])
@@ -282,3 +238,41 @@ def test_spherical_bessel_matches_scipy_across_regimes():
     ref = np.stack([spherical_jn(n, w) for n in range(len(GL_NODES))], axis=-1)
     err = np.abs(spherical_bessel_j(w) - ref)
     assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=-1, keepdims=True))
+
+
+def test_expint_matches_mpmath_on_imaginary_axis():
+    # the t = 0 tail takes E_n on the imaginary axis: z = 0 (x = pi), the
+    # series below |z| = 1, the fraction order by order up to 2 TAIL_ORDER,
+    # the fraction at the top order and the downward recurrence beyond
+    mpmath = pytest.importorskip("mpmath")
+    top = TAIL_ORDER
+    size = np.array([0.0, 1e-8, 0.5, 0.999, 1.001, 5.0, 2 * top - 0.01, 2 * top + 0.01,
+                     125.0, 1e4, 1.2e4])
+    z = np.concatenate([-1j * size, 1j * size[1:]])
+    got = expint(z, top)
+    assert got.shape == (len(z), top - 1)
+    for zi, row in zip(z, got):
+        ref = [complex(mpmath.expint(n, mpmath.mpc(zi.real, zi.imag))) for n in range(2, top + 1)]
+        np.testing.assert_allclose(row, ref, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("l, g", [(1, 0.2), (2, 0.025), (3, 0.4), (1, 0.00398), (9, 0.3)])
+def test_tail_expansion_matches_direct_integrand(l, g):
+    # the expansion sum 2 Re(C[n, j] e^{i pi (2j + 1) k}) k^-n times sin(k x)
+    # against the kernel on [J, 4 J]; its remainder is below about
+    # 4 r^(N-1) l/k^2 with r = max(1/(pi g k), l/k) <= 1/8, and any wrong
+    # coefficient of order n <= N would leave r^(n-2) l/k^2.  The phases are
+    # taken from k - round(k), as the kernel takes them
+    J = tail_panels(l, g)
+    coef = tail_coefficients(l, g)
+    k = np.linspace(J, 4.0 * J, 3001)
+    n = np.round(k)
+    odd = 2 * np.arange(coef.shape[1]) + 1
+    phases = ((-1.0) ** n)[:, None] * np.exp(1j * math.pi * np.outer(k - n, odd))
+    series = (2.0 * (phases @ coef.T).real * k[:, None] ** -np.arange(TAIL_ORDER + 1.0)).sum(axis=1)
+    r = np.maximum(1.0 / (math.pi * g * k), l / k)
+    assert r.max() <= 0.125
+    bound = l / k**2 * (4.0 * r ** (TAIL_ORDER - 1) + 1e-14)
+    for x in (0.3, 2.0, math.pi - 1e-3, math.pi):
+        sines = np.sin(k * x)
+        assert np.all(np.abs(series * sines - _spectral_kernel(l, k, g) * sines) <= bound)
