@@ -332,9 +332,9 @@ def _direct_filon(l: int, x, t, g: float, tol: float):
     halved sum is returned with the estimate |fine - coarse| plus its
     rounding floor plus a bound on what lies past J.  At t = 0 (t = [0.])
     J = tail_panels, quadrature.direct_tail adds the rest and its last two
-    orders are the bound; the halved pass keeps one sum per panel (a lone
-    point's one product over all nodes rounded up to 4.9e-15), and the floor
-    adds the rounding of the phases k x.  At t > 0 J = truncation_panels of
+    orders are the bound; the halved pass keeps one sum per panel, so that
+    no product of sines and weights (one BLAS call) spans more than a panel,
+    and the floor adds the rounding of the phases k x.  At t > 0 J = truncation_panels of
     the earliest t, and the bound is three times the largest of the last
     five panel sums, kept apart from the head; where J is
     TRUNCATION_PANEL_CAP the pass also cuts the head at (J/2)^2 and the

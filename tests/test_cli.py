@@ -711,7 +711,7 @@ def test_domain_refusal_before_any_direct_node_set(tmp_path, monkeypatch, argv):
     assert not any(tmp_path.iterdir())
 
 
-def test_direct_t0_next_to_barrier_exits_0(tmp_path):
+def test_direct_next_to_barrier_at_t0_exits_0(tmp_path):
     # within 1.6e-3 of the barrier the panel sums carry a slow mode
     # cos((pi - x) j) that a fitted tail could not certify (exit 3); the
     # closed-form tail gives the initial state to 1e-12, imaginary part 0.0
