@@ -475,18 +475,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, coupling):
+    def common(p, coupling, tol):
         p.add_argument("--g", type=coupling, required=True, help="coupling")
-        p.add_argument("--tol", type=_positive, default=1e-12)
+        p.add_argument("--tol", type=_positive, default=tol)
         p.add_argument("--out", default=".", help="output directory")
 
     p = subs.add_parser("poles", help="solve resonance poles")
-    common(p, _positive)
+    common(p, _positive, 1e-12)
     p.add_argument("--n-max", type=_positive_int, default=10)
     p.set_defaults(func=cmd_poles)
 
     p = subs.add_parser("evolve", help="time evolution norms and fields")
-    common(p, _positive)
+    # evolve tolerances are quadrature targets, not the pole tol
+    common(p, _positive, 1e-6)
     p.add_argument("--l", type=_positive_int, default=1, help="initial box mode")
     p.add_argument("--n-max", type=_positive_int, default=24, help="pole table size")
     p.add_argument("--t", default="0.5:50:100", help="time grid spec")
@@ -503,23 +504,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="figure-style curve sets (first-order resonance model + power)",
     )
     p.set_defaults(func=cmd_evolve)
-    # evolve tolerances are quadrature targets, not the pole tol
-    p.set_defaults(tol=1e-6)
 
     p = subs.add_parser("mixing", help="index-space matrices and rotations")
-    common(p, _coupling)
+    common(p, _coupling, 1e-12)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--n", type=int, default=64, help="truncation")
     p.add_argument("--order", type=int, choices=(1, 2), default=2)
     p.add_argument("--mode", choices=("series", "numeric"), default="numeric")
-    p.add_argument("--emit", default="", help="comma list: A,A2,AH,H,V,V0,V1,V2,Z1,Z2,U,Uinv,expgap")
+    p.add_argument("--emit", default="", help=f"comma list: {','.join(_MATRIX_MAKERS)},expgap")
     p.add_argument("--rotate", type=int, default=None, metavar="L")
     p.add_argument("--contamination", type=int, default=None, metavar="L")
     p.add_argument("--t", default="0:50:51", help="time grid for contamination")
     p.set_defaults(func=cmd_mixing)
 
     p = subs.add_parser("crossings", help="crossing times of two norm curves")
-    common(p, _positive)
+    common(p, _positive, 1e-8)
     p.add_argument("--l", type=_positive_int, default=1)
     p.add_argument("--n-max", type=_positive_int, default=24)
     p.add_argument("--t", default="1:300:300", help="search grid (t > 0)")
@@ -527,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve-a", required=True)
     p.add_argument("--curve-b", required=True)
     p.set_defaults(func=cmd_crossings)
-    p.set_defaults(tol=1e-8)
 
     p = subs.add_parser("rerun", help="re-execute a command from its manifest")
     p.add_argument("--manifest", required=True)

@@ -442,8 +442,8 @@ def _pole_sum(x, ks, coeff, t) -> np.ndarray:
 def exponential_tail_estimate(l: int, t, table: PoleTable):
     """Size of the first pole term beyond the table, at a time or an array of times.
 
-    The weights fall off like 1/n, so |V_(l,N+1)| ~ |V_(l,N)| N/(N+1); the
-    width of the next pole is extrapolated with the n^3 law.
+    |V_(l,N+1)| is taken as |V_(l,N)| N/(N+1), a 1/n fall-off, where the measured
+    one is n^(-3/2); the width of the next pole is extrapolated with the n^3 law.
     """
     n = len(table)
     v_last = abs(complex(_pole_weights(l, table)[-1]))

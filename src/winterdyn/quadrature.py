@@ -242,7 +242,7 @@ def truncation_panels(l: int, t: float, tol: float) -> int:
     """
     if t <= 0:
         raise ValueError("truncation_panels applies to t > 0 only")
-    k = (3.4 * max(l, 1) / (t * max(tol, 1e-14))) ** (1.0 / 3.0)
+    k = (3.4 * l / (t * max(tol, 1e-14))) ** (1.0 / 3.0)
     return int(np.clip(math.ceil(k), 48, TRUNCATION_PANEL_CAP))
 
 
@@ -383,19 +383,15 @@ def ray_cell_edges(t: float, x: float) -> np.ndarray:
         t_b = ray_band(t)
         k_max = max(10.0, math.sqrt(36.0 / t_b))
         core = 6.0 / math.sqrt(t_b)
-        if core <= 12.0:
-            # the edges i core/12, i < 12, as np.linspace forms them, then
-            # core 2^m for m = 0, 1, ... up to the first one >= K, which is
-            # cut to K: K/core is 1 (t_b = 1/4) or 5/3 times a power of 2, so
-            # the ceiling of its log2 is exact
-            doublings = core * 2.0 ** np.arange(math.ceil(math.log2(k_max / core)) + 1)
-            return np.append(np.arange(12.0) * (core / 12.0), np.minimum(doublings, k_max))
     else:
         rate = (math.pi - x) / math.sqrt(2.0)
         k_max = min(max(10.0, 40.0 / max(rate, 1e-9)), RAY_K_CAP)
-    edges = list(np.linspace(0.0, 10.0, 21))
+    if t > 0 and core <= 12.0:
+        edges, growth = list(np.linspace(0.0, core, 13)), 2.0
+    else:
+        edges, growth = list(np.linspace(0.0, 10.0, 21)), 1.5
     while edges[-1] < k_max:
-        edges.append(min(edges[-1] * 1.5, k_max))
+        edges.append(min(edges[-1] * growth, k_max))
     return np.array(edges)
 
 

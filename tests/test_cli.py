@@ -110,6 +110,15 @@ def test_poles_rejects_zero_coupling(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["mixing", "--g", "0", "--n", "1", "--rotate", "1"],  # N >= 2 at g = 0 too
+    ["poles", "--g", "0.0469", "--n-max", "4200"],  # |b| floors from n = 4103
+])
+def test_refused_run_exits_2_and_creates_no_out(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_evolve_parts_split(tmp_path):
     rc = main(
         ["evolve", "--g", "0.2", "--l", "1", "--parts", "split",

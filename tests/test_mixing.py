@@ -20,6 +20,7 @@ from winterdyn import (
     Z_order,
     counter_rotate,
     diagonal_evolution_check,
+    exponential_field,
     exponentiation_gap,
     matrix_A,
     matrix_AH,
@@ -292,6 +293,22 @@ def test_counter_rotate_free_limit():
     assert np.allclose(st.coefficients, expect)
 
 
+@pytest.mark.parametrize("mode", ["series", "numeric"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_U_inverse_is_the_identity_at_g0(order, mode):
+    # so the g = 0 rotation is the free vector e_l, signs of zero included
+    inv = U_inverse(0.0, 8, order, mode).entries
+    assert np.array_equal(inv, np.eye(8))
+    assert not np.signbit(inv.real).any() and not np.signbit(inv.imag).any()
+
+
+@pytest.mark.parametrize("g", [0.0, 0.1])
+def test_counter_rotate_refuses_one_mode(g):
+    # N >= 2 at every coupling, g = 0 included
+    with pytest.raises(DomainError):
+        counter_rotate(1, g, 1)
+
+
 def test_counter_rotate_closed_form():
     g, N = 0.1, 256
     st = counter_rotate(1, g, N, order=1, mode="series")
@@ -327,10 +344,10 @@ def test_csv_and_json_match_per_entry_loops():
     numeric = U_inverse(0.13, 37, 2, "numeric")
     assert isinstance(numeric.meta["residual"], float) and isinstance(numeric.meta["cond"], float)
     assert numeric.meta["mode"] == "numeric"
-    mats = (matrix_A(5), U_inverse(0.1, 5, 2, "numeric"), IndexMatrix(2, -np.zeros((2, 2)), "H"),
+    mats = (matrix_A(5), U_inverse(0.1, 5, 2, "numeric"), IndexMatrix(-np.zeros((2, 2)), "H"),
             numeric, U_inverse(0.13, 37, 2, "series"),
-            IndexMatrix(2, edge, "U", meta={"g": 0.5, "order": 2, "tag": "edge", "rows": (1, 2)}),
-            IndexMatrix(0, np.zeros((0, 0)), "H"))
+            IndexMatrix(edge, "U", meta={"g": 0.5, "order": 2, "tag": "edge", "rows": (1, 2)}),
+            IndexMatrix(np.zeros((0, 0)), "H"))
     for mat in mats:
         lines = ["row,col,re,im"]
         for i in range(mat.dim):
@@ -391,6 +408,23 @@ def test_exponentiation_gap_ah_not_absorbed():
 def test_diagonal_evolution_free():
     ts = diagonal_evolution_check(1, 0.0, None, [0.0, 1.0, 5.0])
     assert np.all(ts.norms == 0.0)
+
+
+@pytest.mark.parametrize("l", [0, 9])
+def test_diagonal_evolution_refuses_l_outside_table(table01, l):
+    with pytest.raises(DomainError):
+        diagonal_evolution_check(l, 0.1, table01, [1.0])
+
+
+def test_pole_table_of_another_coupling_is_refused(table01):
+    x = np.linspace(0.0, PI, 9)
+    calls = (lambda: exponential_field(1, x, 0.5, 0.2, table01),
+             lambda: mixing_V_exact(0.2, table01),
+             lambda: Z_exact(1, 0.2, table01),
+             lambda: diagonal_evolution_check(1, 0.2, table01, [1.0]))
+    for call in calls:
+        with pytest.raises(ValueError, match="pole table was built at g=0.1"):
+            call()
 
 
 def test_diagonal_evolution_contamination_scaling():

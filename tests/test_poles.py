@@ -101,6 +101,14 @@ def test_find_pole_free_limit():
     assert abs(k - 1.0) < 3e-7
 
 
+def test_pole_solver_floor_at_large_n():
+    # at tol 1e-12 the floor is reached at large n too, not only as g -> 0:
+    # |b| floors at 1.37e-12 from n = 4103 at g = 0.0469
+    with pytest.raises(PoleConvergenceError, match="loosen tol") as exc:
+        pole_table(0.0469, 4200, 1e-12)
+    assert exc.value.n == 4103
+
+
 def test_find_pole_residual_and_octant():
     table = pole_table(0.1, 1, tol=1e-12)
     k = table[1]

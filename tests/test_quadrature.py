@@ -10,6 +10,7 @@ from winterdyn.evolution import ORIGIN_GRADING, _spectral_kernel
 from winterdyn.quadrature import (
     GL_NODES,
     GL_WEIGHTS,
+    RAY_K_CAP,
     TAIL_ORDER,
     _angle_split,
     expint,
@@ -118,6 +119,34 @@ def ray_cell_edges_doubling_loop(t):
     while edges[-1] < k_max:
         edges.append(min(edges[-1] * 2.0, k_max))
     return np.array(edges)
+
+
+def ray_cell_edges_closed_form(t, x):
+    """Reference form with the doublings of t_b >= 1/4 in closed form: core 2^m,
+    m <= ceil(log2(K/core)), exact because K/core is 1 or 5/3 times 2^b."""
+    if t > 0:
+        t_b = ray_band(t)
+        k_max = max(10.0, math.sqrt(36.0 / t_b))
+        core = 6.0 / math.sqrt(t_b)
+        if core <= 12.0:
+            doublings = core * 2.0 ** np.arange(math.ceil(math.log2(k_max / core)) + 1)
+            return np.append(np.arange(12.0) * (core / 12.0), np.minimum(doublings, k_max))
+    else:
+        k_max = min(max(10.0, 40.0 / max((math.pi - x) / math.sqrt(2.0), 1e-9)), RAY_K_CAP)
+    edges = list(np.linspace(0.0, 10.0, 21))
+    while edges[-1] < k_max:
+        edges.append(min(edges[-1] * 1.5, k_max))
+    return np.array(edges)
+
+
+def test_ray_cells_match_closed_form_doublings():
+    # t = 0 across the cavity up to the cap at the barrier, and t > 0 across
+    # twelve decades with every power of 4 and the float just below it
+    for x in [*np.linspace(0.0, math.pi, 257), math.pi - 1e-6, math.pi - 1e-12]:
+        assert np.array_equal(ray_cell_edges(0.0, x), ray_cell_edges_closed_form(0.0, x))
+    powers = 4.0 ** np.arange(-9, 10)
+    for t in [*np.geomspace(1e-6, 1e6, 4000), 0.25, *powers, *np.nextafter(powers, 0.0)]:
+        assert np.array_equal(ray_cell_edges(t, 1.0), ray_cell_edges_closed_form(t, 1.0))
 
 
 @pytest.mark.parametrize("t", [1e-3, 0.3, 0.5, 3.99, 5.0, 50.0, 300.0, 1e5])
