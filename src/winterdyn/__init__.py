@@ -19,7 +19,6 @@ from .errors import (
     WinterError,
 )
 from .evolution import (
-    TimeSeries,
     WaveField,
     asymptotic_field,
     cavity_norm,
@@ -32,7 +31,6 @@ from .evolution import (
 )
 from .mixing import (
     IndexMatrix,
-    RotatedState,
     U_inverse,
     U_truncated,
     V_order,
@@ -64,8 +62,6 @@ __all__ = [
     "OctantViolationError",
     "PoleConvergenceError",
     "PoleTable",
-    "RotatedState",
-    "TimeSeries",
     "U_inverse",
     "U_truncated",
     "V_order",

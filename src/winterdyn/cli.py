@@ -8,7 +8,10 @@ mixing     index-space matrices, rotated states, exponentiation gap
 crossings  bisection for crossing times between two norm curves
 rerun      re-execute a run from its manifest (byte-identical outputs)
 
-Every command is a generator of (file name, text) pairs; `publish` runs it,
+This is the one module that turns results into text: every CSV and JSON
+format is defined here, and every number a CSV holds is its repr, checked
+finite (DomainError).  Every command is a generator of (file name, text)
+pairs; `publish` runs it,
 staging each text and then `<command>_manifest.json` in a temporary directory
 inside --out, and moves the staged files into place, the manifest last, once
 all are staged.  `main` maps every failure after argument parsing in one
@@ -35,24 +38,21 @@ import math
 import os
 import sys
 import tempfile
+from itertools import islice
 
 import numpy as np
 
 from . import __version__
 from .errors import FOREIGN_EXIT_CODES, CrossingNotFoundError, DomainError, WinterError, exit_code
 from .evolution import (
-    TimeSeries,
-    WaveField,
     _asymptotic_values,
     _cavity_norms,
     _certify,
     _check_norm_grid,
-    _csv_text,
     _direct_values,
     _exponential_values,
     _inputs,
     _power_values,
-    _reprs,
     resonance_exponential_norm,
     resonance_term_norm,
 )
@@ -71,13 +71,88 @@ from .mixing import (
     matrix_H,
     mixing_V_exact,
 )
-from .poles import freq_pert, pole_table, width_pert
+from .poles import PoleTable, freq_pert, pole_table, width_pert
 
 # Relative width of the bracket at which find_crossings stops bisecting.
 CROSSING_RTOL = 1e-4
 
 # Levels of the bisection tree that find_crossings evaluates per curve call.
 _BISECTION_DEPTH = 3
+
+
+# ---------------------------------------------------------------------------
+# text formats: every CSV and JSON text a run writes
+# ---------------------------------------------------------------------------
+
+def _reprs(column) -> list[str]:
+    """The repr of every value of an array, as the CSV and JSON texts write it.
+
+    Every number a CSV holds passes through here, so a value that is not
+    finite raises DomainError before its file is staged.
+    """
+    column = np.asarray(column)
+    if not np.all(np.isfinite(column)):
+        raise DomainError("values to write must be finite")
+    return list(map(repr, column.tolist()))
+
+
+def _csv_text(header: str, *columns) -> str:
+    """CSV text: the header, then one row per entry of the columns of value strings."""
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+
+def _complex_csv(header: str, index, values) -> str:
+    """CSV text of complex values against an index column: header, re, im."""
+    return _csv_text(f"{header},re,im", *map(_reprs, (index, values.real, values.imag)))
+
+
+def _norm_csv(t, norms) -> str:
+    """CSV text of a norm curve: t, norm."""
+    return _csv_text("t,norm", _reprs(t), _reprs(norms))
+
+
+def _pole_json(table: PoleTable) -> str:
+    """JSON text of a pole table: g, tol, its warnings and one object per pole."""
+    keys = ("n", "re_k", "im_k", "omega", "gamma", "residual")
+    columns = (table.n, table.k_values.real, table.k_values.imag, table.omega, table.gamma,
+               table.residual)
+    return json.dumps(
+        {
+            "g": table.g,
+            "tol": table.tol,
+            "warnings": list(table.warnings),
+            "poles": [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))],
+        },
+        indent=2,
+    ) + "\n"
+
+
+def _matrix_texts(mat: IndexMatrix, fmt: str):
+    """Yield ("csv", text), then for fmt "json" also ("json", text).
+
+    Each entry is turned into text once, by repr, and both texts are
+    assembled from those strings.  The JSON is the text of
+    json.dumps(block, indent=2) + "\n" for the block {label, dim, entries,
+    meta}, entries being rows of [re, im] pairs and meta its int, float
+    and str items: the entries are finite, so repr is json's float text,
+    and they are spliced into the dump of the rest row by row (an empty
+    matrix keeps the dump's []).
+    """
+    ent = np.asarray(mat.entries, dtype=complex).ravel()
+    re_s, im_s = _reprs(ent.real), _reprs(ent.imag)
+    idx = [str(i) for i in range(1, mat.dim + 1)]
+    yield "csv", _csv_text("row,col,re,im", (r for r in idx for _ in idx),
+                           (c for _ in idx for c in idx), re_s, im_s)
+    if fmt != "json":
+        return
+    meta = {k: v for k, v in mat.meta.items() if isinstance(v, (int, float, str))}
+    head = json.dumps({"label": mat.label, "dim": mat.dim, "entries": [], "meta": meta},
+                      indent=2)
+    before, after = head.split('"entries": []', 1)
+    pairs = map("[\n        %s,\n        %s\n      ]".__mod__, zip(re_s, im_s))
+    rows = ("[\n      %s\n    ]" % ",\n      ".join(islice(pairs, mat.dim)) for _ in idx)
+    yield "json", "".join([before, '"entries": [\n    ', ",\n    ".join(rows), "\n  ]",
+                           after, "\n"] if idx else [head, "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +254,7 @@ def publish(args) -> int:
 
 def cmd_poles(args):
     table = pole_table(args.g, args.n_max, args.tol)
-    yield "poles.json", table.to_json() + "\n"
+    yield "poles.json", _pole_json(table)
     yield "poles.csv", _csv_text(
         "n,re_k,im_k,omega,gamma,residual,omega_pert1,omega_pert2,gamma_pert2,gamma_pert3",
         *map(_reprs, (
@@ -274,8 +349,7 @@ def cmd_evolve(args):
     if args.parts is None and len(t_grid) == 1:
         readers = _route_readers(methods, args, x, t_grid, pole_tol, norm=False)
         for m, read in zip(methods, readers):
-            fld = WaveField(x, float(t_grid[0]), read(t_grid)[:, 0])
-            yield f"evolve_field_{m}.csv", fld.to_csv()
+            yield f"evolve_field_{m}.csv", _complex_csv("x_or_t", x, read(t_grid)[:, 0])
         return
 
     # output name -> curve spec; --method exponential is the exact residue sum
@@ -290,7 +364,7 @@ def cmd_evolve(args):
     }[args.parts]
     norms = _curves(list(curves.values()), args, x, t_grid, pole_tol)
     for name, norm in zip(curves, norms):
-        yield name, TimeSeries(t_grid, norm(t_grid)).to_csv()
+        yield name, _norm_csv(t_grid, norm(t_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +407,18 @@ def cmd_mixing(args):
                 indent=2,
             ) + "\n"
             continue
-        mat: IndexMatrix = _MATRIX_MAKERS[tok](args, table)
-        for ext, text in mat.texts(args.format):
+        for ext, text in _matrix_texts(_MATRIX_MAKERS[tok](args, table), args.format):
             yield f"mixing_{tok}.{ext}", text
-            del text  # free the CSV before texts builds the JSON
+            del text  # free the CSV before _matrix_texts builds the JSON
 
     if args.rotate is not None:
-        state = counter_rotate(args.rotate, args.g, args.n, args.order, args.mode)
-        yield f"mixing_rotated_l{args.rotate}.csv", state.to_csv()
+        row = counter_rotate(args.rotate, args.g, args.n, args.order, args.mode)
+        yield f"mixing_rotated_l{args.rotate}.csv", _complex_csv("n", range(1, len(row) + 1), row)
     if args.contamination is not None:
-        series = diagonal_evolution_check(
+        norms = diagonal_evolution_check(
             args.contamination, args.g, table, t_grid, args.order, args.mode
         )
-        yield f"mixing_contamination_l{args.contamination}.csv", series.to_csv()
+        yield f"mixing_contamination_l{args.contamination}.csv", _norm_csv(t_grid, norms)
 
 
 # ---------------------------------------------------------------------------

@@ -132,18 +132,8 @@ def _certify(route: str, l: int, x, t, g: float, tol: float, estimates, best, no
 
 
 # ---------------------------------------------------------------------------
-# field containers
+# fields and cavity norms
 # ---------------------------------------------------------------------------
-
-def _reprs(column) -> list[str]:
-    """The repr of every value of an array, as the CSV and JSON texts write it."""
-    return list(map(repr, np.asarray(column).tolist()))
-
-
-def _csv_text(header: str, *columns) -> str:
-    """CSV text: the header, then one row per entry of the columns of value strings."""
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
-
 
 @dataclass(frozen=True)
 class WaveField:
@@ -161,11 +151,6 @@ class WaveField:
         if not np.all(np.isfinite(self.values)):
             raise DomainError("field values must be finite")
 
-    def to_csv(self) -> str:
-        values = np.asarray(self.values, dtype=complex)
-        return _csv_text("x_or_t,re,im", *map(_reprs, (np.asarray(self.x_grid, dtype=float),
-                                                       values.real, values.imag)))
-
 
 def _certified_field(route: str, l: int, x, t, g: float, tol: float, values, estimates,
                      **meta) -> WaveField:
@@ -180,25 +165,6 @@ def _certified_field(route: str, l: int, x, t, g: float, tol: float, values, est
         fld = WaveField(x, float(t[0]), values[:, 0], {"error_estimate": worst, **meta})
     _certify(route, l, x, t, g, tol, estimates, fld)
     return fld
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Cavity-integrated |psi|^2 against time."""
-
-    t_grid: np.ndarray
-    norms: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("t_grid must be strictly increasing")
-        if not np.all(np.isfinite(self.norms)):
-            raise DomainError("norms must be finite")
-
-    def to_csv(self) -> str:
-        return _csv_text("t,norm", _reprs(np.asarray(self.t_grid, dtype=float)),
-                         _reprs(np.asarray(self.norms, dtype=float)))
 
 
 def _check_norm_grid(x) -> None:

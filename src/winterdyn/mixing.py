@@ -17,16 +17,13 @@ Everything here acts on the truncated index space n = 1..N.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .errors import DomainError, IllConditionedError
-from .evolution import (SQRT_2_OVER_PI, TimeSeries, _cavity_norms, _csv_text, _pole_sum,
-                        _pole_weights, _reprs)
+from .evolution import _cavity_norms, _pole_sum, _pole_weights
 from .poles import PoleTable
 
 COND_LIMIT = 1e8
@@ -57,33 +54,6 @@ class IndexMatrix:
         """Entry by 1-based physical indices (l, n)."""
         l, n = ln
         return complex(self.entries[l - 1, n - 1])
-
-    def texts(self, fmt: str):
-        """Yield ("csv", text), then for fmt "json" also ("json", text).
-
-        Each entry is turned into text once, by repr, and both texts are
-        assembled from those strings.  The JSON is the text of
-        json.dumps(block, indent=2) + "\n" for the block {label, dim, entries,
-        meta}, entries being rows of [re, im] pairs and meta its int, float
-        and str items: the entries are finite, so repr is json's float text,
-        and they are spliced into the dump of the rest row by row (an empty
-        matrix keeps the dump's []).
-        """
-        ent = np.asarray(self.entries, dtype=complex).ravel()
-        re_s, im_s = _reprs(ent.real), _reprs(ent.imag)
-        idx = [str(i) for i in range(1, self.dim + 1)]
-        yield "csv", _csv_text("row,col,re,im", (r for r in idx for _ in idx),
-                               (c for _ in idx for c in idx), re_s, im_s)
-        if fmt != "json":
-            return
-        meta = {k: v for k, v in self.meta.items() if isinstance(v, (int, float, str))}
-        head = json.dumps({"label": self.label, "dim": self.dim, "entries": [], "meta": meta},
-                          indent=2)
-        before, after = head.split('"entries": []', 1)
-        pairs = map("[\n        %s,\n        %s\n      ]".__mod__, zip(re_s, im_s))
-        rows = ("[\n      %s\n    ]" % ",\n      ".join(islice(pairs, self.dim)) for _ in idx)
-        yield "json", "".join([before, '"entries": [\n    ', ",\n    ".join(rows), "\n  ]",
-                               after, "\n"] if idx else [head, "\n"])
 
 
 def _indices(N: int):
@@ -246,37 +216,15 @@ def U_inverse(g: float, N: int, order: int = 2, mode: str = "numeric") -> IndexM
 # counter-rotation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RotatedState:
-    """Initial state, expanded over sin(n x), that evolves on a single pole."""
+def counter_rotate(l: int, g: float, N: int, order: int = 1, mode: str = "series") -> np.ndarray:
+    """Row l of U^(-1): the box-mode coefficients of the state that evolves on pole l alone.
 
-    l: int
-    coefficients: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.coefficients)):
-            raise DomainError("coefficients must be finite")
-
-    def synthesize(self, x_grid) -> np.ndarray:
-        """sqrt(2/pi) sum_n c_n sin(n x) on the given grid."""
-        x = np.asarray(x_grid, dtype=float)
-        n = np.arange(1, len(self.coefficients) + 1)
-        return SQRT_2_OVER_PI * (np.sin(np.outer(x, n)) @ self.coefficients)
-
-    def to_csv(self) -> str:
-        c = np.asarray(self.coefficients, dtype=complex)
-        return _csv_text("n,re,im", *map(_reprs, (np.arange(1, len(c) + 1), c.real, c.imag)))
-
-
-def counter_rotate(
-    l: int, g: float, N: int, order: int = 1, mode: str = "series"
-) -> RotatedState:
-    """Row l of U^(-1) applied to the free initial vector."""
+    The state is sqrt(2/pi) sum_n c_n sin(n x), c_n being entry n - 1 of the
+    returned complex array.
+    """
     if not 1 <= l <= N:
         raise DomainError(f"need 1 <= l <= N, got l={l}, N={N}")
-    inv = U_inverse(g, N, order, mode)
-    return RotatedState(l=l, coefficients=inv.entries[l - 1].copy(), order=order)
+    return U_inverse(g, N, order, mode).entries[l - 1].copy()
 
 
 def exponentiation_gap(g: float, N: int) -> tuple[float, float]:
@@ -317,23 +265,26 @@ def diagonal_evolution_check(
     t_grid,
     order: int = 1,
     mode: str = "series",
-) -> TimeSeries:
-    """Cavity-integrated |contamination|^2 of the counter-rotated state.
+) -> np.ndarray:
+    """Cavity-integrated |contamination|^2 of the counter-rotated state at each time.
 
     The counter-rotated state evolved through the exponential machinery is
     sum_n (U^(-1) V)_{ln} theta^(n)(x, t); with the exact inverse this is
     exactly xi^(l) = theta^(l)/Z^(l), so any residue measures how much the
     approximate U^(-1) leaks other poles into the evolution.  At g = 0 the
-    leak vanishes identically.  Note the returned series is the squared
-    cavity norm; the contamination amplitude is its square root.
+    leak vanishes identically.  Note the returned norms are squared cavity
+    norms; the contamination amplitude is their square root.  Raises
+    DomainError unless l is a positive integer, and at g > 0 one of 1..N.
     """
     t_arr = np.asarray(t_grid, dtype=float)
+    if l < 1 or int(l) != l:
+        raise DomainError(f"need a positive integer l, got l={l}")
     if g == 0:
-        return TimeSeries(t_grid=t_arr, norms=np.zeros_like(t_arr))
+        return np.zeros_like(t_arr)
     if table is None:
         raise ValueError("a pole table is required for g != 0")
     N = len(table)
-    if not 1 <= l <= N:
+    if l > N:
         raise DomainError(f"need 1 <= l <= N, got l={l}")
 
     inv = U_inverse(g, N, order, mode).entries
@@ -343,4 +294,4 @@ def diagonal_evolution_check(
 
     x = np.linspace(0.0, math.pi, CONTAMINATION_POINTS)
     delta = _pole_sum(x, table.k_values, coeff, t_arr)
-    return TimeSeries(t_grid=t_arr, norms=_cavity_norms(x, delta))
+    return _cavity_norms(x, delta)

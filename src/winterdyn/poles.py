@@ -21,7 +21,6 @@ by n - 1, the format every consumer reads: `table[n]` is the complex k^(n).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -169,20 +168,6 @@ class PoleTable:
     def gamma(self) -> np.ndarray:
         """Decay width -4 Re k Im k of every pole."""
         return -4.0 * self.k_values.real * self.k_values.imag
-
-    def to_json(self) -> str:
-        keys = ("n", "re_k", "im_k", "omega", "gamma", "residual")
-        columns = (self.n, self.k_values.real, self.k_values.imag, self.omega, self.gamma,
-                   self.residual)
-        return json.dumps(
-            {
-                "g": self.g,
-                "tol": self.tol,
-                "warnings": list(self.warnings),
-                "poles": [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))],
-            },
-            indent=2,
-        )
 
 
 def pole_table(g: float, N: int, tol: float = DEFAULT_TOL) -> PoleTable:

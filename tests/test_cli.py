@@ -539,6 +539,33 @@ def test_curve_artifact_bytes_pinned(tmp_path):
     )
 
 
+def test_field_and_mixing_artifact_bytes_pinned(tmp_path):
+    # a field snapshot (signed zeros included), a series-mode inverse with its
+    # meta, and a contamination curve
+    field, mixing = tmp_path / "field", tmp_path / "mixing"
+    assert main(["evolve", "--g", "0.2", "--method", "asymptotic", "--t", "5", "--x", "0:3:3",
+                 "--out", str(field)]) == 0
+    assert main(["mixing", "--g", "0.1", "--n", "2", "--emit", "Uinv", "--mode", "series",
+                 "--format", "json", "--contamination", "1", "--t", "0:2:3",
+                 "--out", str(mixing)]) == 0
+    assert (field / "evolve_field_asymptotic.csv").read_text() == (
+        "x_or_t,re,im\n0.0,0.0,-0.0\n1.5,-0.0035920947497258488,-0.0001346852127738007\n"
+        "3.0,-0.005926401262108066,-0.0015271586628912333\n"
+    )
+    assert (mixing / "mixing_Uinv.json").read_text() == (
+        '{\n  "label": "U_inverse",\n  "dim": 2,\n  "entries": [\n'
+        "    [\n      [\n        0.9823006593315178,\n        0.0\n      ],\n"
+        "      [\n        -0.10444444444444444,\n        -0.08377580409572782\n      ]\n    ],\n"
+        "    [\n      [\n        0.1488888888888889,\n        0.04188790204786391\n      ],\n"
+        "      [\n        0.9329526373260709,\n        0.0\n      ]\n    ]\n  ],\n"
+        '  "meta": {\n    "g": 0.1,\n    "order": 2,\n    "mode": "series"\n  }\n}\n'
+    )
+    assert (mixing / "mixing_contamination_l1.csv").read_text() == (
+        "t,norm\n0.0,0.0012323424237461415\n1.0,0.0010527091560968756\n"
+        "2.0,0.0007403104388309962\n"
+    )
+
+
 def test_power_norms_match_per_time_kernel_literals(tmp_path):
     # the power norms the per-t ray kernel wrote, before times shared a cell
     # set per band and a matrix product
@@ -959,11 +986,13 @@ def tree(root):
         (["mixing", "--g", "1e300", "--n", "4", "--emit", "U"], 2),
         (["mixing", "--g", "1e300", "--n", "4", "--emit", "Uinv", "--mode", "series"], 2),
         (["mixing", "--g", "1e300", "--n", "4", "--emit", "expgap"], 2),
+        # the asymptotic form has no estimate: only the CSV writer refuses its overflow
+        (["evolve", "--g", "0.2", "--method", "asymptotic", "--t", "1e-300"], 2),
     ],
     ids=["evolve-split-overflow", "crossings-overflow", "evolve-direct-g-1e-300",
          "evolve-direct-g-1e-6", "evolve-power-nan-field", "mixing-Uinv-nan-cond",
          "mixing-rotate-nan-cond", "mixing-U-overflow", "mixing-Uinv-series-overflow",
-         "mixing-expgap-overflow"],
+         "mixing-expgap-overflow", "evolve-asymptotic-overflow"],
 )
 def test_failure_exit_code_leaves_out_as_it_was(tmp_path, argv, code):
     (tmp_path / "old").mkdir()

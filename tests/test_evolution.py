@@ -11,10 +11,10 @@ from test_quadrature import baseline_subpanels, panel_cell_edges
 from winterdyn import (
     AccuracyError,
     DomainError,
-    TimeSeries,
     WaveField,
     asymptotic_field,
     cavity_norm,
+    cli,
     direct_field,
     evolution,
     exponential_field,
@@ -830,8 +830,7 @@ def test_wavefield_validation():
 
 
 def test_timeseries_csv_shape():
-    ts = TimeSeries(t_grid=np.array([1.0, 2.0]), norms=np.array([0.5, 0.25]))
-    lines = ts.to_csv().strip().split("\n")
+    lines = cli._norm_csv(np.array([1.0, 2.0]), np.array([0.5, 0.25])).strip().split("\n")
     assert lines[0] == "t,norm"
     assert len(lines) == 3
 
@@ -842,7 +841,7 @@ def test_wavefield_csv_shape():
         t=0.0,
         values=np.array([0j, 1 + 2j]),
     )
-    lines = fld.to_csv().strip().split("\n")
+    lines = cli._complex_csv("x_or_t", fld.x_grid, fld.values).strip().split("\n")
     assert lines[0] == "x_or_t,re,im"
     assert lines[2].startswith("1.0,1.0,2.0")
 
@@ -858,11 +857,11 @@ def test_csv_matches_per_entry_loop():
     for xi, v in zip(fld.x_grid, fld.values):
         v = complex(v)
         lines.append(f"{float(xi)!r},{v.real!r},{v.imag!r}")
-    assert fld.to_csv() == "\n".join(lines) + "\n"
+    assert cli._complex_csv("x_or_t", fld.x_grid, fld.values) == "\n".join(lines) + "\n"
 
-    ts = TimeSeries(t_grid=[1, 2, 7], norms=[0.5, 0, 1e-300])
-    lines = ["t,norm"] + [f"{float(t)!r},{float(v)!r}" for t, v in zip(ts.t_grid, ts.norms)]
-    assert ts.to_csv() == "\n".join(lines) + "\n"
+    t_grid, norms = np.array([1.0, 2.0, 7.0]), np.array([0.5, 0.0, 1e-300])
+    lines = ["t,norm"] + [f"{float(t)!r},{float(v)!r}" for t, v in zip(t_grid, norms)]
+    assert cli._norm_csv(t_grid, norms) == "\n".join(lines) + "\n"
 
 
 def test_decomposition_identity_grid_l2(table01):
@@ -897,6 +896,6 @@ def test_non_finite_values_are_domain_errors():
     with pytest.raises(DomainError):
         WaveField(x_grid=x, t=0.0, values=values)
     with pytest.raises(DomainError):
-        TimeSeries(np.array([0.0, 1.0]), np.array([1.0, np.inf]))
+        cli._norm_csv(np.array([0.0, 1.0]), np.array([1.0, np.inf]))
     with pytest.raises(DomainError):
         _cavity_norms(x, values[:, None])

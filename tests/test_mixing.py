@@ -12,12 +12,12 @@ from winterdyn import (
     DomainError,
     IllConditionedError,
     IndexMatrix,
-    RotatedState,
     U_inverse,
     U_truncated,
     V_order,
     Z_exact,
     Z_order,
+    cli,
     counter_rotate,
     diagonal_evolution_check,
     exponential_field,
@@ -44,6 +44,12 @@ def rotated_state_closed_form(l: int, g: float, x_grid) -> np.ndarray:
     """
     x = np.asarray(x_grid, dtype=float)
     return SQRT_2_OVER_PI * (1.0 - 0.5 * g) * np.sin(l * (1.0 - g) * x)
+
+
+def synthesize(coefficients, x_grid) -> np.ndarray:
+    """sqrt(2/pi) sum_n c_n sin(n x) on the given grid: the state of a box-mode expansion."""
+    n = np.arange(1, len(coefficients) + 1)
+    return SQRT_2_OVER_PI * (np.sin(np.outer(np.asarray(x_grid, dtype=float), n)) @ coefficients)
 
 
 def inf_norm(m):
@@ -287,10 +293,10 @@ def test_U_inverse_condition_guard(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_counter_rotate_free_limit():
-    st = counter_rotate(3, 0.0, 8, order=1)
+    row = counter_rotate(3, 0.0, 8, order=1)
     expect = np.zeros(8)
     expect[2] = 1.0
-    assert np.allclose(st.coefficients, expect)
+    assert np.allclose(row, expect)
 
 
 @pytest.mark.parametrize("mode", ["series", "numeric"])
@@ -311,22 +317,22 @@ def test_counter_rotate_refuses_one_mode(g):
 
 def test_counter_rotate_closed_form():
     g, N = 0.1, 256
-    st = counter_rotate(1, g, N, order=1, mode="series")
+    row = counter_rotate(1, g, N, order=1, mode="series")
     x = np.linspace(0, 0.9 * PI, 200)
-    synth = st.synthesize(x)
+    synth = synthesize(row, x)
     target = rotated_state_closed_form(1, g, x)
     assert np.max(np.abs(synth - target)) <= 5 * g * g
 
 
 def test_counter_rotate_tail_decay():
-    st = counter_rotate(1, 0.1, 256, order=1, mode="series")
-    c200 = abs(st.coefficients[199]) * 200
+    row = counter_rotate(1, 0.1, 256, order=1, mode="series")
+    c200 = abs(row[199]) * 200
     assert 0.8 < c200 / (2 * 0.1 * 1) < 1.2  # |c_n| ~ 2 g l / n
 
 
 def test_rotated_state_csv():
-    st = counter_rotate(1, 0.1, 4, order=1, mode="series")
-    lines = st.to_csv().strip().split("\n")
+    row = counter_rotate(1, 0.1, 4, order=1, mode="series")
+    lines = cli._complex_csv("n", range(1, 5), row).strip().split("\n")
     assert lines[0] == "n,re,im"
     assert len(lines) == 5
 
@@ -361,15 +367,15 @@ def test_csv_and_json_match_per_entry_loops():
             "entries": [[[complex(v).real, complex(v).imag] for v in row] for row in mat.entries],
             "meta": {k: v for k, v in mat.meta.items() if k != "rows"},
         }
-        assert list(mat.texts("csv")) == [("csv", csv)]
-        assert list(mat.texts("json")) == [("csv", csv),
-                                            ("json", json.dumps(block, indent=2) + "\n")]
+        assert list(cli._matrix_texts(mat, "csv")) == [("csv", csv)]
+        assert list(cli._matrix_texts(mat, "json")) == [
+            ("csv", csv), ("json", json.dumps(block, indent=2) + "\n")]
 
-    st = counter_rotate(2, 0.1, 6, order=2, mode="numeric")
+    row = counter_rotate(2, 0.1, 6, order=2, mode="numeric")
     lines = ["n,re,im"]
-    for i, c in enumerate(st.coefficients, start=1):
+    for i, c in enumerate(row, start=1):
         lines.append(f"{i},{complex(c).real!r},{complex(c).imag!r}")
-    assert st.to_csv() == "\n".join(lines) + "\n"
+    assert cli._complex_csv("n", range(1, 7), row) == "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +412,22 @@ def test_exponentiation_gap_ah_not_absorbed():
 
 
 def test_diagonal_evolution_free():
-    ts = diagonal_evolution_check(1, 0.0, None, [0.0, 1.0, 5.0])
-    assert np.all(ts.norms == 0.0)
+    norms = diagonal_evolution_check(1, 0.0, None, [0.0, 1.0, 5.0])
+    assert np.all(norms == 0.0)
 
 
 @pytest.mark.parametrize("l", [0, 9])
 def test_diagonal_evolution_refuses_l_outside_table(table01, l):
     with pytest.raises(DomainError):
         diagonal_evolution_check(l, 0.1, table01, [1.0])
+
+
+@pytest.mark.parametrize("g", [0.0, 0.1])
+@pytest.mark.parametrize("l", [0, -3, 1.5])
+def test_diagonal_evolution_refuses_l_that_is_no_mode(table01, g, l):
+    # at g = 0 too, where no table is read and every valid l gives zeros
+    with pytest.raises(DomainError):
+        diagonal_evolution_check(l, g, table01 if g else None, [1.0])
 
 
 def test_pole_table_of_another_coupling_is_refused(table01):
@@ -433,8 +447,7 @@ def test_diagonal_evolution_contamination_scaling():
     norms = []
     for g in (0.1, 0.05):
         t = pole_table(g, 8, tol=1e-13)
-        series = diagonal_evolution_check(2, g, t, [2.0], order=1, mode="series")
-        norms.append(series.norms[0])
+        norms.append(diagonal_evolution_check(2, g, t, [2.0], order=1, mode="series")[0])
     assert 3.0 < norms[0] / norms[1] < 5.0
 
 
@@ -443,16 +456,16 @@ def test_diagonal_evolution_numeric_beats_series():
     t = pole_table(g, 16, tol=1e-13)
     ser = diagonal_evolution_check(2, g, t, [1.0], order=1, mode="series")
     num = diagonal_evolution_check(2, g, t, [1.0], order=2, mode="numeric")
-    assert num.norms[0] < ser.norms[0]
+    assert num[0] < ser[0]
 
 
 def test_diagonal_evolution_contamination_grows_relatively():
     g = 0.1
     t = pole_table(g, 10, tol=1e-13)
-    series = diagonal_evolution_check(2, g, t, [1.0, 40.0], order=1, mode="series")
+    norms = diagonal_evolution_check(2, g, t, [1.0, 40.0], order=1, mode="series")
     # signal xi^(2) decays like Gamma_2; the pole-1 leak decays like Gamma_1
     signal = np.exp(-t.gamma[1] * np.array([1.0, 40.0]))
-    rel = np.sqrt(series.norms) / signal
+    rel = np.sqrt(norms) / signal
     assert rel[1] > 10 * rel[0]
 
 
@@ -461,14 +474,14 @@ def test_diagonal_evolution_matches_per_time_loop():
     g, l = 0.1, 2
     table = pole_table(g, 12, tol=1e-13)
     ts = np.array([0.0, 0.5, 2.0, 10.0, 40.0])
-    series = diagonal_evolution_check(l, g, table, ts, order=1, mode="series")
+    norms = diagonal_evolution_check(l, g, table, ts, order=1, mode="series")
     n = len(table)
     coeff = (U_inverse(g, n, 1, "series").entries @ mixing_V_exact(g, table).entries)[l - 1]
     coeff[l - 1] -= 1.0 / Z_exact(l, g, table)
     ks = table.k_values
     x = np.linspace(0.0, math.pi, CONTAMINATION_POINTS)
     sin_mat = np.sin(np.outer(x, ks))
-    for t, norm in zip(ts, series.norms):
+    for t, norm in zip(ts, norms):
         delta = SQRT_2_OVER_PI * (sin_mat @ (coeff * np.exp(-1j * ks**2 * t)))
         assert norm == pytest.approx(float(simpson(np.abs(delta) ** 2, x=x)), rel=1e-13)
 
@@ -482,4 +495,4 @@ def test_U_inverse_refuses_overflowed_U(g):
 
 def test_rotated_state_refuses_non_finite_coefficients():
     with pytest.raises(DomainError):
-        RotatedState(l=1, coefficients=np.array([1.0, np.nan]), order=1)
+        cli._complex_csv("n", range(1, 3), np.array([1.0, np.nan], dtype=complex))
