@@ -38,7 +38,6 @@ import math
 import os
 import sys
 import tempfile
-from itertools import islice
 
 import numpy as np
 
@@ -71,7 +70,7 @@ from .mixing import (
     matrix_H,
     mixing_V_exact,
 )
-from .poles import PoleTable, freq_pert, pole_table, width_pert
+from .poles import freq_pert, pole_table, width_pert
 
 # Relative width of the bracket at which find_crossings stops bisecting.
 CROSSING_RTOL = 1e-4
@@ -97,8 +96,17 @@ def _reprs(column) -> list[str]:
 
 
 def _csv_text(header: str, *columns) -> str:
-    """CSV text: the header, then one row per entry of the columns of value strings."""
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+    """CSV text: the header, then one row per entry of the lists of value strings.
+
+    The text is one join of one flat token list, in which slicing places the
+    strings among commas and a newline after each row's last string.
+    """
+    k, rows = len(columns), len(columns[0])
+    tok = [","] * (2 + 2 * k * rows)
+    tok[0], tok[1], tok[1 + 2 * k::2 * k] = header, "\n", ["\n"] * rows
+    for j, column in enumerate(columns):
+        tok[2 + 2 * j::2 * k] = column
+    return "".join(tok)
 
 
 def _complex_csv(header: str, index, values) -> str:
@@ -111,48 +119,37 @@ def _norm_csv(t, norms) -> str:
     return _csv_text("t,norm", _reprs(t), _reprs(norms))
 
 
-def _pole_json(table: PoleTable) -> str:
-    """JSON text of a pole table: g, tol, its warnings and one object per pole."""
-    keys = ("n", "re_k", "im_k", "omega", "gamma", "residual")
-    columns = (table.n, table.k_values.real, table.k_values.imag, table.omega, table.gamma,
-               table.residual)
-    return json.dumps(
-        {
-            "g": table.g,
-            "tol": table.tol,
-            "warnings": list(table.warnings),
-            "poles": [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))],
-        },
-        indent=2,
-    ) + "\n"
-
-
 def _matrix_texts(mat: IndexMatrix, fmt: str):
     """Yield ("csv", text), then for fmt "json" also ("json", text).
 
-    Each entry is turned into text once, by repr, and both texts are
-    assembled from those strings.  The JSON is the text of
-    json.dumps(block, indent=2) + "\n" for the block {label, dim, entries,
-    meta}, entries being rows of [re, im] pairs and meta its int, float
-    and str items: the entries are finite, so repr is json's float text,
-    and they are spliced into the dump of the rest row by row (an empty
-    matrix keeps the dump's []).
+    Each entry is turned into text once, by repr, and each text is one join
+    of one flat token list.  The JSON is json.dumps(block, indent=2) + "\n"
+    for the block {label, dim, entries, meta}, entries being rows of [re, im]
+    pairs and meta its int, float and str items (repr of a finite entry is
+    json's float text).  Its tokens are, per entry, a break, re, a comma and
+    im: the break closes the previous pair, and at a row start the previous
+    row too, and the first break and the last token carry the dump of the
+    rest (an empty matrix keeps the dump's []).
     """
     ent = np.asarray(mat.entries, dtype=complex).ravel()
     re_s, im_s = _reprs(ent.real), _reprs(ent.imag)
-    idx = [str(i) for i in range(1, mat.dim + 1)]
-    yield "csv", _csv_text("row,col,re,im", (r for r in idx for _ in idx),
-                           (c for _ in idx for c in idx), re_s, im_s)
+    n = mat.dim
+    idx = [str(i) for i in range(1, n + 1)]
+    yield "csv", _csv_text("row,col,re,im", [r for r in idx for _ in idx], idx * n, re_s, im_s)
     if fmt != "json":
         return
     meta = {k: v for k, v in mat.meta.items() if isinstance(v, (int, float, str))}
-    head = json.dumps({"label": mat.label, "dim": mat.dim, "entries": [], "meta": meta},
-                      indent=2)
+    head = json.dumps({"label": mat.label, "dim": n, "entries": [], "meta": meta}, indent=2)
+    if not n:
+        yield "json", head + "\n"
+        return
     before, after = head.split('"entries": []', 1)
-    pairs = map("[\n        %s,\n        %s\n      ]".__mod__, zip(re_s, im_s))
-    rows = ("[\n      %s\n    ]" % ",\n      ".join(islice(pairs, mat.dim)) for _ in idx)
-    yield "json", "".join([before, '"entries": [\n    ', ",\n    ".join(rows), "\n  ]",
-                           after, "\n"] if idx else [head, "\n"])
+    tok = ["\n      ],\n      [\n        "] * (4 * n * n + 1)
+    tok[1::4], tok[2::4], tok[3::4] = re_s, [",\n        "] * (n * n), im_s
+    tok[0::4 * n] = [before + '"entries": [\n    [\n      [\n        ',
+                     *["\n      ]\n    ],\n    [\n      [\n        "] * (n - 1),
+                     "\n      ]\n    ]\n  ]" + after + "\n"]
+    yield "json", "".join(tok)
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +251,17 @@ def publish(args) -> int:
 
 def cmd_poles(args):
     table = pole_table(args.g, args.n_max, args.tol)
-    yield "poles.json", _pole_json(table)
-    yield "poles.csv", _csv_text(
-        "n,re_k,im_k,omega,gamma,residual,omega_pert1,omega_pert2,gamma_pert2,gamma_pert3",
-        *map(_reprs, (
-            table.n,
-            table.k_values.real,
-            table.k_values.imag,
-            table.omega,
-            table.gamma,
-            table.residual,
-            freq_pert(table.n, args.g, 1),
-            freq_pert(table.n, args.g, 2),
-            width_pert(table.n, args.g, 2),
-            width_pert(table.n, args.g, 3),
-        )),
-    )
+    columns = {"n": table.n, "re_k": table.k_values.real, "im_k": table.k_values.imag,
+               "omega": table.omega, "gamma": table.gamma, "residual": table.residual}
+    poles = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    yield "poles.json", json.dumps(
+        {"g": table.g, "tol": table.tol, "warnings": list(table.warnings), "poles": poles},
+        indent=2,
+    ) + "\n"
+    n, g = table.n, args.g
+    columns.update(omega_pert1=freq_pert(n, g, 1), omega_pert2=freq_pert(n, g, 2),
+                   gamma_pert2=width_pert(n, g, 2), gamma_pert3=width_pert(n, g, 3))
+    yield "poles.csv", _csv_text(",".join(columns), *map(_reprs, columns.values()))
 
 
 # ---------------------------------------------------------------------------

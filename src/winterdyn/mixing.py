@@ -222,9 +222,9 @@ def counter_rotate(l: int, g: float, N: int, order: int = 1, mode: str = "series
     The state is sqrt(2/pi) sum_n c_n sin(n x), c_n being entry n - 1 of the
     returned complex array.
     """
-    if not 1 <= l <= N:
-        raise DomainError(f"need 1 <= l <= N, got l={l}, N={N}")
-    return U_inverse(g, N, order, mode).entries[l - 1].copy()
+    if int(l) != l or not 1 <= l <= N:
+        raise DomainError(f"need an integer 1 <= l <= N, got l={l}, N={N}")
+    return U_inverse(g, N, order, mode).entries[int(l) - 1].copy()
 
 
 def exponentiation_gap(g: float, N: int) -> tuple[float, float]:
@@ -279,6 +279,7 @@ def diagonal_evolution_check(
     t_arr = np.asarray(t_grid, dtype=float)
     if l < 1 or int(l) != l:
         raise DomainError(f"need a positive integer l, got l={l}")
+    l = int(l)
     if g == 0:
         return np.zeros_like(t_arr)
     if table is None:

@@ -24,6 +24,25 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def test_csv_text_is_the_header_and_the_joined_rows():
+    # reference: each row joined by commas, over seeded draws of 1-10 columns
+    # of 1-300 rows of reprs of doubles from subnormal to huge, among them
+    # signed zero, the smallest subnormal and exponent-form text
+    rng = np.random.default_rng(32)
+    special = ["-0.0", "5e-324", "1e+16", "0.0"]
+    for _ in range(200):
+        k, rows = int(rng.integers(1, 11)), int(rng.integers(1, 301))
+        columns = []
+        for _ in range(k):
+            column = cli._reprs(np.ldexp(rng.standard_normal(rows), rng.integers(-1080, 1020, rows)))
+            for i in rng.integers(0, rows, rng.integers(0, rows + 1)):
+                column[i] = special[rng.integers(len(special))]
+            columns.append(column)
+        header = ",".join(f"c{j}" for j in range(k))
+        ref = "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+        assert cli._csv_text(header, *columns) == ref
+
+
 def test_parse_grid_linear():
     g = parse_grid("0:10:11")
     assert len(g) == 11 and g[0] == 0.0 and g[-1] == 10.0

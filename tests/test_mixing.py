@@ -308,6 +308,19 @@ def test_U_inverse_is_the_identity_at_g0(order, mode):
     assert not np.signbit(inv.real).any() and not np.signbit(inv.imag).any()
 
 
+@pytest.mark.parametrize("l", [2.0, 1.5, np.int64(2)])
+def test_counter_rotation_reads_l_as_an_integer(table01, l):
+    # an integral l of any type is l = 2, as in the evolution routes; 1.5 is refused
+    calls = (lambda l: counter_rotate(l, 0.1, 4),
+             lambda l: diagonal_evolution_check(l, 0.1, table01, [1.0]))
+    for call in calls:
+        if l == 2:
+            assert np.array_equal(call(l), call(2))
+        else:
+            with pytest.raises(DomainError):
+                call(l)
+
+
 @pytest.mark.parametrize("g", [0.0, 0.1])
 def test_counter_rotate_refuses_one_mode(g):
     # N >= 2 at every coupling, g = 0 included
@@ -342,7 +355,7 @@ def test_csv_and_json_match_per_entry_loops():
     # built entry by entry; the hand-built matrix holds signed zeros, the
     # smallest subnormal, a value repr writes in exponent form and both
     # extremes of the float range, and a meta item that is not written; the
-    # empty matrix has no rows to splice
+    # empty matrix has no rows to splice, and N = 256 is the benchmark's shape
     big = 1.7976931348623157e308
     edge = np.empty((2, 2), dtype=complex)
     edge.real = [[-0.0, 5e-324], [1e-05, 1e16]]
@@ -351,7 +364,7 @@ def test_csv_and_json_match_per_entry_loops():
     assert isinstance(numeric.meta["residual"], float) and isinstance(numeric.meta["cond"], float)
     assert numeric.meta["mode"] == "numeric"
     mats = (matrix_A(5), U_inverse(0.1, 5, 2, "numeric"), IndexMatrix(-np.zeros((2, 2)), "H"),
-            numeric, U_inverse(0.13, 37, 2, "series"),
+            numeric, U_inverse(0.13, 37, 2, "series"), U_inverse(0.17, 256, 2, "numeric"),
             IndexMatrix(edge, "U", meta={"g": 0.5, "order": 2, "tag": "edge", "rows": (1, 2)}),
             IndexMatrix(np.zeros((0, 0)), "H"))
     for mat in mats:
